@@ -1,15 +1,23 @@
 // Package des implements a discrete-event simulation kernel: a virtual
-// clock, a cancellable event queue, and a run loop. It is the substrate
-// for every simulator in this repository.
+// clock, an allocation-free cancellable event queue, and a run loop. It
+// is the substrate for every simulator in this repository.
 //
-// Events are callbacks scheduled at absolute or relative virtual times.
-// Scheduling returns an *Event handle that can be cancelled or rescheduled,
-// which the e-commerce model uses to push back in-flight service
-// completions when a garbage-collection stall occurs.
+// An event is a (Kind, arg) pair scheduled at an absolute or relative
+// virtual time. The simulator's owner installs one Dispatch function
+// and switches on the kind when an event fires, so scheduling captures
+// no closure. Events live by value in a slab whose free slots thread an
+// intrusive free list, and the queue is a binary heap of slot indices
+// ordered by (time, seq): once the slab and heap have grown to the peak
+// number of pending events, neither scheduling nor firing allocates.
+//
+// Scheduling returns a generation-checked Handle that can be cancelled
+// or rescheduled, which the e-commerce model uses to push back in-flight
+// service completions when a garbage-collection stall occurs. A handle
+// goes stale when its event fires or is cancelled; stale handles and
+// the zero Handle are inert.
 package des
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -19,165 +27,172 @@ import (
 	"rejuv/internal/num"
 )
 
-// Handler is the callback invoked when an event fires. The simulator
-// passes itself so handlers can schedule follow-up events.
-type Handler func(sim *Simulator)
+// Kind tells the owner's Dispatch what a fired event means. The kernel
+// never interprets it.
+type Kind int32
 
-// Event is a scheduled occurrence in virtual time. Handles are returned
-// by the Schedule methods and stay valid until the event fires or is
-// cancelled.
-type Event struct {
-	time    float64
-	seq     uint64 // tie-breaker: FIFO among same-time events
-	index   int    // position in the heap, -1 when not queued
-	handler Handler
+// Dispatch is the owner's single entry point for fired events: it
+// receives the kind and argument the event was scheduled with, after
+// the clock has advanced to the event's time.
+type Dispatch func(kind Kind, arg int32)
+
+// Handle refers to one scheduled event. The zero value refers to no
+// event. A handle stays valid until its event fires or is cancelled;
+// after that its slot may be reused, and the generation check makes the
+// old handle inert.
+type Handle struct {
+	slot int32
+	gen  uint32
 }
 
-// Time returns the virtual time at which the event is scheduled to fire.
-func (e *Event) Time() float64 { return e.time }
-
-// Pending reports whether the event is still queued (not fired, not
-// cancelled).
-func (e *Event) Pending() bool { return e.index >= 0 }
-
-// eventQueue is a min-heap of events ordered by (time, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if !num.Same(q[i].time, q[j].time) {
-		return q[i].time < q[j].time
-	}
-	return q[i].seq < q[j].seq
+// event is one slab slot. While queued, pos is its index in the heap;
+// while free, next links it into the free list.
+type event struct {
+	time float64
+	seq  uint64 // tie-breaker: FIFO among same-time events
+	pos  int32
+	next int32
+	gen  uint32 // bumped on every release, never 0
+	kind Kind
+	arg  int32
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
+// noSlot terminates the free list.
+const noSlot int32 = -1
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
-}
-
-// Simulator owns the virtual clock and the event queue. The zero value is
-// a simulator at time zero with an empty queue, ready to use.
+// Simulator owns the virtual clock and the event queue. Build it with
+// New.
 type Simulator struct {
-	now     float64
-	seq     uint64
-	queue   eventQueue
-	stopped bool
-	met     *simMetrics     // nil unless Instrument was called
-	jw      *journal.Writer // nil unless Journal was called
+	now      float64
+	seq      uint64
+	slab     []event
+	free     int32   // head of the free-slot list, noSlot when empty
+	heap     []int32 // slot indices, a min-heap by (time, seq)
+	dispatch Dispatch
+	stopped  bool
+	met      *simMetrics     // nil unless Instrument was called
+	jw       *journal.Writer // nil unless Journal was called
 }
 
-// New returns a simulator at virtual time zero.
-func New() *Simulator { return &Simulator{} }
+// New returns a simulator at virtual time zero with an empty queue that
+// hands every fired event to d.
+func New(d Dispatch) *Simulator { return &Simulator{free: noSlot, dispatch: d} }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() float64 { return s.now }
 
 // Len returns the number of pending events.
-func (s *Simulator) Len() int { return len(s.queue) }
+func (s *Simulator) Len() int { return len(s.heap) }
 
-// ScheduleAt schedules h to run at absolute virtual time t. It panics if
-// t precedes the current time or is NaN, since scheduling into the past
-// is always a modeling bug.
-func (s *Simulator) ScheduleAt(t float64, h Handler) *Event {
+// ScheduleAt schedules an event of the given kind and argument at
+// absolute virtual time t. It panics if t precedes the current time or
+// is NaN, since scheduling into the past is always a modeling bug.
+func (s *Simulator) ScheduleAt(t float64, kind Kind, arg int32) Handle {
 	if math.IsNaN(t) || t < s.now {
+		//lint:allow hotpath formatting the modeling-bug panic happens at most once per process
 		panic(fmt.Sprintf("des: ScheduleAt(%v) before now (%v)", t, s.now))
 	}
-	e := &Event{time: t, seq: s.seq, handler: h}
+	i := s.alloc()
+	e := &s.slab[i]
+	e.time, e.seq, e.kind, e.arg = t, s.seq, kind, arg
 	s.seq++
-	heap.Push(&s.queue, e)
+	s.push(i)
 	s.noteScheduled()
 	s.journalScheduled(t)
-	return e
+	return Handle{slot: i, gen: e.gen}
 }
 
-// Schedule schedules h to run after the given non-negative delay.
-func (s *Simulator) Schedule(delay float64, h Handler) *Event {
+// Schedule schedules an event of the given kind and argument after the
+// given non-negative delay.
+func (s *Simulator) Schedule(delay float64, kind Kind, arg int32) Handle {
 	if math.IsNaN(delay) || delay < 0 {
+		//lint:allow hotpath formatting the modeling-bug panic happens at most once per process
 		panic(fmt.Sprintf("des: Schedule with negative delay %v", delay))
 	}
-	return s.ScheduleAt(s.now+delay, h)
+	return s.ScheduleAt(s.now+delay, kind, arg)
 }
 
-// Cancel removes a pending event from the queue. Cancelling an event that
-// already fired or was already cancelled is a no-op, so callers need not
-// track event lifecycles precisely.
-func (s *Simulator) Cancel(e *Event) {
-	if e == nil || e.index < 0 {
+// Pending reports whether h refers to an event that is still queued
+// (not fired, not cancelled). It is false for the zero Handle.
+func (s *Simulator) Pending(h Handle) bool {
+	return h.gen != 0 && uint(h.slot) < uint(len(s.slab)) && s.slab[h.slot].gen == h.gen
+}
+
+// Time returns the virtual time at which the pending event h fires. It
+// panics if h is not pending.
+func (s *Simulator) Time(h Handle) float64 {
+	if !s.Pending(h) {
+		panic("des: Time of an event that is not pending")
+	}
+	return s.slab[h.slot].time
+}
+
+// Cancel removes a pending event from the queue. Cancelling an event
+// that already fired or was already cancelled, or the zero Handle, is a
+// no-op, so callers need not track event lifecycles precisely.
+func (s *Simulator) Cancel(h Handle) {
+	if !s.Pending(h) {
 		return
 	}
-	heap.Remove(&s.queue, e.index)
+	s.remove(s.slab[h.slot].pos)
+	s.release(h.slot)
 	s.noteCancelled()
 	s.journalCancelled()
 }
 
-// Reschedule moves a pending event to absolute time t, preserving its
-// handler. If the event is no longer pending it is re-queued, which is
-// what callers pushing back in-flight completions want. It panics if t
-// precedes the current time.
-func (s *Simulator) Reschedule(e *Event, t float64) {
+// Reschedule moves the pending event h to absolute time t, keeping its
+// kind and argument; it takes a fresh sequence number, so it fires
+// after events already scheduled for the same time. It panics if t
+// precedes the current time or if h is not pending: moving an event
+// that already fired or was cancelled is a modeling bug.
+func (s *Simulator) Reschedule(h Handle, t float64) {
 	if math.IsNaN(t) || t < s.now {
+		//lint:allow hotpath formatting the modeling-bug panic happens at most once per process
 		panic(fmt.Sprintf("des: Reschedule(%v) before now (%v)", t, s.now))
 	}
-	if e.index >= 0 {
-		e.time = t
-		e.seq = s.seq
-		s.seq++
-		heap.Fix(&s.queue, e.index)
-		return
+	if !s.Pending(h) {
+		panic("des: Reschedule of an event that is not pending")
 	}
+	e := &s.slab[h.slot]
 	e.time = t
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.queue, e)
+	s.fix(e.pos)
 }
 
-// Stop makes the current Run call return after the executing handler
+// Stop makes the current Run call return after the executing dispatch
 // completes. Pending events remain queued.
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Step fires the next pending event, advancing the clock to its time.
 // It returns false when no events are pending. Step is the kernel's
 // inner loop: everything it reaches (metrics, journaling) must stay
-// allocation-free so event throughput is bounded by the handlers alone.
+// allocation-free so event throughput is bounded by the dispatch alone.
+// The event's slot is released before dispatch, so its handle is
+// already stale when the owner sees the event.
 //
 //lint:hotpath
 func (s *Simulator) Step() bool {
-	if len(s.queue) == 0 {
+	if len(s.heap) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*Event)
+	i := s.popMin()
+	e := &s.slab[i]
 	if e.time < s.now {
 		//lint:allow hotpath formatting the modeling-bug panic happens at most once per process
 		panic(fmt.Sprintf("des: time went backwards: %v -> %v", s.now, e.time))
 	}
 	s.now = e.time
+	kind, arg := e.kind, e.arg
+	s.release(i)
 	s.noteFired()
 	s.journalFired()
-	e.handler(s)
+	s.dispatch(kind, arg)
 	return true
 }
 
 // eventLoopLabels tags the run loop in CPU profiles so samples inside
-// Run/RunUntil (and everything the handlers call, detector evaluation
+// Run/RunUntil (and everything the dispatch calls, detector evaluation
 // included) can be filtered with `-tagfocus des_phase=event-loop`.
 var eventLoopLabels = pprof.Labels("des_phase", "event-loop")
 
@@ -201,7 +216,7 @@ func (s *Simulator) RunUntil(horizon float64) int {
 	s.stopped = false
 	fired := 0
 	pprof.Do(context.Background(), eventLoopLabels, func(context.Context) {
-		for !s.stopped && len(s.queue) > 0 && s.queue[0].time <= horizon {
+		for !s.stopped && len(s.heap) > 0 && s.slab[s.heap[0]].time <= horizon {
 			s.Step()
 			fired++
 		}
@@ -210,4 +225,113 @@ func (s *Simulator) RunUntil(horizon float64) int {
 		s.now = horizon
 	}
 	return fired
+}
+
+// alloc takes a slot off the free list, growing the slab when the list
+// is empty.
+func (s *Simulator) alloc() int32 {
+	if i := s.free; i != noSlot {
+		s.free = s.slab[i].next
+		return i
+	}
+	//lint:allow hotpath amortized growth to the peak number of pending events; released slots are reused
+	s.slab = append(s.slab, event{gen: 1})
+	return int32(len(s.slab) - 1)
+}
+
+// release returns slot i to the free list and bumps its generation,
+// skipping 0 so no live slot ever matches the zero Handle.
+func (s *Simulator) release(i int32) {
+	e := &s.slab[i]
+	e.gen++
+	if e.gen == 0 {
+		e.gen = 1
+	}
+	e.next = s.free
+	s.free = i
+}
+
+// less orders slots a and b by (time, seq).
+func (s *Simulator) less(a, b int32) bool {
+	ea, eb := &s.slab[a], &s.slab[b]
+	if !num.Same(ea.time, eb.time) {
+		return ea.time < eb.time
+	}
+	return ea.seq < eb.seq
+}
+
+// push adds slot i to the heap.
+func (s *Simulator) push(i int32) {
+	//lint:allow hotpath amortized growth to the peak number of pending events
+	s.heap = append(s.heap, i)
+	s.up(int32(len(s.heap) - 1))
+}
+
+// popMin removes and returns the slot at the top of the heap.
+func (s *Simulator) popMin() int32 {
+	top := s.heap[0]
+	s.remove(0)
+	return top
+}
+
+// remove deletes the heap entry at position p.
+func (s *Simulator) remove(p int32) {
+	last := int32(len(s.heap) - 1)
+	x := s.heap[last]
+	s.heap = s.heap[:last]
+	if p != last {
+		s.heap[p] = x
+		s.fix(p)
+	}
+}
+
+// fix restores heap order after the key at position p changed.
+func (s *Simulator) fix(p int32) {
+	if !s.down(p) {
+		s.up(p)
+	}
+}
+
+// up sifts the entry at position p toward the root.
+func (s *Simulator) up(p int32) {
+	h := s.heap
+	x := h[p]
+	for p > 0 {
+		parent := (p - 1) / 2
+		if !s.less(x, h[parent]) {
+			break
+		}
+		h[p] = h[parent]
+		s.slab[h[p]].pos = p
+		p = parent
+	}
+	h[p] = x
+	s.slab[x].pos = p
+}
+
+// down sifts the entry at position p toward the leaves and reports
+// whether it moved.
+func (s *Simulator) down(p int32) bool {
+	h := s.heap
+	n := int32(len(h))
+	x := h[p]
+	start := p
+	for {
+		c := 2*p + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s.less(h[r], h[c]) {
+			c = r
+		}
+		if !s.less(h[c], x) {
+			break
+		}
+		h[p] = h[c]
+		s.slab[h[p]].pos = p
+		p = c
+	}
+	h[p] = x
+	s.slab[x].pos = p
+	return p > start
 }

@@ -41,7 +41,7 @@ func (s *Simulator) Instrument(reg *metrics.Registry) {
 func (s *Simulator) noteScheduled() {
 	if s.met != nil {
 		s.met.scheduled.Inc()
-		s.met.queueLen.SetInt(len(s.queue))
+		s.met.queueLen.SetInt(len(s.heap))
 	}
 }
 
@@ -49,7 +49,7 @@ func (s *Simulator) noteScheduled() {
 func (s *Simulator) noteCancelled() {
 	if s.met != nil {
 		s.met.cancelled.Inc()
-		s.met.queueLen.SetInt(len(s.queue))
+		s.met.queueLen.SetInt(len(s.heap))
 	}
 }
 
@@ -57,7 +57,7 @@ func (s *Simulator) noteCancelled() {
 func (s *Simulator) noteFired() {
 	if s.met != nil {
 		s.met.fired.Inc()
-		s.met.queueLen.SetInt(len(s.queue))
+		s.met.queueLen.SetInt(len(s.heap))
 		s.met.simTime.Set(s.now)
 	}
 }

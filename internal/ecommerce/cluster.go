@@ -91,6 +91,7 @@ type Cluster struct {
 	sim       *des.Simulator
 	rng       *xrand.Rand
 	gov       *sched.Governor
+	jobs      *jobSlab
 	stations  []*station
 	detectors []core.Detector
 	inService []bool
@@ -98,7 +99,7 @@ type Cluster struct {
 	rrNext    int
 
 	jw     *journal.Writer
-	tickEv *des.Event
+	tickEv des.Handle
 
 	res      ClusterResult
 	ran      bool
@@ -151,20 +152,18 @@ func NewCluster(cfg ClusterConfig, factory func(host int) (core.Detector, error)
 
 	c := &Cluster{
 		cfg:       cfg,
-		sim:       des.New(),
 		rng:       xrand.NewStream(cfg.Seed, cfg.Stream),
 		gov:       gov,
+		jobs:      newJobSlab(),
 		stations:  make([]*station, cfg.Hosts),
 		detectors: make([]core.Detector, cfg.Hosts),
 		inService: make([]bool, cfg.Hosts),
 		obs:       make([]uint64, cfg.Hosts),
 	}
+	c.sim = des.New(c.dispatch)
 	c.res.PerHost = make([]Result, cfg.Hosts)
 	for h := 0; h < cfg.Hosts; h++ {
-		h := h
-		c.stations[h] = newStation(host, c.sim, c.rng, func(j *job, rt float64) {
-			c.complete(h, j, rt)
-		})
+		c.stations[h] = newStation(host, c.sim, c.rng, c.jobs, h)
 		c.inService[h] = true
 		if factory != nil {
 			det, err := factory(h)
@@ -235,8 +234,34 @@ func (c *Cluster) Run() (ClusterResult, error) {
 	return c.res, nil
 }
 
+// dispatch is the cluster's single event handler: the simulator hands
+// it every fired event, and it switches on the kind. Like Model's, it
+// is the per-transaction path and must not allocate in steady state.
+//
+//lint:hotpath
+func (c *Cluster) dispatch(kind des.Kind, arg int32) {
+	switch kind {
+	case evArrival:
+		c.arrive()
+	case evCompletion:
+		h := c.jobs.jobs[arg].host
+		st := c.stations[h]
+		c.complete(int(h), st.complete(arg))
+		st.admit()
+	case evGCEnd:
+		c.stations[arg].endGC()
+	case evGovernorWake:
+		c.tickEv = des.Handle{}
+		c.apply(c.gov.Tick(c.sim.Now()))
+	case evHostFinish:
+		c.finish(int(arg))
+	default:
+		panic("ecommerce: cluster dispatched an unknown event kind")
+	}
+}
+
 func (c *Cluster) scheduleArrival() {
-	c.sim.Schedule(c.rng.Exp(c.cfg.ArrivalRate), func(*des.Simulator) { c.arrive() })
+	c.sim.Schedule(c.rng.Exp(c.cfg.ArrivalRate), evArrival, 0)
 }
 
 // arrive routes the transaction to a host. If every host is out of
@@ -244,14 +269,13 @@ func (c *Cluster) scheduleArrival() {
 // served when that host returns.
 func (c *Cluster) arrive() {
 	c.res.Arrived++
-	j := &job{arrival: c.sim.Now(), slot: -1}
 	h := c.route()
-	j.host = h
+	id := c.jobs.alloc(c.sim.Now(), h)
 	c.res.PerHost[h].Arrived++
 	if c.inService[h] {
-		c.stations[h].enqueue(j)
+		c.stations[h].enqueue(id)
 	} else {
-		c.stations[h].queue = append(c.stations[h].queue, j)
+		c.stations[h].hold(id)
 	}
 	c.scheduleArrival()
 }
@@ -288,7 +312,7 @@ func (c *Cluster) route() int {
 
 // complete records one finished transaction, runs the host's detector,
 // and turns its verdict into a scheduler request.
-func (c *Cluster) complete(h int, _ *job, rt float64) {
+func (c *Cluster) complete(h int, rt float64) {
 	c.res.Completed++
 	c.res.RT.Add(rt)
 	c.res.PerHost[h].Completed++
@@ -323,8 +347,8 @@ func (c *Cluster) deadline(h int) float64 {
 		return 0
 	}
 	var d float64
-	for _, r := range c.stations[h].running {
-		if t := r.completion.Time(); t > d {
+	for _, id := range c.stations[h].running {
+		if t := c.sim.Time(c.jobs.jobs[id].completion); t > d {
 			d = t
 		}
 	}
@@ -360,18 +384,13 @@ func (c *Cluster) apply(trs []sched.Transition) {
 // NextWake time (a deadline horizon expiring or an entry crossing the
 // starvation latch).
 func (c *Cluster) armTick() {
-	if c.tickEv != nil {
-		c.sim.Cancel(c.tickEv)
-		c.tickEv = nil
-	}
+	c.sim.Cancel(c.tickEv)
+	c.tickEv = des.Handle{}
 	w := c.gov.NextWake(c.sim.Now())
 	if math.IsInf(w, 1) {
 		return
 	}
-	c.tickEv = c.sim.ScheduleAt(w, func(*des.Simulator) {
-		c.tickEv = nil
-		c.apply(c.gov.Tick(c.sim.Now()))
-	})
+	c.tickEv = c.sim.ScheduleAt(w, evGovernorWake, 0)
 }
 
 // execute performs one dispatched rejuvenation action: a full restart
@@ -407,7 +426,7 @@ func (c *Cluster) execute(tr sched.Transition) {
 		return
 	}
 	c.inService[h] = false
-	c.sim.Schedule(tr.Pause, func(*des.Simulator) { c.finish(h) })
+	c.sim.Schedule(tr.Pause, evHostFinish, int32(h))
 }
 
 // finish returns a host to service after its action's pause and reports

@@ -252,7 +252,7 @@ func TestClusterDeterminism(t *testing.T) {
 
 func TestStationPartialRejuvenation(t *testing.T) {
 	cfg := Config{ArrivalRate: 1}.Default()
-	st := newStation(cfg, des.New(), xrand.NewStream(1, 0), func(*job, float64) {})
+	st := newStation(cfg, des.New(nil), xrand.NewStream(1, 0), newJobSlab(), 0)
 	st.virtualAge = 100
 	st.heapMB = cfg.HeapMB - 1000
 	if killed := st.rejuvenatePartial(0.25, 5); killed != 0 {
@@ -266,7 +266,7 @@ func TestStationPartialRejuvenation(t *testing.T) {
 	}
 	// A larger rho rolls back more: the conformance monotonicity law in
 	// miniature.
-	st2 := newStation(cfg, des.New(), xrand.NewStream(1, 0), func(*job, float64) {})
+	st2 := newStation(cfg, des.New(nil), xrand.NewStream(1, 0), newJobSlab(), 0)
 	st2.virtualAge = 100
 	st2.heapMB = cfg.HeapMB - 1000
 	st2.rejuvenatePartial(0.5, 10)

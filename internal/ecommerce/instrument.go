@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rejuv/internal/core"
-	"rejuv/internal/des"
 	"rejuv/internal/metrics"
 )
 
@@ -143,12 +142,4 @@ func (m *Model) Tick(interval float64, fn func(simTime float64)) error {
 type tick struct {
 	interval float64
 	fn       func(simTime float64)
-}
-
-// scheduleTick arms the next firing of tk.
-func (m *Model) scheduleTick(tk tick) {
-	m.sim.Schedule(tk.interval, func(*des.Simulator) {
-		tk.fn(m.sim.Now())
-		m.scheduleTick(tk)
-	})
 }

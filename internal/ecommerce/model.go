@@ -185,14 +185,6 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// job is one transaction moving through the system.
-type job struct {
-	arrival    float64
-	completion *des.Event // nil while queued
-	slot       int        // index in station.running, -1 while queued
-	host       int        // cluster host index, 0 on a single host
-}
-
 // Result aggregates one replication.
 type Result struct {
 	// Arrived counts transactions that entered the system.
@@ -240,6 +232,7 @@ type Model struct {
 	sim      *des.Simulator
 	rng      *xrand.Rand
 	detector core.Detector // nil disables rejuvenation
+	jobs     *jobSlab
 	st       *station
 
 	// paused is true while a non-zero RejuvenationPause is in progress;
@@ -247,14 +240,14 @@ type Model struct {
 	// un-pause event so that a second rejuvenation during a pause
 	// extends the outage instead of ending it early.
 	paused   bool
-	pauseEnd *des.Event
+	pauseEnd des.Handle
 	// bursting is true while the on-off arrival overlay is in its
 	// high-rate phase; nextArrival is the pending arrival event, which
 	// toggles reschedule (valid because the exponential inter-arrival
 	// time is memoryless, this resampling is exactly the Markov-
 	// modulated Poisson process).
 	bursting    bool
-	nextArrival *des.Event
+	nextArrival des.Handle
 	// wlFactor is the active workload-shape rate factor (1 without a
 	// shape); wlIdx is the active phase index.
 	wlFactor float64
@@ -300,13 +293,14 @@ func New(cfg Config, detector core.Detector) (*Model, error) {
 	}
 	m := &Model{
 		cfg:      cfg,
-		sim:      des.New(),
 		rng:      xrand.NewStream(cfg.Seed, cfg.Stream),
 		detector: detector,
+		jobs:     newJobSlab(),
 		wlFactor: 1,
 	}
+	m.sim = des.New(m.dispatch)
 	m.reb, _ = detector.(core.Rebaseliner)
-	m.st = newStation(cfg, m.sim, m.rng, m.complete)
+	m.st = newStation(cfg, m.sim, m.rng, m.jobs, 0)
 	return m, nil
 }
 
@@ -319,6 +313,15 @@ func (m *Model) Run() (Result, error) {
 	if m.ran {
 		return Result{}, fmt.Errorf("ecommerce: model already ran; create a new one per replication")
 	}
+	m.start()
+	m.sim.Run()
+	m.res.GCs = m.st.gcCount()
+	m.res.SimTime = m.sim.Now()
+	return m.res, nil
+}
+
+// start marks the model as run and arms its initial events.
+func (m *Model) start() {
 	m.ran = true
 	m.scheduleArrival()
 	if m.cfg.BurstFactor > 1 {
@@ -328,15 +331,50 @@ func (m *Model) Run() (Result, error) {
 		m.applyWorkloadPhase()
 	}
 	if m.cfg.RejuvenationInterval > 0 {
-		m.schedulePeriodicRejuvenation()
+		m.sim.Schedule(m.cfg.RejuvenationInterval, evPeriodicRejuvenation, 0)
 	}
-	for _, tk := range m.ticks {
-		m.scheduleTick(tk)
+	for i, tk := range m.ticks {
+		m.sim.Schedule(tk.interval, evTick, int32(i))
 	}
-	m.sim.Run()
-	m.res.GCs = m.st.gcCount()
-	m.res.SimTime = m.sim.Now()
-	return m.res, nil
+}
+
+// dispatch is the model's single event handler: the simulator hands it
+// every fired event, and it switches on the kind. Everything it reaches
+// is the per-transaction path of every simulated figure, so it must not
+// allocate in steady state.
+//
+//lint:hotpath
+func (m *Model) dispatch(kind des.Kind, arg int32) {
+	switch kind {
+	case evArrival:
+		m.arrive()
+	case evCompletion:
+		m.complete(m.st.complete(arg))
+		m.st.admit()
+	case evGCEnd:
+		m.st.endGC()
+	case evPauseEnd:
+		m.paused = false
+		m.pauseEnd = des.Handle{}
+		m.st.tryStart()
+	case evBurstToggle:
+		m.bursting = !m.bursting
+		// Resample the pending inter-arrival time at the new rate;
+		// memorylessness makes this the exact modulated process.
+		m.resampleArrival()
+		m.scheduleBurstToggle()
+	case evWorkloadPhase:
+		m.nextWorkloadPhase()
+	case evPeriodicRejuvenation:
+		m.rejuvenate()
+		m.sim.Schedule(m.cfg.RejuvenationInterval, evPeriodicRejuvenation, 0)
+	case evTick:
+		tk := m.ticks[arg]
+		tk.fn(m.sim.Now())
+		m.sim.Schedule(tk.interval, evTick, arg)
+	default:
+		panic("ecommerce: model dispatched an unknown event kind")
+	}
 }
 
 // currentArrivalRate returns the instantaneous lambda, including any
@@ -351,8 +389,16 @@ func (m *Model) currentArrivalRate() float64 {
 
 // scheduleArrival schedules the next Poisson arrival at the current rate.
 func (m *Model) scheduleArrival() {
-	m.nextArrival = m.sim.Schedule(m.rng.Exp(m.currentArrivalRate()),
-		func(*des.Simulator) { m.arrive() })
+	m.nextArrival = m.sim.Schedule(m.rng.Exp(m.currentArrivalRate()), evArrival, 0)
+}
+
+// resampleArrival replaces the pending arrival with one drawn at the
+// current rate.
+func (m *Model) resampleArrival() {
+	if m.sim.Pending(m.nextArrival) {
+		m.sim.Cancel(m.nextArrival)
+		m.scheduleArrival()
+	}
 }
 
 // scheduleBurstToggle schedules the end of the current on/off phase.
@@ -361,24 +407,7 @@ func (m *Model) scheduleBurstToggle() {
 	if m.bursting {
 		mean = m.cfg.BurstOn
 	}
-	m.sim.Schedule(m.rng.Exp(1/mean), func(*des.Simulator) {
-		m.bursting = !m.bursting
-		// Resample the pending inter-arrival time at the new rate;
-		// memorylessness makes this the exact modulated process.
-		if m.nextArrival != nil && m.nextArrival.Pending() {
-			m.sim.Cancel(m.nextArrival)
-			m.scheduleArrival()
-		}
-		m.scheduleBurstToggle()
-	})
-}
-
-// schedulePeriodicRejuvenation arms the classical time-based policy.
-func (m *Model) schedulePeriodicRejuvenation() {
-	m.sim.Schedule(m.cfg.RejuvenationInterval, func(*des.Simulator) {
-		m.rejuvenate()
-		m.schedulePeriodicRejuvenation()
-	})
+	m.sim.Schedule(m.rng.Exp(1/mean), evBurstToggle, 0)
 }
 
 // arrive is paper step 1: a thread arrives and the next arrival is
@@ -386,12 +415,12 @@ func (m *Model) schedulePeriodicRejuvenation() {
 // without being admitted to a CPU.
 func (m *Model) arrive() {
 	m.res.Arrived++
-	j := &job{arrival: m.sim.Now(), slot: -1}
+	id := m.jobs.alloc(m.sim.Now(), 0)
 	if m.paused {
-		m.st.queue = append(m.st.queue, j)
+		m.st.hold(id)
 		m.st.noteState()
 	} else {
-		m.st.enqueue(j)
+		m.st.enqueue(id)
 	}
 	m.scheduleArrival()
 }
@@ -399,7 +428,7 @@ func (m *Model) arrive() {
 // complete is paper step 8: record the response time, feed the detector,
 // maybe rejuvenate, and stop the replication when the transaction budget
 // is spent.
-func (m *Model) complete(_ *job, rt float64) {
+func (m *Model) complete(rt float64) {
 	m.res.Completed++
 	m.res.RT.Add(rt)
 	if m.met != nil {
@@ -448,11 +477,7 @@ func (m *Model) rejuvenate() {
 	if m.cfg.RejuvenationPause > 0 {
 		m.paused = true
 		m.sim.Cancel(m.pauseEnd)
-		m.pauseEnd = m.sim.Schedule(m.cfg.RejuvenationPause, func(*des.Simulator) {
-			m.paused = false
-			m.pauseEnd = nil
-			m.st.tryStart()
-		})
+		m.pauseEnd = m.sim.Schedule(m.cfg.RejuvenationPause, evPauseEnd, 0)
 	}
 	if m.OnRejuvenate != nil {
 		m.OnRejuvenate(m.sim.Now(), killed)

@@ -8,21 +8,24 @@ import (
 
 // station is the serving machinery of one host: CPUs, FCFS queue, heap
 // and GC state. The single-host Model wraps one station; Cluster wraps
-// several behind a router. The owner supplies the completion callback
-// and decides when to rejuvenate.
+// several behind a router. The owner dispatches the station's events
+// (completions and GC ends), handles completed transactions and decides
+// when to rejuvenate.
 type station struct {
 	cfg     Config
 	sim     *des.Simulator
 	rng     *xrand.Rand
 	service func(*xrand.Rand) float64 // processing-time sampler
+	jobs    *jobSlab                  // shared with the owner's other stations
+	host    int32                     // index among the owner's stations
 
 	freeCPUs  int
-	queue     []*job // FIFO; live entries are queue[queueHead:]
+	queue     []int32 // job ids, FIFO; live entries are queue[queueHead:]
 	queueHead int
-	running   []*job
+	running   []int32 // job ids
 	heapMB    float64
 	gcActive  bool
-	gcEnd     *des.Event
+	gcEnd     des.Handle
 
 	gcs int64
 	// virtualAge is the station's accumulated aging in the Kijima sense:
@@ -34,27 +37,26 @@ type station struct {
 	// unless it was journaled.
 	met *stationMetrics
 	jw  *journal.Writer
-
-	// onComplete receives every completed job with its response time.
-	onComplete func(j *job, rt float64)
 }
 
-// newStation returns a station with all CPUs free and a full heap. cfg
-// must already be defaulted and validated.
-func newStation(cfg Config, sim *des.Simulator, rng *xrand.Rand, onComplete func(*job, float64)) *station {
+// newStation returns a station with all CPUs free and a full heap,
+// drawing its jobs from jobs. cfg must already be defaulted and
+// validated.
+func newStation(cfg Config, sim *des.Simulator, rng *xrand.Rand, jobs *jobSlab, host int) *station {
 	sampler, err := cfg.ServiceDistribution.sampler(cfg.ServiceRate)
 	if err != nil {
 		// Unreachable: Validate checked the distribution already.
 		panic(err)
 	}
 	return &station{
-		cfg:        cfg,
-		sim:        sim,
-		rng:        rng,
-		service:    sampler,
-		freeCPUs:   cfg.Servers,
-		heapMB:     cfg.HeapMB,
-		onComplete: onComplete,
+		cfg:      cfg,
+		sim:      sim,
+		rng:      rng,
+		service:  sampler,
+		jobs:     jobs,
+		host:     int32(host),
+		freeCPUs: cfg.Servers,
+		heapMB:   cfg.HeapMB,
 	}
 }
 
@@ -69,41 +71,48 @@ func (s *station) queueLen() int { return len(s.queue) - s.queueHead }
 func (s *station) gcCount() int64 { return s.gcs }
 
 // enqueue is paper step 2: the thread queues for a CPU.
-func (s *station) enqueue(j *job) {
-	s.queue = append(s.queue, j)
-	s.tryStart()
-	s.noteState()
+func (s *station) enqueue(id int32) {
+	s.hold(id)
+	s.admit()
+}
+
+// hold queues a thread without admitting it, for a station that is out
+// of service.
+func (s *station) hold(id int32) {
+	//lint:allow hotpath amortized growth to the peak backlog; tryStart compacts the dead prefix in place
+	s.queue = append(s.queue, id)
 }
 
 // tryStart moves queued threads onto free CPUs. Nothing starts during a
 // stop-the-world GC stall.
 func (s *station) tryStart() {
 	for s.freeCPUs > 0 && !s.gcActive && s.queueLen() > 0 {
-		j := s.queue[s.queueHead]
-		s.queue[s.queueHead] = nil
+		id := s.queue[s.queueHead]
 		s.queueHead++
 		// Reclaim the dead prefix once it dominates the backing array,
 		// keeping dequeue amortized O(1) without unbounded growth.
 		if s.queueHead > 64 && s.queueHead*2 >= len(s.queue) {
-			s.queue = append(s.queue[:0], s.queue[s.queueHead:]...)
+			s.queue = s.queue[:copy(s.queue, s.queue[s.queueHead:])]
 			s.queueHead = 0
 		}
-		s.startService(j)
+		s.startService(id)
 	}
 }
 
 // startService is paper steps 3–6: sample the processing time, apply
 // kernel overhead, seize a CPU, allocate memory, and possibly trigger a
 // full GC.
-func (s *station) startService(j *job) {
+func (s *station) startService(id int32) {
 	s.freeCPUs--
 	service := s.service(s.rng)
 	if !s.cfg.DisableOverhead && s.active() > s.cfg.OverheadThreshold {
 		service *= s.cfg.OverheadFactor
 	}
-	j.slot = len(s.running)
-	s.running = append(s.running, j)
-	j.completion = s.sim.Schedule(service, func(*des.Simulator) { s.complete(j) })
+	j := &s.jobs.jobs[id]
+	j.slot = int32(len(s.running))
+	j.completion = s.sim.Schedule(service, evCompletion, id)
+	//lint:allow hotpath amortized growth to the peak number of running threads
+	s.running = append(s.running, id)
 
 	if !s.cfg.DisableGC {
 		s.heapMB -= s.cfg.AllocMB
@@ -126,50 +135,62 @@ func (s *station) startGC() {
 	if s.jw != nil {
 		s.jw.GCStart(s.sim.Now(), s.heapMB)
 	}
-	for _, r := range s.running {
-		s.sim.Reschedule(r.completion, r.completion.Time()+s.cfg.GCPause)
-	}
-	s.gcEnd = s.sim.Schedule(s.cfg.GCPause, func(*des.Simulator) {
-		s.gcActive = false
-		s.gcEnd = nil
-		if !s.cfg.LeakyGC {
-			s.heapMB = s.cfg.HeapMB
-		}
-		if s.jw != nil {
-			s.jw.GCEnd(s.sim.Now(), s.heapMB)
-		}
-		s.tryStart()
-		s.noteState()
-	})
+	s.delayRunning(s.cfg.GCPause)
+	s.gcEnd = s.sim.Schedule(s.cfg.GCPause, evGCEnd, s.host)
 }
 
-// complete is paper step 7: free the CPU, compute the response time,
-// hand the job to the owner, then admit the next queued thread. The
-// owner's callback runs before the next admission so a rejuvenation it
-// performs clears the queue first.
-func (s *station) complete(j *job) {
-	s.removeRunning(j)
+// endGC finishes the stall: the heap is whole again (unless the GC is
+// leaky) and queued threads may start.
+func (s *station) endGC() {
+	s.gcActive = false
+	s.gcEnd = des.Handle{}
+	if !s.cfg.LeakyGC {
+		s.heapMB = s.cfg.HeapMB
+	}
+	if s.jw != nil {
+		s.jw.GCEnd(s.sim.Now(), s.heapMB)
+	}
+	s.admit()
+}
+
+// delayRunning pushes every running thread's completion back by d.
+func (s *station) delayRunning(d float64) {
+	for _, id := range s.running {
+		h := s.jobs.jobs[id].completion
+		s.sim.Reschedule(h, s.sim.Time(h)+d)
+	}
+}
+
+// complete is paper step 7: free the CPU and the job, and return its
+// response time. The owner handles the response time and then calls
+// admit, so a rejuvenation it performs clears the queue before the next
+// admission.
+func (s *station) complete(id int32) float64 {
+	rt := s.sim.Now() - s.jobs.jobs[id].arrival
+	s.removeRunning(id)
+	s.jobs.release(id)
 	s.freeCPUs++
 	if s.met != nil {
 		s.met.completed.Inc()
 	}
-	rt := s.sim.Now() - j.arrival
-	s.onComplete(j, rt)
+	return rt
+}
+
+// admit moves queued threads onto free CPUs and refreshes the gauges.
+func (s *station) admit() {
 	s.tryStart()
 	s.noteState()
 }
 
-// removeRunning drops j from the running set in O(1) by swapping with
+// removeRunning drops id from the running set in O(1) by swapping with
 // the last element.
-func (s *station) removeRunning(j *job) {
+func (s *station) removeRunning(id int32) {
+	slot := s.jobs.jobs[id].slot
 	last := len(s.running) - 1
 	other := s.running[last]
-	s.running[j.slot] = other
-	other.slot = j.slot
-	s.running[last] = nil
+	s.running[slot] = other
+	s.jobs.jobs[other].slot = slot
 	s.running = s.running[:last]
-	j.slot = -1
-	j.completion = nil
 }
 
 // rejuvenate implements the paper's rejuvenation routine on this
@@ -178,20 +199,20 @@ func (s *station) removeRunning(j *job) {
 // transactions.
 func (s *station) rejuvenate() int {
 	killed := s.active()
-	for _, r := range s.running {
-		s.sim.Cancel(r.completion)
-		r.completion = nil
-		r.slot = -1
+	for _, id := range s.running {
+		s.sim.Cancel(s.jobs.jobs[id].completion)
+		s.jobs.release(id)
+	}
+	for _, id := range s.queue[s.queueHead:] {
+		s.jobs.release(id)
 	}
 	s.running = s.running[:0]
 	s.queue = s.queue[:0]
 	s.queueHead = 0
 	s.freeCPUs = s.cfg.Servers
 	s.heapMB = s.cfg.HeapMB
-	if s.gcEnd != nil {
-		s.sim.Cancel(s.gcEnd)
-		s.gcEnd = nil
-	}
+	s.sim.Cancel(s.gcEnd)
+	s.gcEnd = des.Handle{}
 	s.gcActive = false
 	s.virtualAge = 0
 	s.noteState()
@@ -212,11 +233,9 @@ func (s *station) rejuvenatePartial(rho, pause float64) int {
 	s.heapMB += rho * (s.cfg.HeapMB - s.heapMB)
 	s.virtualAge *= 1 - rho
 	if pause > 0 {
-		for _, r := range s.running {
-			s.sim.Reschedule(r.completion, r.completion.Time()+pause)
-		}
-		if s.gcEnd != nil {
-			s.sim.Reschedule(s.gcEnd, s.gcEnd.Time()+pause)
+		s.delayRunning(pause)
+		if s.sim.Pending(s.gcEnd) {
+			s.sim.Reschedule(s.gcEnd, s.sim.Time(s.gcEnd)+pause)
 		}
 	}
 	s.noteState()

@@ -3,8 +3,6 @@ package ecommerce
 import (
 	"fmt"
 	"math"
-
-	"rejuv/internal/des"
 )
 
 // Non-stationary workload shapes: a deterministic piecewise-constant
@@ -104,19 +102,20 @@ func RampPlateauWorkload(quiet, ramp float64, steps int, factor float64) *Worklo
 func (m *Model) applyWorkloadPhase() {
 	ph := m.cfg.Workload.Phases[m.wlIdx]
 	m.wlFactor = ph.Factor
-	if m.nextArrival != nil && m.nextArrival.Pending() {
-		m.sim.Cancel(m.nextArrival)
-		m.scheduleArrival()
-	}
-	m.sim.Schedule(ph.Duration, func(*des.Simulator) {
-		m.wlIdx++
-		if m.wlIdx >= len(m.cfg.Workload.Phases) {
-			if !m.cfg.Workload.Cycle {
-				// The last phase's factor holds for the rest of the run.
-				return
-			}
-			m.wlIdx = 0
+	m.resampleArrival()
+	m.sim.Schedule(ph.Duration, evWorkloadPhase, 0)
+}
+
+// nextWorkloadPhase handles a phase boundary: it enters the next phase,
+// wrapping around for a cycling shape. A non-cycling shape holds its
+// last phase's factor for the rest of the run.
+func (m *Model) nextWorkloadPhase() {
+	m.wlIdx++
+	if m.wlIdx >= len(m.cfg.Workload.Phases) {
+		if !m.cfg.Workload.Cycle {
+			return
 		}
-		m.applyWorkloadPhase()
-	})
+		m.wlIdx = 0
+	}
+	m.applyWorkloadPhase()
 }

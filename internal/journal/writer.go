@@ -701,6 +701,8 @@ func appendDecisionFields(b []byte, r *Record) []byte {
 
 // appendPayload encodes the kind-specific payload of r; the common
 // prefix (kind, seq, time) is already in b.
+//
+//lint:allow hotpath appends into the caller's reused scratch buffer; growth amortizes to zero
 func appendPayload(b []byte, r *Record) []byte {
 	switch r.Kind {
 	case KindRepStart:

@@ -201,6 +201,8 @@ func (g *Governor) budget(grp int) int {
 // returned transitions are the admission decision (enqueue, coalesce,
 // or an explicit journaled refusal) followed by any dispatches the new
 // queue state allows.
+//
+//lint:allow hotpath each call returns a fresh transition group, which callers hold across nested calls; it runs per rejuvenation request or action, not per observation
 func (g *Governor) Request(t float64, replica, level, fill int, deadline float64, triggerID uint64) []Transition {
 	if replica < 0 || replica >= len(g.st) {
 		return nil
@@ -273,6 +275,8 @@ func (g *Governor) Request(t float64, replica, level, fill int, deadline float64
 // is back in service; a failed action re-enters the queue (bypassing
 // the depth bound — it held a slot before starting), keeping the
 // detector state it was dispatched with.
+//
+//lint:allow hotpath each call returns a fresh transition group, which callers hold across nested calls; it runs per rejuvenation request or action, not per observation
 func (g *Governor) Complete(t float64, replica int, ok bool) []Transition {
 	if replica < 0 || replica >= len(g.st) || g.st[replica] != stateDown {
 		return nil
@@ -420,6 +424,8 @@ func (g *Governor) tierFor(level int) Tier {
 // reason change per entry, and only for the first blocked entry of a
 // group under a group-wide reason — so journals record why nothing
 // started without recording it again at every event.
+//
+//lint:allow hotpath appends to the caller's transition group and queue growth is amortized; scans run per rejuvenation request or action, not per observation
 func (g *Governor) scan(t float64, out []Transition) []Transition {
 	// Starvation latch: escalate entries that have waited past MaxDefer.
 	if g.cfg.MaxDefer > 0 {
@@ -519,6 +525,8 @@ func (g *Governor) blocked(e *entry, grp int, t float64) (reason string, groupWi
 // order returns the queue indices in dispatch order: escalated entries
 // first, then by effective urgency (descending), then by arrival time,
 // then by replica id — a total order, so scheduling is deterministic.
+//
+//lint:allow hotpath sort.Slice boxes the reused index buffer and its comparator once per scan; scans run per rejuvenation request or action, not per observation
 func (g *Governor) order(t float64) []int {
 	idx := g.orderBuf[:0]
 	for i := range g.queue {
