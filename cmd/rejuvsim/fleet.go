@@ -280,7 +280,7 @@ func verifyFleetJournal(path string, classes []fleet.ClassConfig) {
 	defer f.Close()
 	jr, err := journal.NewReader(bufio.NewReader(f))
 	fatalIf(err)
-	report, err := journal.ReplayFleet(jr, func(class string) (core.Detector, error) {
+	report, err := journal.Replay(jr, func(class string) (core.Detector, error) {
 		c, ok := byName[class]
 		if !ok {
 			return nil, fmt.Errorf("unknown class %q", class)

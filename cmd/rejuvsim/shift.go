@@ -120,7 +120,7 @@ func runShiftDemo(opts shiftOpts) {
 
 	jr, err := journal.NewReader(bytes.NewReader(buf.Bytes()))
 	fatalIf(err)
-	rep, err := journal.Replay(jr, spec.NewDetector)
+	rep, err := journal.Replay(jr, func(string) (core.Detector, error) { return spec.NewDetector() })
 	fatalIf(err)
 	if !rep.Identical() {
 		fatalIf(fmt.Errorf("shift-aware journal diverged under replay: %v", rep.Mismatch))

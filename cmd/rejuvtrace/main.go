@@ -220,7 +220,7 @@ func runTrigger(path, idText string, window int) {
 		fatal(fmt.Errorf("no decision in %s carries trigger id %#x", path, id))
 	}
 	fmt.Printf("trigger id %#x\n", c.TriggerID)
-	if c.Fleet {
+	if c.Stream != 0 {
 		class := c.Class
 		if class == "" {
 			class = "(unknown class)"
@@ -278,7 +278,7 @@ func printRebaselines(events []journal.Record) {
 	fmt.Printf("rebaselines: %d\n", len(events))
 	for i, r := range events {
 		stream := ""
-		if r.Kind == journal.KindStreamRebaseline {
+		if r.Stream != 0 {
 			stream = fmt.Sprintf("  stream %d", r.Stream)
 		}
 		fmt.Printf("  rebaseline #%d  t=%.6g s  baseline -> mean=%.6g sd=%.6g%s\n",
@@ -291,6 +291,9 @@ func printRebaselines(events []journal.Record) {
 // with a sample-mean bar scaled to the window's maximum.
 func printTimeline(ev journal.TriggerEvent, barCols int) {
 	fmt.Printf("trigger #%d  rep %d  t=%.6g s  (seq %d)", ev.Index, ev.Rep, ev.Time, ev.Seq)
+	if ev.Stream != 0 {
+		fmt.Printf("  stream %d", ev.Stream)
+	}
 	if ev.TriggerID != 0 {
 		fmt.Printf("  id=%#x", ev.TriggerID)
 	}
@@ -380,7 +383,7 @@ func runVerify(path string) {
 	}
 	var spec experiment.Spec
 	fatalIfErr(json.Unmarshal([]byte(meta.Spec), &spec))
-	factory := func() (core.Detector, error) {
+	factory := func(string) (core.Detector, error) {
 		det, err := spec.NewDetector()
 		if err == nil && det == nil {
 			return nil, fmt.Errorf("spec %q builds no detector", spec.Label())
@@ -426,11 +429,15 @@ func runDiff(pathA, pathB string, window int) {
 	os.Exit(1)
 }
 
-// diffLine renders every detector-owned field of a decision record, so
-// the divergence is visible even when it sits in the sample-size or
-// chart-statistic internals.
+// diffLine renders the stream and every detector-owned field of a
+// decision record, so the divergence is visible even when it sits in
+// the sample-size or chart-statistic internals.
 func diffLine(r journal.Record) string {
-	return fmt.Sprintf("t=%.9g mean=%.9g target=%.9g lvl=%d fill=%d n=%d/%d stat=%.9g triggered=%t",
+	stream := ""
+	if r.Stream != 0 {
+		stream = fmt.Sprintf("stream=%d ", r.Stream)
+	}
+	return stream + fmt.Sprintf("t=%.9g mean=%.9g target=%.9g lvl=%d fill=%d n=%d/%d stat=%.9g triggered=%t",
 		r.Time, r.SampleMean, r.Target, r.Level, r.Fill,
 		r.SampleFill, r.SampleSize, r.Statistic, r.Triggered)
 }

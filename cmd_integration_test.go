@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"rejuv"
+	"rejuv/internal/journal"
 )
 
 // updateGolden regenerates the golden stdout files under testdata/cli
@@ -443,6 +444,77 @@ func TestCmdRejuvsimFleet(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rejuvsim -fleet output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCmdRejuvtraceFleetJournals runs the journal analysis over fleet
+// journals, whose observations and decisions carry stream ids: two
+// seeds must diff as diverging, the summary must count every decision
+// the replay verified, and each trigger's window must hold only the
+// triggering stream's decisions.
+func TestCmdRejuvtraceFleetJournals(t *testing.T) {
+	dir := t.TempDir()
+	var jnls [2]string
+	var replayed [2]string
+	for i, seed := range []string{"1", "2"} {
+		jnls[i] = filepath.Join(dir, "fleet"+seed+".rjnl")
+		out := runCmd(t, "rejuvsim", "", "-fleet", "200", "-fleet-aging", "0.1", "-seed", seed, "-journal", jnls[i])
+		m := regexp.MustCompile(`identical \(\d+ streams, (\d+) decisions\)`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("rejuvsim -fleet seed %s did not verify its journal:\n%s", seed, out)
+		}
+		replayed[i] = m[1]
+	}
+	if replayed[0] == "0" {
+		t.Fatal("fleet journal carries no decisions; scenario is vacuous")
+	}
+
+	summary := runCmd(t, "rejuvtrace", "", jnls[0])
+	if !strings.Contains(summary, "decisions "+replayed[0]+" ") {
+		t.Errorf("rejuvtrace summary does not count the %s replayed decisions:\n%.600s", replayed[0], summary)
+	}
+
+	cmd := exec.Command(cmdPath(t, "rejuvtrace"), "-diff", jnls[0], jnls[1])
+	diffOut, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("rejuvtrace -diff of fleet journals at different seeds exited 0:\n%s", diffOut)
+	}
+	for _, want := range []string{
+		replayed[0] + " decisions", replayed[1] + " decisions",
+		"first divergence at decision ordinal", "A: stream=", "B: stream=",
+	} {
+		if !strings.Contains(string(diffOut), want) {
+			t.Errorf("rejuvtrace -diff missing %q:\n%s", want, diffOut)
+		}
+	}
+
+	f, err := os.Open(jnls[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	jr, err := journal.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := jr.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := journal.Analyze(jr.Meta(), jr.Format(), records, 8)
+	if len(a.Events) == 0 {
+		t.Fatal("fleet journal analysis found no triggers")
+	}
+	for _, ev := range a.Events {
+		if ev.Stream == 0 {
+			t.Errorf("trigger #%d attributed to the single-detector stream", ev.Index)
+		}
+		for _, r := range ev.Window {
+			if r.Stream != ev.Stream {
+				t.Errorf("trigger #%d on stream %d: window holds stream %d's decision at t=%v",
+					ev.Index, ev.Stream, r.Stream, r.Time)
+			}
 		}
 	}
 }

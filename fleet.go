@@ -89,19 +89,18 @@ func FleetzHandler(f *Fleet, latency *MetricHistogram) http.Handler {
 	})
 }
 
-// Stream-tagged journal record kinds written by a Fleet's journal.
+// Stream lifecycle journal record kinds written by a Fleet's journal.
+// A fleet's observations, decisions and rebaselines use the same
+// JournalKindObserve, JournalKindDecision and JournalKindRebaseline
+// records a Monitor writes, tagged with the stream id.
 const (
-	JournalKindStreamOpen     = journal.KindStreamOpen
-	JournalKindStreamClose    = journal.KindStreamClose
-	JournalKindStreamObserve  = journal.KindStreamObserve
-	JournalKindStreamDecision = journal.KindStreamDecision
-	// JournalKindStreamRebaseline marks a committed workload-shift
-	// rebaseline on a stream of a shift-enabled class (StreamClass.Shift).
-	JournalKindStreamRebaseline = journal.KindStreamRebaseline
+	JournalKindStreamOpen  = journal.KindStreamOpen
+	JournalKindStreamClose = journal.KindStreamClose
 )
 
 // JournalKindRebaseline marks a committed workload-shift rebaseline on
-// a single-detector (Monitor) journal; see NewRebaseDetector.
+// a Monitor's stream (see NewRebaseDetector) or a fleet stream of a
+// shift-enabled class (StreamClass.Shift).
 const JournalKindRebaseline = journal.KindRebaseline
 
 // NewFleet validates the configuration and returns a running fleet
@@ -116,10 +115,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	return fleet.New(cfg)
 }
 
-// FleetReplayReport summarizes one fleet journal replay; see
-// ReplayFleetJournal.
-type FleetReplayReport = journal.FleetReplayReport
-
 // ReplayFleetJournal re-derives every stream's decisions in a fleet
 // journal by feeding the journaled observations through fresh reference
 // detectors — one per stream, built by the per-class factory — and
@@ -128,10 +123,10 @@ type FleetReplayReport = journal.FleetReplayReport
 // path implements exactly the published algorithms: use
 // StreamClass.Detector as the factory to check a journal against the
 // classes that produced it.
-func ReplayFleetJournal(r io.Reader, factory func(class string) (Detector, error)) (FleetReplayReport, error) {
+func ReplayFleetJournal(r io.Reader, factory func(class string) (Detector, error)) (ReplayReport, error) {
 	jr, err := journal.NewReader(r)
 	if err != nil {
-		return FleetReplayReport{}, err
+		return ReplayReport{}, err
 	}
-	return journal.ReplayFleet(jr, factory)
+	return journal.Replay(jr, factory)
 }

@@ -104,7 +104,8 @@ type ReplayMismatch = journal.Mismatch
 // detector built by factory and verifies that the resulting decisions
 // are byte-identical to the recorded ones — the package's determinism
 // guarantee, checkable after the fact. factory must construct the same
-// detector configuration that recorded the journal.
+// detector configuration that recorded the journal; every stream of a
+// fleet journal is built by it too.
 func ReplayJournal(jr *JournalReader, factory func() (Detector, error)) (ReplayReport, error) {
-	return journal.Replay(jr, factory)
+	return journal.Replay(jr, func(string) (Detector, error) { return factory() })
 }

@@ -119,7 +119,7 @@ func RunFaulted(name string, factory func() (core.Detector, error), trace []floa
 			x = v
 		}
 		last, haveLast = x, true
-		jw.Observe(now, x)
+		jw.Observe(now, 0, x)
 		d := det.Observe(x)
 		res.Decisions = append(res.Decisions, d)
 		if reb != nil {
@@ -127,7 +127,7 @@ func RunFaulted(name string, factory func() (core.Detector, error), trace []floa
 				lastReb = n
 				res.Rebaselines++
 				b := reb.CurrentBaseline()
-				jw.Rebaseline(now, b.Mean, b.StdDev)
+				jw.Rebaseline(now, 0, b.Mean, b.StdDev)
 			}
 		}
 		if d.Evaluated || d.Triggered {
@@ -135,7 +135,7 @@ func RunFaulted(name string, factory func() (core.Detector, error), trace []floa
 			if instr, ok := det.(core.Instrumented); ok {
 				in = instr.Internals()
 			}
-			jw.Decision(now, d, in, false, 0)
+			jw.Decision(now, 0, d, in, false, 0)
 		}
 		if d.Triggered {
 			res.Triggers++
@@ -161,7 +161,7 @@ func RunFaulted(name string, factory func() (core.Detector, error), trace []floa
 	if err != nil {
 		return FaultedResult{}, fmt.Errorf("conformance: journal reader: %w", err)
 	}
-	rep, err := journal.Replay(jr, factory)
+	rep, err := journal.Replay(jr, func(string) (core.Detector, error) { return factory() })
 	if err != nil {
 		return FaultedResult{}, fmt.Errorf("conformance: replay: %w", err)
 	}

@@ -216,14 +216,14 @@ func RunJournaled(name string, factory func() (core.Detector, error), trace []fl
 	ds := make([]core.Decision, len(trace))
 	for i, x := range trace {
 		t := float64(i)
-		jw.Observe(t, x)
+		jw.Observe(t, 0, x)
 		d := det.Observe(x)
 		ds[i] = d
 		if reb != nil {
 			if n := reb.Rebaselines(); n != lastReb {
 				lastReb = n
 				b := reb.CurrentBaseline()
-				jw.Rebaseline(t, b.Mean, b.StdDev)
+				jw.Rebaseline(t, 0, b.Mean, b.StdDev)
 			}
 		}
 		if d.Evaluated || d.Triggered {
@@ -231,7 +231,7 @@ func RunJournaled(name string, factory func() (core.Detector, error), trace []fl
 			if instr, ok := det.(core.Instrumented); ok {
 				in = instr.Internals()
 			}
-			jw.Decision(t, d, in, false, 0)
+			jw.Decision(t, 0, d, in, false, 0)
 		}
 		if d.Triggered {
 			det.Reset()
@@ -245,7 +245,7 @@ func RunJournaled(name string, factory func() (core.Detector, error), trace []fl
 	if err != nil {
 		return nil, journal.ReplayReport{}, fmt.Errorf("conformance: journal reader: %w", err)
 	}
-	rep, err := journal.Replay(jr, factory)
+	rep, err := journal.Replay(jr, func(string) (core.Detector, error) { return factory() })
 	if err != nil {
 		return nil, journal.ReplayReport{}, fmt.Errorf("conformance: replay: %w", err)
 	}

@@ -84,7 +84,7 @@ func (m *Model) feedDetector(x float64) {
 	}
 	m.lastAdmitted, m.haveAdmitted = x, true
 	if m.jw != nil {
-		m.jw.Observe(m.sim.Now(), x)
+		m.jw.Observe(m.sim.Now(), 0, x)
 	}
 	d := m.detector.Observe(x)
 	if m.reb != nil {
@@ -93,7 +93,7 @@ func (m *Model) feedDetector(x float64) {
 			m.res.Rebaselines++
 			if m.jw != nil {
 				b := m.reb.CurrentBaseline()
-				m.jw.Rebaseline(m.sim.Now(), b.Mean, b.StdDev)
+				m.jw.Rebaseline(m.sim.Now(), 0, b.Mean, b.StdDev)
 			}
 		}
 	}

@@ -38,5 +38,5 @@ func (m *Model) journalDecision(d core.Decision) {
 	if instr, ok := m.detector.(core.Instrumented); ok {
 		in = instr.Internals()
 	}
-	m.jw.Decision(m.sim.Now(), d, in, false, 0)
+	m.jw.Decision(m.sim.Now(), 0, d, in, false, 0)
 }

@@ -151,7 +151,7 @@ func TestDiurnalJournalReplaysWithRebaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := journal.Replay(jr, factory)
+	rep, err := journal.Replay(jr, func(string) (core.Detector, error) { return factory() })
 	if err != nil {
 		t.Fatal(err)
 	}

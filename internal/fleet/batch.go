@@ -189,13 +189,13 @@ func (e *Engine) fanIn(now time.Time, batch []StreamObs, sc *scratch) {
 			tid = core.TriggerID(uint64(batch[i].Stream), r.obs)
 		}
 		if jw != nil {
-			jw.StreamObserve(t, uint64(batch[i].Stream), r.value)
+			jw.Observe(t, uint64(batch[i].Stream), r.value)
 			if r.flags&resRebaselined != 0 {
-				jw.StreamRebaseline(t, uint64(batch[i].Stream), r.baseMean, r.baseSD)
+				jw.Rebaseline(t, uint64(batch[i].Stream), r.baseMean, r.baseSD)
 			}
 			if r.flags&resEvaluated != 0 {
 				in := core.Internals{SampleSize: int(r.sampleSize)}
-				jw.StreamDecision(t, uint64(batch[i].Stream), r.d, in, r.flags&resSuppressed != 0, tid)
+				jw.Decision(t, uint64(batch[i].Stream), r.d, in, r.flags&resSuppressed != 0, tid)
 			}
 		}
 		if r.d.Triggered {

@@ -70,9 +70,9 @@ type ClassConfig struct {
 	// Shift, when non-nil, layers online baseline re-estimation under
 	// every stream of the class: workload shifts rebaseline the stream's
 	// detector state (targets and sample sizes recomputed from the
-	// re-estimated mean and deviation, journaled as
-	// KindStreamRebaseline) while software aging triggers as usual. The
-	// per-stream transition rule is core.ShiftState, shared verbatim
+	// re-estimated mean and deviation, journaled as stream-tagged
+	// KindRebaseline records) while software aging triggers as usual.
+	// The per-stream transition rule is core.ShiftState, shared verbatim
 	// with the Rebase wrapper, so replay against Rebase-wrapped
 	// reference detectors stays byte-identical.
 	Shift *core.ShiftConfig

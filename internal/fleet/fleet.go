@@ -32,7 +32,7 @@
 // sums, bucket fills and levels, hygiene memories, cooldowns and
 // watchdogs, indexed by slot. The transition rules are the shared core
 // primitives (core.BucketStep, core.AcceleratedSampleSize, the guard
-// state machines), and journal replay (journal.ReplayFleet) against the
+// state machines), and journal replay (journal.Replay) against the
 // pointer-based reference detectors proves the two implementations
 // byte-identical — see DESIGN §14 for the memory model, the batching
 // contract and the determinism story.
@@ -55,7 +55,8 @@ import (
 // StreamID identifies one monitored observation stream. Ids are chosen
 // by the caller (a host index, a hashed tenant key); the engine treats
 // them as opaque and spreads them over shards with a mixing hash, so
-// sequential ids do not pile onto one shard.
+// sequential ids do not pile onto one shard. Id 0 is reserved: it is
+// the single-detector Monitor's stream in journals and trigger ids.
 type StreamID uint64
 
 // Trigger is one rejuvenation trigger raised by a fleet stream,
@@ -63,7 +64,7 @@ type StreamID uint64
 type Trigger struct {
 	// ID is the deterministic correlation id minted at decision time
 	// (core.TriggerID over the stream id and its observation ordinal).
-	// The same id appears on the journal's stream-decision record and on
+	// The same id appears on the stream's journal decision record and on
 	// every actuation record the trigger provokes, so rejuvtrace can
 	// stitch the observation -> decision -> actuation chain back together.
 	ID uint64
@@ -345,8 +346,12 @@ func (e *Engine) shardOf(id StreamID) uint64 {
 
 // OpenStream brings a stream under monitoring in the named class. The
 // slot costs a few dozen bytes of struct-of-arrays state; closed slots
-// are recycled, so open/close churn does not grow the shard.
+// are recycled, so open/close churn does not grow the shard. Id 0 is
+// reserved and rejected.
 func (e *Engine) OpenStream(id StreamID, className string) error {
+	if id == 0 {
+		return fmt.Errorf("fleet: stream id 0 is reserved for the single-detector stream")
+	}
 	ci, ok := e.byName[className]
 	if !ok {
 		return fmt.Errorf("fleet: unknown stream class %q", className)

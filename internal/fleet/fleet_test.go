@@ -121,9 +121,9 @@ func TestFleetMatchesReferenceDetectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := journal.ReplayFleet(jr, classFactory)
+	report, err := journal.Replay(jr, classFactory)
 	if err != nil {
-		t.Fatalf("ReplayFleet: %v", err)
+		t.Fatalf("Replay: %v", err)
 	}
 	if !report.Identical() {
 		t.Fatalf("fleet diverged from reference detectors: %v", report.Mismatch)
@@ -204,6 +204,9 @@ func TestOpenStreamErrors(t *testing.T) {
 	defer e.Close()
 	if err := e.OpenStream(1, "no-such-class"); err == nil {
 		t.Error("open with unknown class succeeded")
+	}
+	if err := e.OpenStream(0, "web-sraa"); err == nil {
+		t.Error("open of the reserved stream 0 succeeded")
 	}
 	if err := e.OpenStream(1, "web-sraa"); err != nil {
 		t.Fatal(err)

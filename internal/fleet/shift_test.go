@@ -92,9 +92,9 @@ func TestFleetShiftMatchesRebaseReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := journal.ReplayFleet(jr, shiftClassFactory)
+	report, err := journal.Replay(jr, shiftClassFactory)
 	if err != nil {
-		t.Fatalf("ReplayFleet: %v", err)
+		t.Fatalf("Replay: %v", err)
 	}
 	if !report.Identical() {
 		t.Fatalf("shift fleet diverged from Rebase reference: %v", report.Mismatch)

@@ -19,6 +19,9 @@ type TriggerEvent struct {
 	// Rep is the replication the trigger fired in (0 when the journal
 	// has no replication markers).
 	Rep int
+	// Stream is the stream that triggered (0 for the single-detector
+	// stream).
+	Stream uint64
 	// Seq and Time locate the triggering decision record.
 	Seq  uint64
 	Time float64
@@ -26,8 +29,9 @@ type TriggerEvent struct {
 	// before trigger ids existed); actuator executions carrying the same
 	// id were caused by this trigger.
 	TriggerID uint64
-	// Window holds the decision records leading up to and including the
-	// trigger, oldest first, bounded by the analysis window.
+	// Window holds the triggering stream's decision records leading up
+	// to and including the trigger, oldest first, bounded by the
+	// analysis window.
 	Window []Record
 	// FirstExceedance is the time of the phase's first evaluated
 	// decision whose sample mean exceeded its target; NaN when the
@@ -73,8 +77,7 @@ type Analysis struct {
 	Killed int
 	// Faults counts injected/detected telemetry fault records.
 	Faults int
-	// Rebaselines counts workload-shift rebaseline records
-	// (KindRebaseline and KindStreamRebaseline).
+	// Rebaselines counts workload-shift rebaseline records.
 	Rebaselines int
 	// RebaselineEvents holds the rebaseline records in journal order, so
 	// timelines can show where the baseline moved and to what.
@@ -165,44 +168,63 @@ func (e ActionEvent) Succeeded() bool {
 	return false
 }
 
+// phase is the analysis state of one stream between two delivered
+// triggers: the recent decisions that form the next trigger's window,
+// the first target exceedance, the bucket dwell, and the cooldown-eaten
+// triggers and GCs seen since the last trigger.
+type phase struct {
+	recent     []Record
+	firstExc   float64
+	dwell      []float64
+	dwellLevel int
+	dwellSince float64
+	suppressed int
+	gcs        int
+}
+
+// reset starts a new phase; the decision window carries over.
+func (p *phase) reset() {
+	*p = phase{recent: p.recent, firstExc: math.NaN(), dwellSince: math.NaN()}
+}
+
+// accumulateDwell credits the time since the last decision to the
+// level the detector sat at.
+func (p *phase) accumulateDwell(t float64) {
+	if math.IsNaN(p.dwellSince) {
+		return
+	}
+	for len(p.dwell) <= p.dwellLevel {
+		p.dwell = append(p.dwell, 0)
+	}
+	p.dwell[p.dwellLevel] += t - p.dwellSince
+}
+
 // Analyze digests records into trigger timelines and phase statistics.
 // window bounds how many decision records each trigger retains as
-// context (minimum 1, the trigger itself).
+// context (minimum 1, the trigger itself). Phases are tracked per
+// stream, so a trigger's window, exceedance and dwell describe only the
+// stream that triggered; GC records describe the simulated host of the
+// single-detector stream 0.
 func Analyze(meta Meta, format Format, records []Record, window int) Analysis {
 	if window < 1 {
 		window = 1
 	}
 	a := Analysis{Meta: meta, Format: format, Records: len(records)}
 
-	// Phase state, reset at each delivered trigger and each rep start.
 	var (
-		rep        int
-		repBase    float64 // duration accumulated over finished reps
-		lastT      float64 // largest time in current rep
-		recent     []Record
-		firstExc   = math.NaN()
-		dwell      []float64
-		dwellLevel int
-		dwellSince = math.NaN()
-		suppressed int
-		phaseGCs   int
+		rep     int
+		repBase float64 // duration accumulated over finished reps
+		lastT   float64 // largest time in current rep
+		phases  = make(map[uint64]*phase)
 	)
-	resetPhase := func() {
-		firstExc = math.NaN()
-		dwell = nil
-		dwellLevel = 0
-		dwellSince = math.NaN()
-		suppressed = 0
-		phaseGCs = 0
-	}
-	accumulateDwell := func(t float64) {
-		if math.IsNaN(dwellSince) {
-			return
+	phaseOf := func(stream uint64) *phase {
+		p, ok := phases[stream]
+		if !ok {
+			p = &phase{}
+			p.reset()
+			phases[stream] = p
 		}
-		for len(dwell) <= dwellLevel {
-			dwell = append(dwell, 0)
-		}
-		dwell[dwellLevel] += t - dwellSince
+		return p
 	}
 
 	for _, r := range records {
@@ -215,53 +237,58 @@ func Analyze(meta Meta, format Format, records []Record, window int) Analysis {
 			rep = r.Rep
 			repBase += lastT
 			lastT = 0
-			recent = recent[:0]
-			resetPhase()
+			clear(phases)
 		case KindObserve:
 			a.Observations++
 		case KindDecision:
 			a.Decisions++
-			recent = append(recent, r)
-			if len(recent) > window {
-				recent = recent[len(recent)-window:]
+			p := phaseOf(r.Stream)
+			p.recent = append(p.recent, r)
+			if len(p.recent) > window {
+				p.recent = p.recent[len(p.recent)-window:]
 			}
-			if math.IsNaN(firstExc) && r.SampleMean > r.Target {
-				firstExc = r.Time
+			if math.IsNaN(p.firstExc) && r.SampleMean > r.Target {
+				p.firstExc = r.Time
 			}
-			accumulateDwell(r.Time)
-			dwellLevel = r.Level
-			dwellSince = r.Time
+			p.accumulateDwell(r.Time)
+			p.dwellLevel = r.Level
+			p.dwellSince = r.Time
 			switch {
 			case r.Triggered && r.Suppressed:
 				a.Suppressed++
-				suppressed++
+				p.suppressed++
 			case r.Triggered:
 				a.Triggers++
 				ev := TriggerEvent{
 					Index:           a.Triggers,
 					Rep:             rep,
+					Stream:          r.Stream,
 					Seq:             r.Seq,
 					Time:            r.Time,
 					TriggerID:       r.TriggerID,
-					Window:          append([]Record(nil), recent...),
-					FirstExceedance: firstExc,
-					TimeToTrigger:   r.Time - firstExc,
-					Dwell:           dwell,
-					Suppressed:      suppressed,
-					GCs:             phaseGCs,
+					Window:          append([]Record(nil), p.recent...),
+					FirstExceedance: p.firstExc,
+					TimeToTrigger:   r.Time - p.firstExc,
+					Dwell:           p.dwell,
+					Suppressed:      p.suppressed,
+					GCs:             p.gcs,
 				}
 				a.Events = append(a.Events, ev)
-				resetPhase()
+				p.reset()
 			}
 		case KindReset:
 			a.Resets++
-			resetPhase()
+			// A reset is journal-wide; phases are independent, so the
+			// map order is immaterial.
+			for _, p := range phases {
+				p.reset()
+			}
 		case KindRejuvenation:
 			a.Rejuvenations++
 			a.Killed += r.Killed
 		case KindGCStart:
 			a.GCs++
-			phaseGCs++
+			phaseOf(0).gcs++
 		case KindGCEnd:
 			// counted at start
 		case KindSimScheduled, KindSimFired, KindSimCancelled:
@@ -279,7 +306,7 @@ func Analyze(meta Meta, format Format, records []Record, window int) Analysis {
 			if !found {
 				a.FaultClasses = append(a.FaultClasses, FaultCount{Class: r.Class, N: 1})
 			}
-		case KindRebaseline, KindStreamRebaseline:
+		case KindRebaseline:
 			a.Rebaselines++
 			a.RebaselineEvents = append(a.RebaselineEvents, r)
 		case KindSchedEnqueue:
@@ -362,15 +389,13 @@ func bumpReason(reasons *[]ReasonCount, name string) {
 type CausalityChain struct {
 	// TriggerID is the traced correlation id.
 	TriggerID uint64
-	// Fleet reports whether the decision is a stream-tagged (fleet)
-	// record; Stream is then the fleet stream id and Class its detector
-	// class when the journal recorded the stream's open.
-	Fleet  bool
+	// Stream is the decision's stream (0 for the single-detector stream)
+	// and Class its detector class when the journal recorded the
+	// stream's open.
 	Stream uint64
 	Class  string
-	// Observations holds the observation records that fed the decision,
-	// oldest first, bounded by the trace window. For fleet journals only
-	// the decision's own stream is included.
+	// Observations holds the decision's stream's observation records
+	// that fed it, oldest first, bounded by the trace window.
 	Observations []Record
 	// Decision is the decision record carrying the id.
 	Decision Record
@@ -394,10 +419,9 @@ func TraceCausality(records []Record, id uint64, window int) (CausalityChain, bo
 	di := -1
 	for i := range records {
 		r := &records[i]
-		if (r.Kind == KindDecision || r.Kind == KindStreamDecision) && r.TriggerID == id {
+		if r.Kind == KindDecision && r.TriggerID == id {
 			di = i
 			c.Decision = *r
-			c.Fleet = r.Kind == KindStreamDecision
 			c.Stream = r.Stream
 			break
 		}
@@ -414,8 +438,7 @@ scan:
 		switch {
 		case r.Kind == KindRepStart:
 			break scan
-		case !c.Fleet && r.Kind == KindObserve,
-			c.Fleet && r.Kind == KindStreamObserve && r.Stream == c.Stream:
+		case r.Kind == KindObserve && r.Stream == c.Stream:
 			c.Observations = append(c.Observations, *r)
 		}
 	}
@@ -423,12 +446,10 @@ scan:
 		c.Observations[l], c.Observations[r] = c.Observations[r], c.Observations[l]
 	}
 
-	if c.Fleet {
-		for i := range records {
-			r := &records[i]
-			if r.Kind == KindStreamOpen && r.Stream == c.Stream {
-				c.Class = r.Class
-			}
+	for i := range records {
+		r := &records[i]
+		if r.Kind == KindStreamOpen && r.Stream == c.Stream {
+			c.Class = r.Class
 		}
 	}
 
@@ -544,7 +565,8 @@ type DiffReport struct {
 	// A and B are the two analyses.
 	A, B Analysis
 	// CommonDecisions counts leading decisions identical in both
-	// journals (canonical byte comparison, suppression masked).
+	// journals (same stream and time, canonical byte comparison,
+	// suppression masked).
 	CommonDecisions int
 	// Divergence describes the first differing decision pair; nil when
 	// one stream is a prefix of the other.
@@ -581,7 +603,8 @@ func Diff(metaA Meta, a []Record, metaB Meta, b []Record, window int) DiffReport
 	return rep
 }
 
-// decisions filters the decision records of a stream.
+// decisions filters the decision records of a journal, every stream's
+// in journal order.
 func decisions(records []Record) []Record {
 	var out []Record
 	for _, r := range records {
@@ -592,12 +615,11 @@ func decisions(records []Record) []Record {
 	return out
 }
 
-// sameDecision compares two decision records on detector-owned fields
-// plus timestamp, masking the cooldown-owned suppression flag.
+// sameDecision compares two decision records on stream, timestamp and
+// detector-owned fields, masking the cooldown-owned suppression flag.
 func sameDecision(x, y Record) bool {
 	x.Suppressed, y.Suppressed = false, false
-	x.Seq, y.Seq = 0, 0
-	if math.Float64bits(x.Time) != math.Float64bits(y.Time) {
+	if x.Stream != y.Stream || math.Float64bits(x.Time) != math.Float64bits(y.Time) {
 		return false
 	}
 	bx := appendDecisionFields(nil, &x)

@@ -213,8 +213,8 @@ func TestTraceCausality(t *testing.T) {
 	if !ok {
 		t.Fatal("TraceCausality did not find id 0xBEEF")
 	}
-	if c.Fleet || c.Stream != 0 {
-		t.Errorf("single-stream chain marked fleet=%v stream=%d", c.Fleet, c.Stream)
+	if c.Stream != 0 || c.Class != "" {
+		t.Errorf("single-stream chain on stream %d class %q", c.Stream, c.Class)
 	}
 	if c.Decision.Time != 100 || !c.Decision.Triggered {
 		t.Errorf("decision: %+v", c.Decision)
@@ -238,18 +238,18 @@ func TestTraceCausalityFleet(t *testing.T) {
 	recs := []Record{
 		{Kind: KindStreamOpen, Stream: 7, Class: "web"},
 		{Kind: KindStreamOpen, Stream: 8, Class: "db"},
-		{Kind: KindStreamObserve, Time: 1, Stream: 7, Value: 50},
-		{Kind: KindStreamObserve, Time: 1, Stream: 8, Value: 3},
-		{Kind: KindStreamObserve, Time: 2, Stream: 7, Value: 51},
-		{Kind: KindStreamDecision, Time: 2, Stream: 7, Evaluated: true,
+		{Kind: KindObserve, Time: 1, Stream: 7, Value: 50},
+		{Kind: KindObserve, Time: 1, Stream: 8, Value: 3},
+		{Kind: KindObserve, Time: 2, Stream: 7, Value: 51},
+		{Kind: KindDecision, Time: 2, Stream: 7, Evaluated: true,
 			SampleMean: 50.5, Target: 7, Level: 1, Triggered: true, TriggerID: 0xF1},
 	}
 	c, ok := TraceCausality(recs, 0xF1, 8)
 	if !ok {
 		t.Fatal("TraceCausality did not find id 0xF1")
 	}
-	if !c.Fleet || c.Stream != 7 || c.Class != "web" {
-		t.Errorf("fleet=%v stream=%d class=%q, want fleet stream 7 class web", c.Fleet, c.Stream, c.Class)
+	if c.Stream != 7 || c.Class != "web" {
+		t.Errorf("stream=%d class=%q, want stream 7 class web", c.Stream, c.Class)
 	}
 	// Only stream 7's observations belong to the chain.
 	if len(c.Observations) != 2 || c.Observations[0].Value != 50 || c.Observations[1].Value != 51 {
@@ -267,5 +267,66 @@ func TestTraceCausalityAbsent(t *testing.T) {
 	// Id 0 is the pre-trigger-id era marker, never a valid chain.
 	if _, ok := TraceCausality(analysisFixture(), 0, 3); ok {
 		t.Error("found a chain for id 0")
+	}
+}
+
+// streamDec is dec on a fleet stream.
+func streamDec(stream uint64, t, mean float64, level int, triggered bool) Record {
+	r := dec(t, mean, 5, level, triggered, false)
+	r.Stream = stream
+	return r
+}
+
+// TestAnalyzeFleetPhasesPerStream interleaves two streams: each
+// trigger's window, first exceedance and dwell must describe only the
+// stream that triggered, and one stream's trigger must not end the
+// other's phase.
+func TestAnalyzeFleetPhasesPerStream(t *testing.T) {
+	records := []Record{
+		{Kind: KindStreamOpen, Stream: 1, Class: "web"},
+		{Kind: KindStreamOpen, Stream: 2, Class: "db"},
+		streamDec(1, 1, 9, 1, false), // stream 1 exceeds first
+		streamDec(2, 2, 4, 0, false),
+		streamDec(2, 3, 8, 1, false), // stream 2 exceeds
+		streamDec(1, 4, 9, 2, true),  // stream 1 triggers
+		streamDec(2, 6, 9, 2, true),  // stream 2 triggers
+	}
+	a := Analyze(Meta{}, FormatBinary, records, 8)
+	if a.Decisions != 5 || a.Triggers != 2 || len(a.Events) != 2 {
+		t.Fatalf("decisions=%d triggers=%d events=%d, want 5/2/2", a.Decisions, a.Triggers, len(a.Events))
+	}
+	for i, want := range []struct {
+		stream      uint64
+		window      int
+		firstExc    float64
+		dwellLevel0 float64
+	}{{1, 2, 1, 0}, {2, 3, 3, 1}} {
+		ev := a.Events[i]
+		if ev.Stream != want.stream || len(ev.Window) != want.window || ev.FirstExceedance != want.firstExc {
+			t.Errorf("trigger %d: stream %d, %d-record window, first exceedance %v; want %d, %d, %v",
+				i+1, ev.Stream, len(ev.Window), ev.FirstExceedance, want.stream, want.window, want.firstExc)
+		}
+		for _, r := range ev.Window {
+			if r.Stream != ev.Stream {
+				t.Errorf("trigger %d window holds stream %d's decision at t=%v", i+1, r.Stream, r.Time)
+			}
+		}
+		if len(ev.Dwell) == 0 || ev.Dwell[0] != want.dwellLevel0 {
+			t.Errorf("trigger %d dwell %v, want %v s at level 0", i+1, ev.Dwell, want.dwellLevel0)
+		}
+	}
+}
+
+// TestDiffComparesStreams pins that a diff of fleet journals sees their
+// decisions, and that the same decision on another stream diverges.
+func TestDiffComparesStreams(t *testing.T) {
+	a := []Record{streamDec(1, 1, 9, 1, false), streamDec(2, 1, 9, 1, false)}
+	b := []Record{streamDec(1, 1, 9, 1, false), streamDec(3, 1, 9, 1, false)}
+	d := Diff(Meta{}, a, Meta{}, b, 4)
+	if d.A.Decisions != 2 || d.CommonDecisions != 1 {
+		t.Errorf("decisions=%d common=%d, want 2/1", d.A.Decisions, d.CommonDecisions)
+	}
+	if d.Divergence == nil || d.Divergence.Ordinal != 1 || d.Divergence.B.Stream != 3 {
+		t.Errorf("divergence %+v, want ordinal 1 on stream 2 vs 3", d.Divergence)
 	}
 }

@@ -25,12 +25,22 @@ func fuzzSeedJSONL() []byte {
 	return buf.Bytes()
 }
 
+// fuzzSeedFleet builds a valid stream-tagged fleet journal for the
+// fuzz corpus.
+func fuzzSeedFleet(f *testing.F) []byte {
+	var buf bytes.Buffer
+	jw := NewWriter(&buf, sampleMeta)
+	writeFleetJournal(f, jw)
+	return buf.Bytes()
+}
+
 // FuzzReader throws arbitrary bytes at the decoder: it must never
 // panic, never loop forever, and on records it does accept, re-encoding
 // must reproduce the accepted payload (decode/encode idempotence).
 func FuzzReader(f *testing.F) {
 	f.Add(fuzzSeed())
 	f.Add(fuzzSeedJSONL())
+	f.Add(fuzzSeedFleet(f))
 	f.Add([]byte{})
 	f.Add(magic[:])
 	f.Add(append(append([]byte{}, magic[:]...), Version, 0x02, '{', '}'))
@@ -88,20 +98,23 @@ func reencodeCheck(t *testing.T, rec Record) {
 }
 
 // FuzzReplayRobustness feeds arbitrary journals to the replay verifier:
-// whatever the bytes, Replay must return, not panic.
+// whatever the bytes, Replay must return, not panic. The class-keyed
+// factory builds the fleet seed's classes and an SRAA for stream 0;
+// unknown classes fail the way a real factory does.
 func FuzzReplayRobustness(f *testing.F) {
 	f.Add(fuzzSeed())
 	f.Add(fuzzSeedJSONL())
+	f.Add(fuzzSeedFleet(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jr, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		factory := func() (core.Detector, error) {
-			return core.NewSRAA(core.SRAAConfig{
-				SampleSize: 2, Buckets: 3, Depth: 2,
-				Baseline: core.Baseline{Mean: 5, StdDev: 5},
-			})
+		factory := func(class string) (core.Detector, error) {
+			if class == "" {
+				class = "sraa"
+			}
+			return fleetFactory(class)
 		}
 		_, _ = Replay(jr, factory)
 	})

@@ -57,11 +57,12 @@ const (
 	// is fresh and the virtual clock restarts.
 	KindRepStart Kind = iota + 1
 	// KindObserve is one observation of the monitored metric fed to the
-	// detector (a completed transaction's response time, or a timed
-	// request in production).
+	// detector of one stream (a completed transaction's response time, or
+	// a timed request in production). Stream 0 is the single-detector
+	// stream; fleet streams carry their id.
 	KindObserve
-	// KindDecision is one evaluated detector decision, with the detector
-	// internals captured immediately after the step.
+	// KindDecision is one evaluated detector decision on one stream, with
+	// the detector internals captured immediately after the step.
 	KindDecision
 	// KindReset is an externally initiated detector reset (the model's
 	// post-rejuvenation reset, or Monitor.Reset).
@@ -103,23 +104,20 @@ const (
 	// KindStreamClose marks a fleet stream leaving monitoring; Stream is
 	// the stream id.
 	KindStreamClose
-	// KindStreamObserve is one observation on a fleet stream: Stream is
-	// the stream id, Value the observed metric.
-	KindStreamObserve
-	// KindStreamDecision is one evaluated detector decision on a fleet
-	// stream: Stream is the stream id and the decision fields mirror
-	// KindDecision exactly, so fleet replay shares the KindDecision byte
-	// layout (appendDecisionFields).
-	KindStreamDecision
-	// KindRebaseline marks a committed workload-shift rebaseline on a
-	// single-detector journal: the shift layer classified a change as a
-	// workload shift, relearned, and BaseMean/BaseStdDev carry the new
-	// baseline now in effect. Replay verifies them bitwise against the
-	// reference detector's re-estimated baseline.
+	// Kinds 17 and 18 carried the fleet forms of observe and decision in
+	// format version 1; they stay unassigned so every surviving kind
+	// keeps its byte value, and the decoder rejects them.
+	_
+	_
+	// KindRebaseline marks a committed workload-shift rebaseline on one
+	// stream: the shift layer classified a change as a workload shift,
+	// relearned, and BaseMean/BaseStdDev carry the new baseline now in
+	// effect. Replay verifies them bitwise against the reference
+	// detector's re-estimated baseline.
 	KindRebaseline
-	// KindStreamRebaseline is the fleet form of KindRebaseline: Stream is
-	// the stream id, BaseMean/BaseStdDev the committed baseline.
-	KindStreamRebaseline
+	// Kind 20 carried the fleet form of rebaseline in format version 1
+	// and stays unassigned.
+	_
 	// KindSchedEnqueue marks a rejuvenation request admitted to the
 	// scheduler queue: Stream is the replica id, Level/Fill the detector
 	// state that raised it, Value the computed urgency, and TriggerID the
@@ -155,40 +153,38 @@ const (
 
 // kindNames maps kinds to their stable JSONL spellings.
 var kindNames = [...]string{
-	KindRepStart:         "rep_start",
-	KindObserve:          "observe",
-	KindDecision:         "decision",
-	KindReset:            "reset",
-	KindRejuvenation:     "rejuvenation",
-	KindGCStart:          "gc_start",
-	KindGCEnd:            "gc_end",
-	KindSimScheduled:     "sim_scheduled",
-	KindSimFired:         "sim_fired",
-	KindSimCancelled:     "sim_cancelled",
-	KindFault:            "fault",
-	KindActStart:         "act_start",
-	KindActAttempt:       "act_attempt",
-	KindActGiveUp:        "act_give_up",
-	KindStreamOpen:       "stream_open",
-	KindStreamClose:      "stream_close",
-	KindStreamObserve:    "stream_observe",
-	KindStreamDecision:   "stream_decision",
-	KindRebaseline:       "rebaseline",
-	KindStreamRebaseline: "stream_rebaseline",
-	KindSchedEnqueue:     "sched_enqueue",
-	KindSchedDefer:       "sched_defer",
-	KindSchedCoalesce:    "sched_coalesce",
-	KindSchedStart:       "sched_start",
-	KindSchedComplete:    "sched_complete",
-	KindSchedQuarantine:  "sched_quarantine",
-	KindSchedReadmit:     "sched_readmit",
+	KindRepStart:        "rep_start",
+	KindObserve:         "observe",
+	KindDecision:        "decision",
+	KindReset:           "reset",
+	KindRejuvenation:    "rejuvenation",
+	KindGCStart:         "gc_start",
+	KindGCEnd:           "gc_end",
+	KindSimScheduled:    "sim_scheduled",
+	KindSimFired:        "sim_fired",
+	KindSimCancelled:    "sim_cancelled",
+	KindFault:           "fault",
+	KindActStart:        "act_start",
+	KindActAttempt:      "act_attempt",
+	KindActGiveUp:       "act_give_up",
+	KindStreamOpen:      "stream_open",
+	KindStreamClose:     "stream_close",
+	KindRebaseline:      "rebaseline",
+	KindSchedEnqueue:    "sched_enqueue",
+	KindSchedDefer:      "sched_defer",
+	KindSchedCoalesce:   "sched_coalesce",
+	KindSchedStart:      "sched_start",
+	KindSchedComplete:   "sched_complete",
+	KindSchedQuarantine: "sched_quarantine",
+	KindSchedReadmit:    "sched_readmit",
 }
 
 // maxKind is the highest valid kind; the decoder rejects anything above.
 const maxKind = KindSchedReadmit
 
-// Valid reports whether k is a known record kind.
-func (k Kind) Valid() bool { return k >= KindRepStart && k <= maxKind }
+// Valid reports whether k is a known record kind. Retired kind numbers
+// have no name and are invalid.
+func (k Kind) Valid() bool { return k >= KindRepStart && k <= maxKind && kindNames[k] != "" }
 
 // String returns the stable name of the kind ("observe", "decision", ...).
 func (k Kind) String() string {
@@ -213,7 +209,7 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	for kk := KindRepStart; kk <= maxKind; kk++ {
-		if kindNames[kk] == name {
+		if kk.Valid() && kindNames[kk] == name {
 			*k = kk
 			return nil
 		}
@@ -257,24 +253,23 @@ type Record struct {
 	// Seed is the replication's random seed (KindRepStart).
 	Seed uint64 `json:"seed,omitempty"`
 	// Stream is the replication's random stream (KindRepStart), the
-	// fleet stream id (KindStreamOpen, KindStreamClose, KindStreamObserve,
-	// KindStreamDecision) or the scheduler replica id (the KindSched*
-	// kinds).
+	// detector stream id (KindObserve, KindDecision, KindRebaseline,
+	// KindStreamOpen, KindStreamClose; 0 is the single-detector stream)
+	// or the scheduler replica id (the KindSched* kinds).
 	Stream uint64 `json:"stream,omitempty"`
 
-	// Value is the observed metric (KindObserve, KindStreamObserve).
+	// Value is the observed metric (KindObserve).
 	Value float64 `json:"value,omitempty"`
 
 	// Evaluated, Triggered and Suppressed mirror the decision flags
-	// (KindDecision, KindStreamDecision). Suppressed is set by the
-	// cooldown layer, not the detector, and is excluded from replay byte
-	// comparison.
+	// (KindDecision). Suppressed is set by the cooldown layer, not the
+	// detector, and is excluded from replay byte comparison.
 	Evaluated  bool `json:"evaluated,omitempty"`
 	Triggered  bool `json:"triggered,omitempty"`
 	Suppressed bool `json:"suppressed,omitempty"`
 	// SampleMean, Target, Level, Fill, SampleSize, SampleFill and
 	// Statistic capture the decision and the detector internals after
-	// the step (KindDecision, KindStreamDecision).
+	// the step (KindDecision).
 	SampleMean float64 `json:"sample_mean,omitempty"`
 	Target     float64 `json:"target,omitempty"`
 	Level      int     `json:"level,omitempty"`
@@ -316,17 +311,16 @@ type Record struct {
 	Backoff float64 `json:"backoff,omitempty"`
 
 	// BaseMean and BaseStdDev are the committed baseline of a workload-
-	// shift rebaseline (KindRebaseline, KindStreamRebaseline).
+	// shift rebaseline (KindRebaseline).
 	BaseMean   float64 `json:"base_mean,omitempty"`
 	BaseStdDev float64 `json:"base_sd,omitempty"`
 
 	// TriggerID correlates a triggering decision with everything it
 	// caused: the id minted at decision time (core.TriggerID) appears on
-	// the KindDecision/KindStreamDecision record that fired and on every
-	// KindActStart/KindActAttempt/KindActGiveUp record of the actuation
-	// it provoked. 0 means "no trigger id" — a non-triggering decision,
-	// an actuation started outside a trigger, or a record written before
-	// ids existed. The binary codec appends it as an optional trailing
+	// the KindDecision record that fired and on every KindActStart/
+	// KindActAttempt/KindActGiveUp record of the actuation it provoked.
+	// 0 means "no trigger id" — a non-triggering decision, an actuation
+	// started outside a trigger, or a record written before ids existed. The binary codec appends it as an optional trailing
 	// field only when non-zero, so journals without ids decode unchanged
 	// and replay byte comparison (which covers the decision fields only)
 	// is unaffected.
@@ -336,8 +330,10 @@ type Record struct {
 // magic identifies a binary journal stream; the version byte follows it.
 var magic = [4]byte{'R', 'J', 'N', 'L'}
 
-// Version is the binary codec version written after the magic.
-const Version = 1
+// Version is the binary codec version written after the magic. Version
+// 2 tags every observe, decision and rebaseline record with its stream
+// id; the reader speaks only the current version.
+const Version = 2
 
 // MaxRecordLen bounds one binary record, protecting readers against
 // corrupt or hostile length prefixes.

@@ -2,12 +2,15 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
 	"testing"
 
 	"rejuv/internal/core"
+	"rejuv/internal/xrand"
 )
 
 // sampleMeta is the header used across the codec tests.
@@ -24,8 +27,8 @@ func writeSample(jw *Writer) {
 	jw.RepStart(0, 1, 42, 7)
 	jw.SimScheduled(0, 1.5)
 	jw.SimFired(1.5)
-	jw.Observe(1.5, 3.25)
-	jw.Decision(1.5,
+	jw.Observe(1.5, 0, 3.25)
+	jw.Decision(1.5, 0,
 		core.Decision{Evaluated: true, Triggered: true, SampleMean: 7.5, Target: 5, Level: 2, Fill: 0},
 		core.Internals{SampleSize: 2, SampleFill: 1, Statistic: 0.25},
 		true, 0xDEC1)
@@ -43,14 +46,14 @@ func writeSample(jw *Writer) {
 	jw.ActAttempt(66.5, 2, true, 0, "", 0)
 	jw.ActGiveUp(66.5, 2, "gave up anyway", 0xDEC1)
 	jw.StreamOpen(70, 9001, "web-sraa")
-	jw.StreamObserve(70.5, 9001, 4.75)
-	jw.StreamDecision(70.5, 9001,
+	jw.Observe(70.5, 9001, 4.75)
+	jw.Decision(70.5, 9001,
 		core.Decision{Evaluated: true, SampleMean: 4.5, Target: 6, Level: 1, Fill: 2},
 		core.Internals{SampleSize: 2, SampleFill: 0},
 		false, 0)
 	jw.StreamClose(71, 9001)
-	jw.Rebaseline(72, 9.25, 2.5)
-	jw.StreamRebaseline(72.5, 9002, 9.25, 2.5)
+	jw.Rebaseline(72, 0, 9.25, 2.5)
+	jw.Rebaseline(72.5, 9002, 9.25, 2.5)
 	jw.SchedEnqueue(80, 3, 4, 2, 95.5, 15, 0xDEC1)
 	jw.SchedDefer(80.5, 3, "budget", 4, 2, 1, 0xDEC1)
 	jw.SchedCoalesce(81, 3, "duplicate", 5, 2, 2, 96, 18.25, 0xDEC1)
@@ -81,12 +84,12 @@ func wantSample() []Record {
 		{Kind: KindActAttempt, Seq: 13, Time: 66.5, Attempt: 2, OK: true},
 		{Kind: KindActGiveUp, Seq: 14, Time: 66.5, Attempt: 2, Class: "gave up anyway", TriggerID: 0xDEC1},
 		{Kind: KindStreamOpen, Seq: 15, Time: 70, Stream: 9001, Class: "web-sraa"},
-		{Kind: KindStreamObserve, Seq: 16, Time: 70.5, Stream: 9001, Value: 4.75},
-		{Kind: KindStreamDecision, Seq: 17, Time: 70.5, Stream: 9001, Evaluated: true,
+		{Kind: KindObserve, Seq: 16, Time: 70.5, Stream: 9001, Value: 4.75},
+		{Kind: KindDecision, Seq: 17, Time: 70.5, Stream: 9001, Evaluated: true,
 			SampleMean: 4.5, Target: 6, Level: 1, Fill: 2, SampleSize: 2},
 		{Kind: KindStreamClose, Seq: 18, Time: 71, Stream: 9001},
 		{Kind: KindRebaseline, Seq: 19, Time: 72, BaseMean: 9.25, BaseStdDev: 2.5},
-		{Kind: KindStreamRebaseline, Seq: 20, Time: 72.5, Stream: 9002, BaseMean: 9.25, BaseStdDev: 2.5},
+		{Kind: KindRebaseline, Seq: 20, Time: 72.5, Stream: 9002, BaseMean: 9.25, BaseStdDev: 2.5},
 		{Kind: KindSchedEnqueue, Seq: 21, Time: 80, Stream: 3, Level: 4, Fill: 2,
 			EventTime: 95.5, Value: 15, TriggerID: 0xDEC1},
 		{Kind: KindSchedDefer, Seq: 22, Time: 80.5, Stream: 3, Class: "budget",
@@ -180,7 +183,7 @@ func TestWriterCounts(t *testing.T) {
 	for _, tc := range []struct {
 		kind Kind
 		want uint64
-	}{{KindObserve, 1}, {KindDecision, 1}, {KindSimFired, 1}, {Kind(0), 0}} {
+	}{{KindObserve, 2}, {KindDecision, 2}, {KindRebaseline, 2}, {KindSimFired, 1}, {Kind(0), 0}, {Kind(17), 0}} {
 		if got := jw.Count(tc.kind); got != tc.want {
 			t.Errorf("Count(%v) = %d, want %d", tc.kind, got, tc.want)
 		}
@@ -203,7 +206,7 @@ func TestReaderRejectsGarbage(t *testing.T) {
 func TestReaderRejectsTruncatedRecord(t *testing.T) {
 	var buf bytes.Buffer
 	jw := NewWriter(&buf, Meta{})
-	jw.Observe(1, 2)
+	jw.Observe(1, 0, 2)
 	if err := jw.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +240,12 @@ func TestReaderRejectsOversizedRecord(t *testing.T) {
 
 func TestStickyWriterError(t *testing.T) {
 	jw := NewWriter(&failAfter{n: 1}, Meta{})
-	jw.Observe(1, 2) // header already consumed the budget; this must latch
+	jw.Observe(1, 0, 2) // header already consumed the budget; this must latch
 	if jw.Err() == nil {
 		t.Fatal("writer did not latch the write error")
 	}
 	before := jw.Seq()
-	jw.Observe(2, 3)
+	jw.Observe(2, 0, 3)
 	if jw.Seq() != before {
 		t.Error("writer kept assigning sequence numbers after the error latched")
 	}
@@ -263,8 +266,8 @@ func (f *failAfter) Write(p []byte) (int, error) {
 func TestSpecialFloatsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	jw := NewWriter(&buf, Meta{})
-	jw.Observe(0, math.Inf(1))
-	jw.Observe(0, -0.0)
+	jw.Observe(0, 0, math.Inf(1))
+	jw.Observe(0, 0, -0.0)
 	if err := jw.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +294,7 @@ func BenchmarkWriterObserve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jw.Observe(float64(i), 5.0)
+		jw.Observe(float64(i), 0, 5.0)
 	}
 	if err := jw.Err(); err != nil {
 		b.Fatal(err)
@@ -306,7 +309,7 @@ func BenchmarkWriterDecision(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jw.Decision(float64(i), d, in, false, 0)
+		jw.Decision(float64(i), 0, d, in, false, 0)
 	}
 	if err := jw.Err(); err != nil {
 		b.Fatal(err)
@@ -315,9 +318,9 @@ func BenchmarkWriterDecision(b *testing.B) {
 
 func TestWriterObserveDoesNotAllocate(t *testing.T) {
 	jw := NewWriter(io.Discard, Meta{})
-	jw.Observe(0, 1) // warm the scratch buffer
+	jw.Observe(0, 0, 1) // warm the scratch buffer
 	allocs := testing.AllocsPerRun(1000, func() {
-		jw.Observe(1, 2)
+		jw.Observe(1, 0, 2)
 	})
 	if allocs != 0 {
 		t.Errorf("binary Observe allocates %.1f objects per record, want 0", allocs)
@@ -328,11 +331,139 @@ func TestWriterDecisionDoesNotAllocate(t *testing.T) {
 	jw := NewWriter(io.Discard, Meta{})
 	d := core.Decision{Evaluated: true, SampleMean: 7.5, Target: 10, Level: 1, Fill: 2}
 	in := core.Internals{SampleSize: 2}
-	jw.Decision(0, d, in, false, 0)
+	jw.Decision(0, 0, d, in, false, 0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		jw.Decision(1, d, in, false, 0)
+		jw.Decision(1, 0, d, in, false, 0)
 	})
 	if allocs != 0 {
 		t.Errorf("binary Decision allocates %.1f objects per record, want 0", allocs)
+	}
+}
+
+func TestWriterStreamEmittersDoNotAllocate(t *testing.T) {
+	jw := NewWriter(io.Discard, Meta{})
+	jw.StreamOpen(0, 1, "sraa")
+	// Warm the scratch buffer.
+	jw.Observe(0, 1, 5)
+	d := core.Decision{Evaluated: true, SampleMean: 5, Target: 6, Level: 1, Fill: 1}
+	in := core.Internals{SampleSize: 2}
+	if avg := testing.AllocsPerRun(200, func() {
+		jw.Observe(1, 1, 5.5)
+		jw.Rebaseline(1, 1, 5.5, 1)
+		jw.Decision(1, 1, d, in, false, 0)
+	}); avg != 0 {
+		t.Errorf("stream-tagged emitters allocate %.1f times per observe+rebaseline+decision, want 0", avg)
+	}
+	if err := jw.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKindNumbersStable pins the byte value of every kind: the binary
+// codec writes them raw, so renumbering would silently reinterpret
+// journals. The version-1 fleet kinds 17, 18 and 20 stay retired and
+// are rejected by both codecs.
+func TestKindNumbersStable(t *testing.T) {
+	want := map[Kind]byte{
+		KindRepStart: 1, KindObserve: 2, KindDecision: 3, KindReset: 4,
+		KindRejuvenation: 5, KindGCStart: 6, KindGCEnd: 7, KindSimScheduled: 8,
+		KindSimFired: 9, KindSimCancelled: 10, KindFault: 11, KindActStart: 12,
+		KindActAttempt: 13, KindActGiveUp: 14, KindStreamOpen: 15, KindStreamClose: 16,
+		KindRebaseline: 19, KindSchedEnqueue: 21, KindSchedDefer: 22, KindSchedCoalesce: 23,
+		KindSchedStart: 24, KindSchedComplete: 25, KindSchedQuarantine: 26, KindSchedReadmit: 27,
+	}
+	for k, b := range want {
+		if byte(k) != b {
+			t.Errorf("%v = %d, want %d", k, byte(k), b)
+		}
+	}
+	for _, retired := range []byte{17, 18, 20} {
+		k := Kind(retired)
+		if k.Valid() {
+			t.Errorf("retired kind %d is valid", retired)
+		}
+		// A well-formed version-2 frame carrying the retired kind byte.
+		var buf bytes.Buffer
+		NewWriter(&buf, Meta{})
+		payload := append([]byte{retired, 0}, make([]byte, 8+1+8)...)
+		buf.WriteByte(byte(len(payload)))
+		buf.Write(payload)
+		jr, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := jr.Next(); err == nil {
+			t.Errorf("binary decoder accepted retired kind %d", retired)
+		}
+	}
+	for _, name := range []string{"stream_observe", "stream_decision", "stream_rebaseline"} {
+		var k Kind
+		if err := json.Unmarshal([]byte(fmt.Sprintf("%q", name)), &k); err == nil {
+			t.Errorf("JSONL decoder accepted retired kind %q as %d", name, byte(k))
+		}
+	}
+}
+
+// fleetFactory builds the reference detectors the fleet replay tests
+// verify against: two classes, one per detector family with averaging.
+func fleetFactory(class string) (core.Detector, error) {
+	switch class {
+	case "sraa":
+		return core.NewSRAA(core.SRAAConfig{
+			SampleSize: 2, Buckets: 3, Depth: 2,
+			Baseline: core.Baseline{Mean: 5, StdDev: 1},
+		})
+	case "saraa":
+		return core.NewSARAA(core.SARAAConfig{
+			InitialSampleSize: 4, Buckets: 3, Depth: 2,
+			Baseline: core.Baseline{Mean: 5, StdDev: 1},
+		})
+	}
+	return nil, fmt.Errorf("unknown class %q", class)
+}
+
+// writeFleetJournal records an interleaved two-class fleet run: streams
+// open, observe in round-robin, one closes mid-run, and every evaluated
+// decision is journaled next to its observation — the shape the fleet
+// engine produces.
+func writeFleetJournal(tb testing.TB, jw *Writer) {
+	tb.Helper()
+	classes := []string{"sraa", "saraa", "sraa"}
+	dets := make([]core.Detector, len(classes))
+	for i, class := range classes {
+		det, err := fleetFactory(class)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		dets[i] = det
+		jw.StreamOpen(0, uint64(i+1), class)
+	}
+	rng := xrand.NewStream(99, 1)
+	now := 1.0
+	for round := 0; round < 50; round++ {
+		for i, det := range dets {
+			if det == nil {
+				continue
+			}
+			// Push values above the mean often enough to walk the buckets.
+			v := 5 + 2*rng.Float64()
+			jw.Observe(now, uint64(i+1), v)
+			d := det.Observe(v)
+			if d.Evaluated || d.Triggered {
+				var in core.Internals
+				if instr, ok := det.(core.Instrumented); ok {
+					in = instr.Internals()
+				}
+				jw.Decision(now, uint64(i+1), d, in, round%7 == 0, 0)
+			}
+			now += 0.25
+		}
+		if round == 30 {
+			jw.StreamClose(now, 2)
+			dets[1] = nil
+		}
+	}
+	if err := jw.Err(); err != nil {
+		tb.Fatalf("writer error: %v", err)
 	}
 }

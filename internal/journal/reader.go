@@ -256,8 +256,10 @@ func decodeBinary(payload []byte) (Record, error) {
 		r.Seed = c.uvarint()
 		r.Stream = c.uvarint()
 	case KindObserve:
+		r.Stream = c.uvarint()
 		r.Value = c.f64()
 	case KindDecision:
+		r.Stream = c.uvarint()
 		decodeDecisionFields(&c, &r)
 		decodeTriggerID(&c, &r)
 	case KindReset, KindSimFired, KindSimCancelled:
@@ -288,17 +290,7 @@ func decodeBinary(payload []byte) (Record, error) {
 		r.Class = c.str()
 	case KindStreamClose:
 		r.Stream = c.uvarint()
-	case KindStreamObserve:
-		r.Stream = c.uvarint()
-		r.Value = c.f64()
-	case KindStreamDecision:
-		r.Stream = c.uvarint()
-		decodeDecisionFields(&c, &r)
-		decodeTriggerID(&c, &r)
 	case KindRebaseline:
-		r.BaseMean = c.f64()
-		r.BaseStdDev = c.f64()
-	case KindStreamRebaseline:
 		r.Stream = c.uvarint()
 		r.BaseMean = c.f64()
 		r.BaseStdDev = c.f64()
@@ -364,7 +356,7 @@ func decodeTriggerID(c *cursor, r *Record) {
 }
 
 // decodeDecisionFields parses the canonical decision payload written by
-// appendDecisionFields, shared by KindDecision and KindStreamDecision.
+// appendDecisionFields.
 func decodeDecisionFields(c *cursor, r *Record) {
 	flags := c.u8()
 	r.Evaluated = flags&flagEvaluated != 0

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -20,19 +21,27 @@ func sameF64Bits(a, b float64) bool {
 }
 
 // This file implements deterministic replay: feeding the journaled
-// observation stream through a freshly constructed detector must
-// reproduce the journaled decision stream byte for byte. Because every
-// detector is a deterministic state machine (core package contract),
-// any divergence means the journal, the detector construction, or the
-// platform broke the determinism guarantee — which makes Replay the
-// strongest determinism test in the repository.
+// observations of every stream through a freshly constructed detector
+// must reproduce that stream's journaled decisions byte for byte.
+// Because every detector is a deterministic state machine (core package
+// contract), any divergence means the journal, the detector
+// construction, or the platform broke the determinism guarantee — which
+// makes Replay the strongest determinism test in the repository. For a
+// fleet journal, where many streams interleave, it doubles as the proof
+// that the fleet engine's struct-of-arrays detector state matches the
+// pointer-based reference detectors in internal/core.
 
 // ReplayReport summarizes one replay verification pass.
 type ReplayReport struct {
 	// Reps counts replications encountered (KindRepStart records; one
 	// implicit replication when a journal has none).
 	Reps int
-	// Observations counts observation records fed to the detector.
+	// Streams counts streams opened by KindStreamOpen records (the
+	// single-detector stream 0 opens implicitly and is not counted).
+	Streams int
+	// Closes counts stream close records applied.
+	Closes int
+	// Observations counts observation records fed to detectors.
 	Observations int
 	// Decisions counts decision records compared.
 	Decisions int
@@ -42,8 +51,8 @@ type ReplayReport struct {
 	Resets int
 	// Rebaselines counts workload-shift rebaseline records verified.
 	Rebaselines int
-	// Mismatch describes the first divergence, nil when the streams are
-	// byte-identical.
+	// Mismatch describes the first divergence, nil when every stream's
+	// decision sequence is byte-identical.
 	Mismatch *Mismatch
 }
 
@@ -77,11 +86,18 @@ func (m *Mismatch) Error() string {
 }
 
 // Replay feeds every journaled observation through detectors built by
-// factory and verifies the resulting decision stream against the
-// journaled one. factory is invoked once per replication (each
-// KindRepStart record, plus once up front for journals without
-// replication markers), mirroring how the recording run constructed a
-// fresh detector per replication.
+// factory and verifies each stream's decision records against the
+// replayed ones. Streams follow these rules:
+//
+//   - KindStreamOpen builds the stream's detector with factory(class).
+//   - Stream 0, the single-detector stream, opens lazily with
+//     factory("") on its first record, so single-stream journals need
+//     no open record.
+//   - KindRepStart drops every stream (a replication starts from fresh
+//     detectors); KindReset resets every open stream.
+//   - Records on any other unopened stream, a stream opened twice, and
+//     a stream closed or a replication started while a replayed decision
+//     awaits its recorded counterpart are structural mismatches.
 //
 // The comparison is byte-level: both sides are encoded with the
 // canonical binary decision layout (appendDecisionFields) and must
@@ -89,116 +105,218 @@ func (m *Mismatch) Error() string {
 // record before encoding, because suppression is decided by the
 // cooldown layer above the detector and is not reproducible from the
 // observation stream alone; every detector-owned field must match.
+// Records of other kinds are ignored, so a journal may carry GC,
+// kernel, actuator and scheduler records alongside.
 //
 // Replay stops at the first divergence and reports it; a nil error with
 // report.Identical() true is the determinism proof.
-func Replay(jr *Reader, factory func() (core.Detector, error)) (ReplayReport, error) {
-	var report ReplayReport
-	var replayErr error
+func Replay(jr *Reader, factory func(class string) (core.Detector, error)) (ReplayReport, error) {
+	v := verifier{factory: factory, streams: make(map[uint64]*replayStream)}
+	var err error
 	// Label the replay loop so CPU profiles attribute detector
 	// evaluation time to this phase.
 	pprof.Do(context.Background(), pprof.Labels("rejuv_phase", "detector-replay"), func(context.Context) {
-		report, replayErr = replay(jr, factory)
+		err = v.run(jr)
 	})
-	return report, replayErr
+	return v.report, err
 }
 
-// replay is the unlabeled body of Replay.
-func replay(jr *Reader, factory func() (core.Detector, error)) (ReplayReport, error) {
-	var report ReplayReport
-	det, err := factory()
-	if err != nil {
-		return report, fmt.Errorf("journal: replay factory: %w", err)
-	}
-	if det == nil {
-		return report, fmt.Errorf("journal: replay factory returned a nil detector")
-	}
-	report.Reps = 1
-	sawRepStart := false
-
+// replayStream is the replay state of one open stream.
+type replayStream struct {
+	det core.Detector
 	// pending holds the replayed decision awaiting its recorded
 	// counterpart; decision records always follow their observation in
 	// writer order.
-	var pending *Record
+	pending *Record
+}
 
-	for {
+// verifier is the state of one Replay pass. recBuf and repBuf are the
+// reused encodings of the recorded and replayed decision payloads.
+type verifier struct {
+	factory        func(class string) (core.Detector, error)
+	streams        map[uint64]*replayStream
+	report         ReplayReport
+	recBuf, repBuf []byte
+}
+
+// run drives the pass until EOF, a decode error or the first mismatch.
+func (v *verifier) run(jr *Reader) error {
+	v.report.Reps = 1
+	sawRepStart := false
+	for v.report.Mismatch == nil {
 		rec, err := jr.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
-			return report, err
+			return err
 		}
 		switch rec.Kind {
 		case KindRepStart:
-			if pending != nil {
-				report.Mismatch = structuralMismatch(rec, "replication started while a replayed decision awaited its recorded counterpart")
-				return report, nil
+			if id, ok := v.waitingStream(); ok {
+				v.mismatch(rec, "replication started while a replayed decision awaited its recorded counterpart"+onStream(id))
+				break
 			}
-			if sawRepStart || report.Observations > 0 || report.Decisions > 0 {
-				report.Reps++
+			if sawRepStart || v.report.Observations > 0 || v.report.Decisions > 0 {
+				v.report.Reps++
 			}
 			sawRepStart = true
-			if det, err = factory(); err != nil {
-				return report, fmt.Errorf("journal: replay factory (rep %d): %w", rec.Rep, err)
+			clear(v.streams)
+		case KindStreamOpen:
+			if _, ok := v.streams[rec.Stream]; ok {
+				v.mismatch(rec, fmt.Sprintf("stream %d opened twice", rec.Stream))
+				break
+			}
+			if _, err := v.open(rec.Stream, rec.Class); err != nil {
+				return err
+			}
+			v.report.Streams++
+		case KindStreamClose:
+			st, ok := v.streams[rec.Stream]
+			switch {
+			case !ok:
+				v.mismatch(rec, fmt.Sprintf("stream %d closed but never opened", rec.Stream))
+			case st.pending != nil:
+				v.mismatch(rec, fmt.Sprintf("stream %d closed while a replayed decision awaited its recorded counterpart", rec.Stream))
+			default:
+				delete(v.streams, rec.Stream)
+				v.report.Closes++
 			}
 		case KindObserve:
-			if pending != nil {
-				report.Mismatch = structuralMismatch(rec, "observation arrived while a replayed decision awaited its recorded counterpart")
-				return report, nil
+			st, err := v.stream(rec, "observation")
+			if st == nil {
+				return err
 			}
-			report.Observations++
-			d := det.Observe(rec.Value)
-			if d.Evaluated || d.Triggered {
+			if st.pending != nil {
+				v.mismatch(rec, "observation arrived while a replayed decision awaited its recorded counterpart"+onStream(rec.Stream))
+				break
+			}
+			v.report.Observations++
+			if d := st.det.Observe(rec.Value); d.Evaluated || d.Triggered {
 				var in core.Internals
-				if instr, ok := det.(core.Instrumented); ok {
+				if instr, ok := st.det.(core.Instrumented); ok {
 					in = instr.Internals()
 				}
 				r := DecisionRecord(rec.Time, d, in, false)
-				pending = &r
+				st.pending = &r
 			}
 		case KindDecision:
-			report.Decisions++
+			st, err := v.stream(rec, "decision")
+			if st == nil {
+				return err
+			}
+			v.report.Decisions++
 			if rec.Triggered {
-				report.Triggers++
+				v.report.Triggers++
 			}
-			if pending == nil {
-				report.Mismatch = structuralMismatch(rec, "recorded decision has no replayed counterpart (replayed detector did not evaluate)")
-				return report, nil
-			}
-			// Suppression belongs to the cooldown layer, not the
-			// detector; carry it over so the byte comparison covers
-			// exactly the detector-owned fields.
-			pending.Suppressed = rec.Suppressed
-			pending.Time = rec.Time
-			recBytes := appendDecisionFields(nil, &rec)
-			repBytes := appendDecisionFields(nil, pending)
-			if string(recBytes) != string(repBytes) {
-				report.Mismatch = &Mismatch{
-					Seq:      rec.Seq,
-					Time:     rec.Time,
-					Reason:   "decision payloads differ",
-					Recorded: hex.EncodeToString(recBytes),
-					Replayed: hex.EncodeToString(repBytes),
-				}
-				return report, nil
-			}
-			pending = nil
+			v.compare(st, rec)
 		case KindReset:
-			report.Resets++
-			det.Reset()
+			v.report.Resets++
+			// Reset has no cross-stream effects, so the map order is
+			// immaterial.
+			for _, st := range v.streams {
+				st.det.Reset()
+			}
 		case KindRebaseline:
-			report.Rebaselines++
-			if m := verifyRebaseline(rec, det); m != nil {
-				report.Mismatch = m
-				return report, nil
+			st, err := v.stream(rec, "rebaseline")
+			if st == nil {
+				return err
+			}
+			v.report.Rebaselines++
+			if m := verifyRebaseline(rec, st.det); m != nil {
+				m.Reason += onStream(rec.Stream)
+				v.report.Mismatch = m
 			}
 		}
 	}
-	if pending != nil {
-		report.Mismatch = &Mismatch{Reason: "replayed decision at end of journal has no recorded counterpart"}
+	if v.report.Mismatch != nil {
+		return nil
 	}
-	return report, nil
+	if id, ok := v.waitingStream(); ok {
+		v.report.Mismatch = &Mismatch{Reason: "replayed decision at end of journal has no recorded counterpart" + onStream(id)}
+	}
+	return nil
+}
+
+// open builds the detector of one stream.
+func (v *verifier) open(id uint64, class string) (*replayStream, error) {
+	det, err := v.factory(class)
+	if err != nil {
+		return nil, fmt.Errorf("journal: replay factory (stream %d, class %q): %w", id, class, err)
+	}
+	if det == nil {
+		return nil, fmt.Errorf("journal: replay factory returned a nil detector for stream %d (class %q)", id, class)
+	}
+	st := &replayStream{det: det}
+	v.streams[id] = st
+	return st, nil
+}
+
+// stream returns the open stream rec belongs to, opening stream 0 on
+// its first record. A nil stream with a nil error means rec addressed
+// an unopened stream and the mismatch is recorded.
+func (v *verifier) stream(rec Record, what string) (*replayStream, error) {
+	if st, ok := v.streams[rec.Stream]; ok {
+		return st, nil
+	}
+	if rec.Stream == 0 {
+		return v.open(0, "")
+	}
+	v.mismatch(rec, fmt.Sprintf("%s on unopened stream %d", what, rec.Stream))
+	return nil, nil
+}
+
+// compare checks a recorded decision against the stream's pending
+// replayed one.
+func (v *verifier) compare(st *replayStream, rec Record) {
+	pending := st.pending
+	if pending == nil {
+		v.mismatch(rec, "recorded decision has no replayed counterpart (replayed detector did not evaluate)"+onStream(rec.Stream))
+		return
+	}
+	st.pending = nil
+	// Suppression belongs to the cooldown layer, not the detector;
+	// carry it over so the byte comparison covers exactly the
+	// detector-owned fields.
+	pending.Suppressed = rec.Suppressed
+	v.recBuf = appendDecisionFields(v.recBuf[:0], &rec)
+	v.repBuf = appendDecisionFields(v.repBuf[:0], pending)
+	if !bytes.Equal(v.recBuf, v.repBuf) {
+		v.report.Mismatch = &Mismatch{
+			Seq:      rec.Seq,
+			Time:     rec.Time,
+			Reason:   "decision payloads differ" + onStream(rec.Stream),
+			Recorded: hex.EncodeToString(v.recBuf),
+			Replayed: hex.EncodeToString(v.repBuf),
+		}
+	}
+}
+
+// waitingStream returns the lowest id of a stream whose replayed
+// decision awaits its recorded counterpart, so the diagnosis is stable
+// despite map iteration order.
+func (v *verifier) waitingStream() (uint64, bool) {
+	id, found := uint64(0), false
+	for sid, st := range v.streams {
+		if st.pending != nil && (!found || sid < id) {
+			id, found = sid, true
+		}
+	}
+	return id, found
+}
+
+// mismatch records a structural divergence at rec.
+func (v *verifier) mismatch(rec Record, reason string) {
+	v.report.Mismatch = structuralMismatch(rec, reason)
+}
+
+// onStream names a fleet stream in a mismatch reason; the
+// single-detector stream 0 needs no qualifier.
+func onStream(id uint64) string {
+	if id == 0 {
+		return ""
+	}
+	return fmt.Sprintf(" on stream %d", id)
 }
 
 // structuralMismatch builds a mismatch for stream-shape divergences.

@@ -8,12 +8,19 @@ package journal_test
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rejuv/internal/core"
 	"rejuv/internal/ecommerce"
 	"rejuv/internal/journal"
 )
+
+// single adapts a single-detector factory to Replay's class-keyed
+// factory.
+func single(factory func() (core.Detector, error)) func(string) (core.Detector, error) {
+	return func(string) (core.Detector, error) { return factory() }
+}
 
 // replayCase pairs a detector family with its factory. The factory is
 // used both to build the recording detector and, independently, the
@@ -106,7 +113,7 @@ func TestReplayDeterminismAllDetectors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewReader: %v", err)
 			}
-			rep, err := journal.Replay(jr, tc.factory)
+			rep, err := journal.Replay(jr, single(tc.factory))
 			if err != nil {
 				t.Fatalf("Replay: %v", err)
 			}
@@ -159,7 +166,7 @@ func TestReplayDetectsTamperedJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := journal.Replay(jr2, tc.factory)
+	rep, err := journal.Replay(jr2, single(tc.factory))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +228,232 @@ func TestKernelJournaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := journal.Replay(jr, tc.factory)
+	rep, err := journal.Replay(jr, single(tc.factory))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Identical() {
 		t.Fatalf("replay of kernel-journaled run diverged: %v", rep.Mismatch.Error())
+	}
+}
+
+// TestReplayAllocsPerRecord pins the verifier's allocation budget: it
+// encodes both canonical decision payloads into two reused buffers, so
+// replay allocates the decoded record payload and, per decision, the
+// pending replayed record — and nothing else that grows with the
+// journal.
+func TestReplayAllocsPerRecord(t *testing.T) {
+	tc := replayCases()[0] // SRAA
+	record := func(n int) (data []byte, records, decisions uint64) {
+		det, err := tc.factory()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		jw := journal.NewWriter(&buf, journal.Meta{})
+		for i := 0; i < n; i++ {
+			v := float64(i%17) * 0.75 // walks the buckets up and back down
+			jw.Observe(float64(i), 0, v)
+			if d := det.Observe(v); d.Evaluated || d.Triggered {
+				jw.Decision(float64(i), 0, d, det.(core.Instrumented).Internals(), false, 0)
+			}
+		}
+		if err := jw.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), jw.Seq(), jw.Count(journal.KindDecision)
+	}
+	allocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(5, func() {
+			jr, err := journal.NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := journal.Replay(jr, single(tc.factory))
+			if err != nil || !rep.Identical() || rep.Decisions == 0 {
+				t.Fatalf("replay: %+v, %v", rep, err)
+			}
+		})
+	}
+	short, shortRecs, shortDecs := record(1_000)
+	long, longRecs, longDecs := record(10_000)
+	extra := allocs(long) - allocs(short)
+	// A few objects of slack absorb amortized growth elsewhere.
+	budget := float64(longRecs-shortRecs) + float64(longDecs-shortDecs) + 16
+	if extra > budget {
+		t.Errorf("replay allocates %.0f times for %d more records (%d more decisions), want at most %.0f",
+			extra, longRecs-shortRecs, longDecs-shortDecs, budget)
+	}
+}
+
+func TestReplayFleetIdentical(t *testing.T) {
+	for _, format := range []journal.Format{journal.FormatBinary, journal.FormatJSONL} {
+		t.Run(format.String(), func(t *testing.T) {
+			var buf bytes.Buffer
+			var jw *journal.Writer
+			if format == journal.FormatBinary {
+				jw = journal.NewWriter(&buf, journal.Meta{CreatedBy: "replay_test"})
+			} else {
+				jw = journal.NewJSONWriter(&buf, journal.Meta{CreatedBy: "replay_test"})
+			}
+			journal.WriteFleetJournal(t, jw)
+			jr, err := journal.NewReader(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("NewReader: %v", err)
+			}
+			report, err := journal.Replay(jr, journal.FleetFactory)
+			if err != nil {
+				t.Fatalf("Replay: %v", err)
+			}
+			if !report.Identical() {
+				t.Fatalf("fleet replay diverged: %v", report.Mismatch)
+			}
+			if report.Streams != 3 || report.Closes != 1 {
+				t.Errorf("streams=%d closes=%d, want 3 and 1", report.Streams, report.Closes)
+			}
+			if report.Observations == 0 || report.Decisions == 0 {
+				t.Errorf("replay fed no work: %+v", report)
+			}
+		})
+	}
+}
+
+// TestReplayFleetRejectsMalformedStreams walks every stream-level
+// mismatch the verifier reports: each row writes a small journal and
+// names the reason the replay must stop with.
+func TestReplayFleetRejectsMalformedStreams(t *testing.T) {
+	// evaluate feeds stream 2 (class sraa, n=2) two observations, so its
+	// replayed detector evaluates, and returns the reference decision.
+	evaluate := func(t *testing.T, jw *journal.Writer) journal.Record {
+		det, err := journal.FleetFactory("sraa")
+		if err != nil {
+			t.Fatal(err)
+		}
+		jw.StreamOpen(0, 2, "sraa")
+		var d core.Decision
+		for i, v := range []float64{6, 7} {
+			jw.Observe(float64(i), 2, v)
+			d = det.Observe(v)
+		}
+		return journal.DecisionRecord(1, d, det.(core.Instrumented).Internals(), false)
+	}
+	cases := []struct {
+		name   string
+		write  func(t *testing.T, jw *journal.Writer)
+		reason string
+	}{
+		{"double open", func(t *testing.T, jw *journal.Writer) {
+			jw.StreamOpen(0, 1, "sraa")
+			jw.StreamOpen(0, 1, "sraa")
+		}, "stream 1 opened twice"},
+		{"close unopened", func(t *testing.T, jw *journal.Writer) {
+			jw.StreamClose(0, 1)
+		}, "stream 1 closed but never opened"},
+		{"observe unopened", func(t *testing.T, jw *journal.Writer) {
+			jw.Observe(0, 1, 5)
+		}, "observation on unopened stream 1"},
+		{"payload diff", func(t *testing.T, jw *journal.Writer) {
+			r := evaluate(t, jw)
+			r.SampleMean += 0.5
+			r.Stream = 2
+			jw.Record(r)
+		}, "decision payloads differ on stream 2"},
+		{"pending at close", func(t *testing.T, jw *journal.Writer) {
+			evaluate(t, jw)
+			jw.StreamClose(2, 2)
+		}, "stream 2 closed while a replayed decision awaited"},
+		{"pending at eof", func(t *testing.T, jw *journal.Writer) {
+			evaluate(t, jw)
+		}, "at end of journal has no recorded counterpart on stream 2"},
+		{"tamper", func(t *testing.T, jw *journal.Writer) {
+			// Record a full fleet run, flip one decision's trigger flag
+			// and rewrite the journal.
+			var buf bytes.Buffer
+			journal.WriteFleetJournal(t, journal.NewWriter(&buf, journal.Meta{}))
+			jr, err := journal.NewReader(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := jr.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tampered := false
+			for _, r := range recs {
+				if !tampered && r.Kind == journal.KindDecision && r.Evaluated {
+					r.Triggered = !r.Triggered
+					tampered = true
+				}
+				jw.Record(r)
+			}
+			if !tampered {
+				t.Fatal("journal carried no decision to tamper with")
+			}
+		}, "decision payloads differ on stream"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			jw := journal.NewWriter(&buf, journal.Meta{})
+			tc.write(t, jw)
+			if err := jw.Err(); err != nil {
+				t.Fatal(err)
+			}
+			jr, err := journal.NewReader(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			report, err := journal.Replay(jr, journal.FleetFactory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Identical() {
+				t.Fatal("malformed stream structure replayed as identical")
+			}
+			if !strings.Contains(report.Mismatch.Reason, tc.reason) {
+				t.Errorf("mismatch %q, want it to name %q", report.Mismatch.Reason, tc.reason)
+			}
+		})
+	}
+}
+
+// TestReplayStreamLifecycle pins the stream rules shared by single and
+// fleet journals: stream 0 opens lazily with the empty class, a
+// replication start drops every stream, and a fleet stream that is not
+// reopened after it is unknown.
+func TestReplayStreamLifecycle(t *testing.T) {
+	var classes []string
+	factory := func(class string) (core.Detector, error) {
+		classes = append(classes, class)
+		if class == "" {
+			class = "sraa"
+		}
+		return journal.FleetFactory(class)
+	}
+	var buf bytes.Buffer
+	jw := journal.NewWriter(&buf, journal.Meta{})
+	jw.RepStart(0, 1, 1, 1)
+	jw.Observe(0, 0, 5)
+	jw.StreamOpen(0, 3, "saraa")
+	jw.Observe(0, 3, 5)
+	jw.RepStart(0, 2, 2, 2)
+	jw.Observe(0, 0, 5)
+	jw.Observe(0, 3, 5)
+	jr, err := journal.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := journal.Replay(jr, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(classes, ","); got != ",saraa," {
+		t.Errorf("factory classes %q, want stream 0, stream 3, then stream 0 again", got)
+	}
+	if rep.Reps != 2 || rep.Streams != 1 || rep.Observations != 3 {
+		t.Errorf("report %+v, want 2 reps, 1 opened stream, 3 observations", rep)
+	}
+	if rep.Identical() || !strings.Contains(rep.Mismatch.Reason, "observation on unopened stream 3") {
+		t.Errorf("stream 3 survived the replication start: %+v", rep.Mismatch)
 	}
 }

@@ -37,7 +37,7 @@ func runSchedScript(t *testing.T, jw *Writer) {
 			jw.Record(SchedRecord(tr))
 		}
 	}
-	jw.Observe(0, 1.5) // non-sched noise the replay skips
+	jw.Observe(0, 0, 1.5) // non-sched noise the replay skips
 	emit(g.Request(0, 0, 5, 0, 0, 101))
 	jw.GCStart(0.5, 12)
 	emit(g.Request(1, 1, 2, 1, 20, 102)) // queued behind budget, deadline 20
@@ -46,7 +46,7 @@ func runSchedScript(t *testing.T, jw *Writer) {
 	emit(g.Request(4, 2, 1, 0, 0, 105))  // queue now full (depth 2)
 	emit(g.Request(5, 3, 4, 2, 0, 106))  // refused: saturated, escalates oldest
 	emit(g.Complete(10, 0, false))       // failed action requeues replica 0
-	jw.Observe(10.5, 2.25)
+	jw.Observe(10.5, 0, 2.25)
 	emit(g.Tick(25)) // deadline horizon expired
 	emit(g.Complete(30, 1, true))
 	emit(g.GiveUp(31, 2, "restart rpc unreachable"))

@@ -114,42 +114,47 @@ func (jw *Writer) RepStart(t float64, rep int, seed, stream uint64) {
 	jw.finish(b)
 }
 
-// Observe records one observation of the monitored metric. It sits on
-// the monitor's per-observation path and must stay allocation-free on
-// the binary codec.
+// Observe records one observation of the monitored metric on a
+// stream (0 for a single-detector journal). It sits on the monitor's
+// and the fleet's per-observation paths and must stay allocation-free
+// on the binary codec.
 //
 //lint:hotpath
-func (jw *Writer) Observe(t, value float64) {
+func (jw *Writer) Observe(t float64, stream uint64, value float64) {
 	if jw.err != nil {
 		return
 	}
 	seq := jw.nextSeq(KindObserve)
-	if jw.jsonl(Record{Kind: KindObserve, Seq: seq, Time: t, Value: value}) {
+	if jw.jsonl(Record{Kind: KindObserve, Seq: seq, Time: t, Stream: stream, Value: value}) {
 		return
 	}
 	b := jw.begin(KindObserve, seq, t)
+	b = binary.AppendUvarint(b, stream)
 	b = appendF64(b, value)
 	jw.finish(b)
 }
 
-// Decision records one evaluated detector decision together with the
-// internals snapshot taken immediately after the step. triggerID is the
-// deterministic trigger identity minted for a triggering decision
-// (core.TriggerID); pass 0 for non-triggering decisions. Like Observe
-// it is on the monitor's per-observation path.
+// Decision records one evaluated detector decision on a stream (0 for
+// a single-detector journal) together with the internals snapshot taken
+// immediately after the step. triggerID is the deterministic trigger
+// identity minted for a triggering decision (core.TriggerID); pass 0
+// for non-triggering decisions. Like Observe it is on the
+// per-observation paths.
 //
 //lint:hotpath
-func (jw *Writer) Decision(t float64, d core.Decision, in core.Internals, suppressed bool, triggerID uint64) {
+func (jw *Writer) Decision(t float64, stream uint64, d core.Decision, in core.Internals, suppressed bool, triggerID uint64) {
 	if jw.err != nil {
 		return
 	}
 	r := DecisionRecord(t, d, in, suppressed)
+	r.Stream = stream
 	r.TriggerID = triggerID
 	r.Seq = jw.nextSeq(KindDecision)
 	if jw.jsonl(r) {
 		return
 	}
 	b := jw.begin(KindDecision, r.Seq, t)
+	b = binary.AppendUvarint(b, stream)
 	b = appendDecisionFields(b, &r)
 	b = appendTriggerID(b, triggerID)
 	jw.finish(b)
@@ -347,86 +352,22 @@ func (jw *Writer) StreamClose(t float64, stream uint64) {
 	jw.finish(b)
 }
 
-// StreamObserve records one observation on a fleet stream. It sits on
-// the fleet's batched ingestion path and must stay allocation-free on
-// the binary codec.
+// Rebaseline records a committed workload-shift rebaseline on a stream
+// (0 for a single-detector journal): the shift layer re-estimated the
+// baseline and the wrapped detector was rebuilt from mean/sd. It sits
+// on the per-observation paths (a rebaseline is decided inside an
+// observation) and must stay allocation-free on the binary codec.
 //
 //lint:hotpath
-func (jw *Writer) StreamObserve(t float64, stream uint64, value float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindStreamObserve)
-	if jw.jsonl(Record{Kind: KindStreamObserve, Seq: seq, Time: t, Stream: stream, Value: value}) {
-		return
-	}
-	b := jw.begin(KindStreamObserve, seq, t)
-	b = binary.AppendUvarint(b, stream)
-	b = appendF64(b, value)
-	jw.finish(b)
-}
-
-// StreamDecision records one evaluated detector decision on a fleet
-// stream. The decision payload reuses the KindDecision byte layout
-// (appendDecisionFields) after the stream id, so fleet replay verifies
-// the same bytes single-stream replay does. Like StreamObserve it is on
-// the fleet's batched ingestion path.
-//
-//lint:hotpath
-func (jw *Writer) StreamDecision(t float64, stream uint64, d core.Decision, in core.Internals, suppressed bool, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	r := DecisionRecord(t, d, in, suppressed)
-	r.Kind = KindStreamDecision
-	r.Stream = stream
-	r.TriggerID = triggerID
-	r.Seq = jw.nextSeq(KindStreamDecision)
-	if jw.jsonl(r) {
-		return
-	}
-	b := jw.begin(KindStreamDecision, r.Seq, t)
-	b = binary.AppendUvarint(b, stream)
-	b = appendDecisionFields(b, &r)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// Rebaseline records a committed workload-shift rebaseline: the shift
-// layer re-estimated the baseline and the wrapped detector was rebuilt
-// from mean/sd. It sits on the monitor's per-observation path (a
-// rebaseline is decided inside Observe) and must stay allocation-free
-// on the binary codec.
-//
-//lint:hotpath
-func (jw *Writer) Rebaseline(t, mean, sd float64) {
+func (jw *Writer) Rebaseline(t float64, stream uint64, mean, sd float64) {
 	if jw.err != nil {
 		return
 	}
 	seq := jw.nextSeq(KindRebaseline)
-	if jw.jsonl(Record{Kind: KindRebaseline, Seq: seq, Time: t, BaseMean: mean, BaseStdDev: sd}) {
+	if jw.jsonl(Record{Kind: KindRebaseline, Seq: seq, Time: t, Stream: stream, BaseMean: mean, BaseStdDev: sd}) {
 		return
 	}
 	b := jw.begin(KindRebaseline, seq, t)
-	b = appendF64(b, mean)
-	b = appendF64(b, sd)
-	jw.finish(b)
-}
-
-// StreamRebaseline records a committed workload-shift rebaseline on a
-// fleet stream. Like StreamObserve it is on the fleet's batched
-// ingestion path.
-//
-//lint:hotpath
-func (jw *Writer) StreamRebaseline(t float64, stream uint64, mean, sd float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindStreamRebaseline)
-	if jw.jsonl(Record{Kind: KindStreamRebaseline, Seq: seq, Time: t, Stream: stream, BaseMean: mean, BaseStdDev: sd}) {
-		return
-	}
-	b := jw.begin(KindStreamRebaseline, seq, t)
 	b = binary.AppendUvarint(b, stream)
 	b = appendF64(b, mean)
 	b = appendF64(b, sd)
@@ -671,7 +612,7 @@ const (
 )
 
 // appendDecisionFields encodes the decision payload (after the common
-// kind/seq/time prefix): flags byte, sample mean, target, level, fill,
+// kind/seq/time prefix and the stream id): flags byte, sample mean, target, level, fill,
 // sample size, sample fill, statistic. This is the byte stream the
 // replay verifier compares, so its layout is part of the determinism
 // contract (DESIGN §10).
@@ -710,8 +651,10 @@ func appendPayload(b []byte, r *Record) []byte {
 		b = binary.AppendUvarint(b, r.Seed)
 		b = binary.AppendUvarint(b, r.Stream)
 	case KindObserve:
+		b = binary.AppendUvarint(b, r.Stream)
 		b = appendF64(b, r.Value)
 	case KindDecision:
+		b = binary.AppendUvarint(b, r.Stream)
 		b = appendDecisionFields(b, r)
 		b = appendTriggerID(b, r.TriggerID)
 	case KindReset, KindSimFired, KindSimCancelled:
@@ -746,17 +689,7 @@ func appendPayload(b []byte, r *Record) []byte {
 		b = appendString(b, clipClass(r.Class))
 	case KindStreamClose:
 		b = binary.AppendUvarint(b, r.Stream)
-	case KindStreamObserve:
-		b = binary.AppendUvarint(b, r.Stream)
-		b = appendF64(b, r.Value)
-	case KindStreamDecision:
-		b = binary.AppendUvarint(b, r.Stream)
-		b = appendDecisionFields(b, r)
-		b = appendTriggerID(b, r.TriggerID)
 	case KindRebaseline:
-		b = appendF64(b, r.BaseMean)
-		b = appendF64(b, r.BaseStdDev)
-	case KindStreamRebaseline:
 		b = binary.AppendUvarint(b, r.Stream)
 		b = appendF64(b, r.BaseMean)
 		b = appendF64(b, r.BaseStdDev)

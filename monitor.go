@@ -238,17 +238,17 @@ func (m *Monitor) Observe(x float64) {
 		if intercepted {
 			jw.Fault(t, hygieneClass(x), 0)
 		}
-		jw.Observe(t, v)
+		jw.Observe(t, 0, v)
 		if rebased {
 			b := m.reb.CurrentBaseline()
-			jw.Rebaseline(t, b.Mean, b.StdDev)
+			jw.Rebaseline(t, 0, b.Mean, b.StdDev)
 		}
 		if d.Evaluated || d.Triggered {
 			var in DetectorInternals
 			if instr, ok := m.cfg.Detector.(Instrumented); ok {
 				in = instr.Internals()
 			}
-			jw.Decision(t, d, in, suppressed, tid)
+			jw.Decision(t, 0, d, in, suppressed, tid)
 		}
 	}
 	if d.Triggered && !suppressed {
