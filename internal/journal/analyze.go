@@ -618,11 +618,10 @@ func decisions(records []Record) []Record {
 // sameDecision compares two decision records on stream, timestamp and
 // detector-owned fields, masking the cooldown-owned suppression flag.
 func sameDecision(x, y Record) bool {
-	x.Suppressed, y.Suppressed = false, false
 	if x.Stream != y.Stream || math.Float64bits(x.Time) != math.Float64bits(y.Time) {
 		return false
 	}
-	bx := appendDecisionFields(nil, &x)
-	by := appendDecisionFields(nil, &y)
-	return string(bx) == string(by)
+	dx, inx := recordDecision(&x)
+	dy, iny := recordDecision(&y)
+	return string(appendDecision(nil, dx, inx, false)) == string(appendDecision(nil, dy, iny, false))
 }

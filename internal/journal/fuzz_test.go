@@ -37,6 +37,8 @@ func fuzzSeedFleet(f *testing.F) []byte {
 // FuzzReader throws arbitrary bytes at the decoder: it must never
 // panic, never loop forever, and on records it does accept, re-encoding
 // must reproduce the accepted payload (decode/encode idempotence).
+// Decoding into one reused Record must also match a fresh decode per
+// record, errors included.
 func FuzzReader(f *testing.F) {
 	f.Add(fuzzSeed())
 	f.Add(fuzzSeedJSONL())
@@ -45,6 +47,7 @@ func FuzzReader(f *testing.F) {
 	f.Add(magic[:])
 	f.Add(append(append([]byte{}, magic[:]...), Version, 0x02, '{', '}'))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		compareReuse(t, data)
 		jr, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -110,10 +110,24 @@ func (jr *Reader) Format() Format { return jr.format }
 // Next returns the next record, or io.EOF at a clean end of stream. A
 // truncated or corrupt record returns a descriptive non-EOF error.
 func (jr *Reader) Next() (Record, error) {
-	if jr.format == FormatJSONL {
-		return jr.nextJSON()
+	var r Record
+	if err := jr.next(&r); err != nil {
+		return Record{}, err
 	}
-	return jr.nextBinary()
+	return r, nil
+}
+
+// next decodes the next record into r, a record the caller owns and
+// may reuse across calls: r is zeroed first, so no field of the
+// previous record survives into the next. The replay verifiers loop
+// over one Record this way instead of copying each record out of Next.
+// On error r holds no meaningful record.
+func (jr *Reader) next(r *Record) error {
+	*r = Record{}
+	if jr.format == FormatJSONL {
+		return jr.nextJSON(r)
+	}
+	return jr.nextBinary(r)
 }
 
 // ReadAll drains the journal into a slice, stopping at clean EOF.
@@ -131,47 +145,50 @@ func (jr *Reader) ReadAll() ([]Record, error) {
 	}
 }
 
-// nextJSON decodes one JSONL record line.
-func (jr *Reader) nextJSON() (Record, error) {
+// nextJSON decodes one JSONL record line into the zeroed r.
+func (jr *Reader) nextJSON(r *Record) error {
 	if jr.drained {
-		return Record{}, io.EOF
+		return io.EOF
 	}
 	line, err := jr.readLine()
 	atEOF := errors.Is(err, io.EOF)
 	if err != nil {
 		if atEOF && len(bytes.TrimSpace(line)) == 0 {
-			return Record{}, io.EOF
+			return io.EOF
 		}
 		if !atEOF {
-			return Record{}, fmt.Errorf("journal: reading JSONL record: %w", err)
+			return fmt.Errorf("journal: reading JSONL record: %w", err)
 		}
 	}
 	if len(bytes.TrimSpace(line)) == 0 {
-		return Record{}, io.EOF
+		return io.EOF
 	}
-	var r Record
-	if err := json.Unmarshal(line, &r); err != nil {
+	// Unmarshal boxes its target, which would make every caller's r
+	// escape; decode into a local and copy instead.
+	var rec Record
+	if err := json.Unmarshal(line, &rec); err != nil {
 		// An unterminated final line that fails to parse is the JSONL
 		// shape of a torn tail: the writer died mid-line.
 		if atEOF && jr.tolerateTorn {
 			return jr.tear(len(line))
 		}
-		return Record{}, fmt.Errorf("journal: decoding JSONL record: %w", err)
+		return fmt.Errorf("journal: decoding JSONL record: %w", err)
 	}
-	if !r.Kind.Valid() {
+	if !rec.Kind.Valid() {
 		if atEOF && jr.tolerateTorn {
 			return jr.tear(len(line))
 		}
-		return Record{}, fmt.Errorf("journal: JSONL record with invalid kind %d", byte(r.Kind))
+		return fmt.Errorf("journal: JSONL record with invalid kind %d", byte(rec.Kind))
 	}
-	return r, nil
+	*r = rec
+	return nil
 }
 
 // tear records a torn tail of n bytes and latches clean EOF.
-func (jr *Reader) tear(n int) (Record, error) {
+func (jr *Reader) tear(n int) error {
 	jr.torn += n
 	jr.drained = true
-	return Record{}, io.EOF
+	return io.EOF
 }
 
 // readLine reads one newline-terminated line without the terminator,
@@ -181,15 +198,16 @@ func (jr *Reader) readLine() ([]byte, error) {
 	return bytes.TrimSuffix(line, []byte{'\n'}), err
 }
 
-// nextBinary decodes one length-prefixed binary record.
-func (jr *Reader) nextBinary() (Record, error) {
+// nextBinary decodes one length-prefixed binary record into the zeroed
+// r.
+func (jr *Reader) nextBinary(r *Record) error {
 	if jr.drained {
-		return Record{}, io.EOF
+		return io.EOF
 	}
 	n, lenBytes, err := jr.readUvarintCounted()
 	if err != nil {
 		if errors.Is(err, io.EOF) && lenBytes == 0 {
-			return Record{}, io.EOF // clean end of stream
+			return io.EOF // clean end of stream
 		}
 		// A partial length prefix at EOF is a torn tail.
 		if jr.tolerateTorn && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
@@ -199,10 +217,10 @@ func (jr *Reader) nextBinary() (Record, error) {
 			// Do not let ReadAll mistake a mid-varint EOF for a clean end.
 			err = io.ErrUnexpectedEOF
 		}
-		return Record{}, fmt.Errorf("journal: reading record length: %w", err)
+		return fmt.Errorf("journal: reading record length: %w", err)
 	}
 	if n > MaxRecordLen {
-		return Record{}, fmt.Errorf("journal: record of %d bytes exceeds limit %d", n, MaxRecordLen)
+		return fmt.Errorf("journal: record of %d bytes exceeds limit %d", n, MaxRecordLen)
 	}
 	payload := make([]byte, n)
 	read, err := io.ReadFull(jr.br, payload)
@@ -216,9 +234,9 @@ func (jr *Reader) nextBinary() (Record, error) {
 			// A record cut at the payload start must not read as clean EOF.
 			err = io.ErrUnexpectedEOF
 		}
-		return Record{}, fmt.Errorf("journal: truncated record (%d bytes expected): %w", n, err)
+		return fmt.Errorf("journal: truncated record (%d bytes expected): %w", n, err)
 	}
-	return decodeBinary(payload)
+	return decodeBinary(payload, r)
 }
 
 // readUvarintCounted reads one unsigned varint, also reporting how many
@@ -240,13 +258,12 @@ func (jr *Reader) readUvarintCounted() (uint64, int, error) {
 	}
 }
 
-// decodeBinary parses one binary record payload.
-func decodeBinary(payload []byte) (Record, error) {
+// decodeBinary parses one binary record payload into the zeroed r.
+func decodeBinary(payload []byte, r *Record) error {
 	c := cursor{b: payload}
-	var r Record
 	r.Kind = Kind(c.u8())
 	if !r.Kind.Valid() {
-		return Record{}, fmt.Errorf("journal: invalid record kind %d", byte(r.Kind))
+		return fmt.Errorf("journal: invalid record kind %d", byte(r.Kind))
 	}
 	r.Seq = c.uvarint()
 	r.Time = c.f64()
@@ -260,8 +277,8 @@ func decodeBinary(payload []byte) (Record, error) {
 		r.Value = c.f64()
 	case KindDecision:
 		r.Stream = c.uvarint()
-		decodeDecisionFields(&c, &r)
-		decodeTriggerID(&c, &r)
+		decodeDecisionFields(&c, r)
+		decodeTriggerID(&c, r)
 	case KindReset, KindSimFired, KindSimCancelled:
 		// no payload
 	case KindRejuvenation:
@@ -274,17 +291,17 @@ func decodeBinary(payload []byte) (Record, error) {
 		r.Class = c.str()
 		r.Value = c.f64()
 	case KindActStart:
-		decodeTriggerID(&c, &r)
+		decodeTriggerID(&c, r)
 	case KindActAttempt:
 		r.OK = c.u8() != 0
 		r.Attempt = int(c.uvarint())
 		r.Backoff = c.f64()
 		r.Class = c.str()
-		decodeTriggerID(&c, &r)
+		decodeTriggerID(&c, r)
 	case KindActGiveUp:
 		r.Attempt = int(c.uvarint())
 		r.Class = c.str()
-		decodeTriggerID(&c, &r)
+		decodeTriggerID(&c, r)
 	case KindStreamOpen:
 		r.Stream = c.uvarint()
 		r.Class = c.str()
@@ -300,14 +317,14 @@ func decodeBinary(payload []byte) (Record, error) {
 		r.Fill = int(c.uvarint())
 		r.EventTime = c.f64()
 		r.Value = c.f64()
-		decodeTriggerID(&c, &r)
+		decodeTriggerID(&c, r)
 	case KindSchedDefer:
 		r.Stream = c.uvarint()
 		r.Class = c.str()
 		r.Level = int(c.uvarint())
 		r.Fill = int(c.uvarint())
 		r.Attempt = int(c.uvarint())
-		decodeTriggerID(&c, &r)
+		decodeTriggerID(&c, r)
 	case KindSchedCoalesce:
 		r.Stream = c.uvarint()
 		r.Class = c.str()
@@ -316,32 +333,32 @@ func decodeBinary(payload []byte) (Record, error) {
 		r.Attempt = int(c.uvarint())
 		r.EventTime = c.f64()
 		r.Value = c.f64()
-		decodeTriggerID(&c, &r)
+		decodeTriggerID(&c, r)
 	case KindSchedStart:
 		r.Stream = c.uvarint()
 		r.Class = c.str()
 		r.Value = c.f64()
 		r.Backoff = c.f64()
-		decodeTriggerID(&c, &r)
+		decodeTriggerID(&c, r)
 	case KindSchedComplete:
 		r.Stream = c.uvarint()
 		r.OK = c.u8() != 0
-		decodeTriggerID(&c, &r)
+		decodeTriggerID(&c, r)
 	case KindSchedQuarantine:
 		r.Stream = c.uvarint()
 		r.Class = c.str()
-		decodeTriggerID(&c, &r)
+		decodeTriggerID(&c, r)
 	case KindSchedReadmit:
 		r.Stream = c.uvarint()
-		decodeTriggerID(&c, &r)
+		decodeTriggerID(&c, r)
 	}
 	if c.err != nil {
-		return Record{}, fmt.Errorf("journal: %s record: %w", r.Kind, c.err)
+		return fmt.Errorf("journal: %s record: %w", r.Kind, c.err)
 	}
 	if c.off != len(c.b) {
-		return Record{}, fmt.Errorf("journal: %s record carries %d trailing bytes", r.Kind, len(c.b)-c.off)
+		return fmt.Errorf("journal: %s record carries %d trailing bytes", r.Kind, len(c.b)-c.off)
 	}
-	return r, nil
+	return nil
 }
 
 // decodeTriggerID parses the optional trailing trigger-id field: it is
@@ -356,7 +373,7 @@ func decodeTriggerID(c *cursor, r *Record) {
 }
 
 // decodeDecisionFields parses the canonical decision payload written by
-// appendDecisionFields.
+// appendDecision.
 func decodeDecisionFields(c *cursor, r *Record) {
 	flags := c.u8()
 	r.Evaluated = flags&flagEvaluated != 0

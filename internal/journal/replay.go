@@ -100,11 +100,11 @@ func (m *Mismatch) Error() string {
 //     awaits its recorded counterpart are structural mismatches.
 //
 // The comparison is byte-level: both sides are encoded with the
-// canonical binary decision layout (appendDecisionFields) and must
-// match exactly. The Suppressed flag is copied from the recorded
-// record before encoding, because suppression is decided by the
-// cooldown layer above the detector and is not reproducible from the
-// observation stream alone; every detector-owned field must match.
+// canonical binary decision layout (appendDecision) and must match
+// exactly. Both sides carry the recorded Suppressed flag, because
+// suppression is decided by the cooldown layer above the detector and
+// is not reproducible from the observation stream alone; every
+// detector-owned field must match.
 // Records of other kinds are ignored, so a journal may carry GC,
 // kernel, actuator and scheduler records alongside.
 //
@@ -140,11 +140,14 @@ type verifier struct {
 }
 
 // run drives the pass until EOF, a decode error or the first mismatch.
+// Every record is decoded into the one reused rec and handed on by
+// pointer.
 func (v *verifier) run(jr *Reader) error {
 	v.report.Reps = 1
 	sawRepStart := false
+	rec := new(Record)
 	for v.report.Mismatch == nil {
-		rec, err := jr.Next()
+		err := jr.next(rec)
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -255,7 +258,7 @@ func (v *verifier) open(id uint64, class string) (*replayStream, error) {
 // stream returns the open stream rec belongs to, opening stream 0 on
 // its first record. A nil stream with a nil error means rec addressed
 // an unopened stream and the mismatch is recorded.
-func (v *verifier) stream(rec Record, what string) (*replayStream, error) {
+func (v *verifier) stream(rec *Record, what string) (*replayStream, error) {
 	if st, ok := v.streams[rec.Stream]; ok {
 		return st, nil
 	}
@@ -268,7 +271,7 @@ func (v *verifier) stream(rec Record, what string) (*replayStream, error) {
 
 // compare checks a recorded decision against the stream's pending
 // replayed one.
-func (v *verifier) compare(st *replayStream, rec Record) {
+func (v *verifier) compare(st *replayStream, rec *Record) {
 	pending := st.pending
 	if pending == nil {
 		v.mismatch(rec, "recorded decision has no replayed counterpart (replayed detector did not evaluate)"+onStream(rec.Stream))
@@ -276,11 +279,12 @@ func (v *verifier) compare(st *replayStream, rec Record) {
 	}
 	st.pending = nil
 	// Suppression belongs to the cooldown layer, not the detector;
-	// carry it over so the byte comparison covers exactly the
-	// detector-owned fields.
-	pending.Suppressed = rec.Suppressed
-	v.recBuf = appendDecisionFields(v.recBuf[:0], &rec)
-	v.repBuf = appendDecisionFields(v.repBuf[:0], pending)
+	// encode both sides with the recorded flag so the byte comparison
+	// covers exactly the detector-owned fields.
+	d, in := recordDecision(rec)
+	v.recBuf = appendDecision(v.recBuf[:0], d, in, rec.Suppressed)
+	d, in = recordDecision(pending)
+	v.repBuf = appendDecision(v.repBuf[:0], d, in, rec.Suppressed)
 	if !bytes.Equal(v.recBuf, v.repBuf) {
 		v.report.Mismatch = &Mismatch{
 			Seq:      rec.Seq,
@@ -306,7 +310,7 @@ func (v *verifier) waitingStream() (uint64, bool) {
 }
 
 // mismatch records a structural divergence at rec.
-func (v *verifier) mismatch(rec Record, reason string) {
+func (v *verifier) mismatch(rec *Record, reason string) {
 	v.report.Mismatch = structuralMismatch(rec, reason)
 }
 
@@ -320,7 +324,7 @@ func onStream(id uint64) string {
 }
 
 // structuralMismatch builds a mismatch for stream-shape divergences.
-func structuralMismatch(rec Record, reason string) *Mismatch {
+func structuralMismatch(rec *Record, reason string) *Mismatch {
 	return &Mismatch{Seq: rec.Seq, Time: rec.Time, Reason: reason}
 }
 
@@ -329,7 +333,7 @@ func structuralMismatch(rec Record, reason string) *Mismatch {
 // (core.Rebaseliner) and its committed baseline must match the recorded
 // one bitwise — the shift layer is deterministic, so any drift in the
 // re-estimated moments is a determinism break.
-func verifyRebaseline(rec Record, det core.Detector) *Mismatch {
+func verifyRebaseline(rec *Record, det core.Detector) *Mismatch {
 	rb, ok := det.(core.Rebaseliner)
 	if !ok {
 		return structuralMismatch(rec, "recorded rebaseline but the replay detector does not re-estimate its baseline")

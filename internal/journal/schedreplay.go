@@ -112,8 +112,9 @@ func ReplaySched(jr *Reader, cfg sched.Config) (SchedReplayReport, error) {
 	// pending holds the re-derived records of the current transition
 	// group awaiting their journaled counterparts.
 	var pending []Record
+	rec := new(Record)
 	for {
-		rec, err := jr.Next()
+		err := jr.next(rec)
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -136,11 +137,11 @@ func ReplaySched(jr *Reader, cfg sched.Config) (SchedReplayReport, error) {
 				pending = append(pending, SchedRecord(tr))
 			}
 		}
-		exp := pending[0]
+		exp := &pending[0]
 		pending = pending[1:]
 		exp.Seq = rec.Seq
-		recBytes := encodeSchedRecord(&rec)
-		expBytes := encodeSchedRecord(&exp)
+		recBytes := encodeSchedRecord(rec)
+		expBytes := encodeSchedRecord(exp)
 		if string(recBytes) != string(expBytes) {
 			report.Mismatch = &Mismatch{
 				Seq:      rec.Seq,
@@ -194,7 +195,7 @@ func (r *SchedReplayReport) count(k Kind) {
 // lead their own groups; any other group-leading record (a start, a
 // window defer, a starvation escalation) can only have been produced
 // by the passage of time, i.e. a tick.
-func schedInput(g *sched.Governor, rec Record) []sched.Transition {
+func schedInput(g *sched.Governor, rec *Record) []sched.Transition {
 	replica := int(rec.Stream)
 	switch rec.Kind {
 	case KindSchedEnqueue:

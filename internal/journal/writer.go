@@ -11,9 +11,10 @@ import (
 )
 
 // Writer appends records to an underlying io.Writer in one of the two
-// codecs. The binary encode path performs no allocations per record (a
-// reused scratch buffer plus at most two Write calls), so journaling can
-// be left on in benchmarked paths. Errors are sticky: the first failed
+// codecs. The binary encode path performs no allocations per record and
+// hands each record, length prefix included, to the underlying writer
+// in exactly one Write call, so journaling can be left on in
+// benchmarked paths. Errors are sticky: the first failed
 // write latches into Err and subsequent records are dropped, because a
 // flight recorder must never turn an I/O failure into a simulation
 // failure.
@@ -27,10 +28,9 @@ type Writer struct {
 	seq    uint64
 	err    error
 
-	buf    []byte                      // reused binary payload scratch
-	lenBuf [binary.MaxVarintLen64]byte // reused length-prefix scratch
-	counts [maxKind + 1]uint64         // records written per kind
-	enc    *json.Encoder               // JSONL codec only
+	buf    []byte              // reused binary record scratch
+	counts [maxKind + 1]uint64 // records written per kind
+	enc    *json.Encoder       // JSONL codec only
 }
 
 // NewWriter returns a binary-codec writer and immediately writes the
@@ -125,7 +125,8 @@ func (jw *Writer) Observe(t float64, stream uint64, value float64) {
 		return
 	}
 	seq := jw.nextSeq(KindObserve)
-	if jw.jsonl(Record{Kind: KindObserve, Seq: seq, Time: t, Stream: stream, Value: value}) {
+	if jw.format == FormatJSONL {
+		jw.observeJSONL(seq, t, stream, value)
 		return
 	}
 	b := jw.begin(KindObserve, seq, t)
@@ -146,18 +147,29 @@ func (jw *Writer) Decision(t float64, stream uint64, d core.Decision, in core.In
 	if jw.err != nil {
 		return
 	}
-	r := DecisionRecord(t, d, in, suppressed)
-	r.Stream = stream
-	r.TriggerID = triggerID
-	r.Seq = jw.nextSeq(KindDecision)
-	if jw.jsonl(r) {
+	seq := jw.nextSeq(KindDecision)
+	if jw.format == FormatJSONL {
+		jw.decisionJSONL(seq, t, stream, d, in, suppressed, triggerID)
 		return
 	}
-	b := jw.begin(KindDecision, r.Seq, t)
+	b := jw.begin(KindDecision, seq, t)
 	b = binary.AppendUvarint(b, stream)
-	b = appendDecisionFields(b, &r)
+	b = appendDecision(b, d, in, suppressed)
 	b = appendTriggerID(b, triggerID)
 	jw.finish(b)
+}
+
+// observeJSONL and decisionJSONL are the JSONL branches of the two
+// per-observation emitters. They live apart so the binary path never
+// builds a Record.
+func (jw *Writer) observeJSONL(seq uint64, t float64, stream uint64, value float64) {
+	jw.jsonl(Record{Kind: KindObserve, Seq: seq, Time: t, Stream: stream, Value: value})
+}
+
+func (jw *Writer) decisionJSONL(seq uint64, t float64, stream uint64, d core.Decision, in core.Internals, suppressed bool, triggerID uint64) {
+	r := DecisionRecord(t, d, in, suppressed)
+	r.Seq, r.Stream, r.TriggerID = seq, stream, triggerID
+	jw.jsonl(r)
 }
 
 // Reset records an externally initiated detector reset.
@@ -555,25 +567,34 @@ func (jw *Writer) nextSeq(k Kind) uint64 {
 	return seq
 }
 
-// begin starts a binary record payload in the reused scratch buffer:
-// kind byte, uvarint seq, float64 time.
+// prefixRoom is the headroom begin reserves at the head of the scratch
+// buffer for the record's length prefix, so finish can emit prefix and
+// payload as one contiguous Write.
+const prefixRoom = binary.MaxVarintLen64
+
+// begin starts a binary record in the reused scratch buffer: prefixRoom
+// bytes of headroom, then the kind byte, uvarint seq and float64 time.
 //
 //lint:allow hotpath appends into the reused scratch buffer; growth amortizes to zero (pinned by TestWriterObserveDoesNotAllocate)
 func (jw *Writer) begin(kind Kind, seq uint64, t float64) []byte {
-	b := jw.buf[:0]
+	b := jw.buf[:prefixRoom]
 	b = append(b, byte(kind))
 	b = binary.AppendUvarint(b, seq)
 	b = appendF64(b, t)
 	return b
 }
 
-// finish length-prefixes the payload and writes it, retaining the
-// (possibly grown) scratch buffer for the next record.
-func (jw *Writer) finish(payload []byte) {
-	n := binary.PutUvarint(jw.lenBuf[:], uint64(len(payload)))
-	jw.write(jw.lenBuf[:n])
-	jw.write(payload)
-	jw.buf = payload[:0]
+// finish writes the record begun by begin in a single Write: the
+// uvarint length prefix goes into the headroom, right-aligned against
+// the payload. The (possibly grown) scratch buffer is kept for the next
+// record.
+func (jw *Writer) finish(b []byte) {
+	var prefix [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(prefix[:], uint64(len(b)-prefixRoom))
+	start := prefixRoom - n
+	copy(b[start:prefixRoom], prefix[:n])
+	jw.write(b[start:])
+	jw.buf = b[:0]
 }
 
 // write forwards to the underlying writer unless an error has latched.
@@ -584,9 +605,9 @@ func (jw *Writer) write(p []byte) {
 	_, jw.err = jw.w.Write(p)
 }
 
-// DecisionRecord assembles the canonical decision record for one
-// evaluated decision, shared by the writer and the replay verifier so
-// both sides encode identically.
+// DecisionRecord assembles the decision record for one evaluated
+// decision; recordDecision splits a record back into the decision and
+// internals.
 func DecisionRecord(t float64, d core.Decision, in core.Internals, suppressed bool) Record {
 	return Record{
 		Kind:       KindDecision,
@@ -611,32 +632,51 @@ const (
 	flagSuppressed = 1 << 2
 )
 
-// appendDecisionFields encodes the decision payload (after the common
-// kind/seq/time prefix and the stream id): flags byte, sample mean, target, level, fill,
-// sample size, sample fill, statistic. This is the byte stream the
-// replay verifier compares, so its layout is part of the determinism
-// contract (DESIGN §10).
+// recordDecision splits a decision record into the detector decision
+// and internals it was written from, the arguments of appendDecision.
+// Only the fields the decision payload carries are set.
+func recordDecision(r *Record) (core.Decision, core.Internals) {
+	return core.Decision{
+			Evaluated:  r.Evaluated,
+			Triggered:  r.Triggered,
+			SampleMean: r.SampleMean,
+			Target:     r.Target,
+			Level:      r.Level,
+			Fill:       r.Fill,
+		}, core.Internals{
+			SampleSize: r.SampleSize,
+			SampleFill: r.SampleFill,
+			Statistic:  r.Statistic,
+		}
+}
+
+// appendDecision is the one encoder of the decision payload (after the
+// common kind/seq/time prefix and the stream id): flags byte, sample
+// mean, target, level, fill, sample size, sample fill, statistic. The
+// writer and the replay verifier both encode through it, and the
+// verifier compares its output byte for byte, so its layout is part of
+// the determinism contract (DESIGN §10).
 //
 //lint:allow hotpath appends into the caller's reused scratch buffer; growth amortizes to zero
-func appendDecisionFields(b []byte, r *Record) []byte {
+func appendDecision(b []byte, d core.Decision, in core.Internals, suppressed bool) []byte {
 	var flags byte
-	if r.Evaluated {
+	if d.Evaluated {
 		flags |= flagEvaluated
 	}
-	if r.Triggered {
+	if d.Triggered {
 		flags |= flagTriggered
 	}
-	if r.Suppressed {
+	if suppressed {
 		flags |= flagSuppressed
 	}
 	b = append(b, flags)
-	b = appendF64(b, r.SampleMean)
-	b = appendF64(b, r.Target)
-	b = binary.AppendUvarint(b, uint64(r.Level))
-	b = binary.AppendUvarint(b, uint64(r.Fill))
-	b = binary.AppendUvarint(b, uint64(r.SampleSize))
-	b = binary.AppendUvarint(b, uint64(r.SampleFill))
-	b = appendF64(b, r.Statistic)
+	b = appendF64(b, d.SampleMean)
+	b = appendF64(b, d.Target)
+	b = binary.AppendUvarint(b, uint64(d.Level))
+	b = binary.AppendUvarint(b, uint64(d.Fill))
+	b = binary.AppendUvarint(b, uint64(in.SampleSize))
+	b = binary.AppendUvarint(b, uint64(in.SampleFill))
+	b = appendF64(b, in.Statistic)
 	return b
 }
 
@@ -654,8 +694,9 @@ func appendPayload(b []byte, r *Record) []byte {
 		b = binary.AppendUvarint(b, r.Stream)
 		b = appendF64(b, r.Value)
 	case KindDecision:
+		d, in := recordDecision(r)
 		b = binary.AppendUvarint(b, r.Stream)
-		b = appendDecisionFields(b, r)
+		b = appendDecision(b, d, in, r.Suppressed)
 		b = appendTriggerID(b, r.TriggerID)
 	case KindReset, KindSimFired, KindSimCancelled:
 		// no payload
