@@ -51,9 +51,11 @@ const (
 // pooled so steady-state ingestion allocates nothing. Slices are grown
 // to the high-water mark and kept.
 type scratch struct {
-	start  []int32 // per-shard segment offsets (len shards+1)
-	cursor []int32 // per-shard fill cursors during partition
-	order  []int32 // batch indices grouped by shard
+	start  []int32  // per-shard segment offsets (len shards+1)
+	cursor []int32  // per-shard fill cursors during partition
+	hash   []uint64 // each batch item's stream-id mix
+	order  []int32  // batch indices grouped by shard
+	slots  []int32  // resolved slot per order entry, -1 if not open
 	res    []result
 	cc     []classCounts // per-class metric aggregation
 }
@@ -75,10 +77,14 @@ func (sc *scratch) grow(n, nshards, nclasses int) {
 	sc.start = sc.start[:nshards+1]
 	sc.cursor = sc.cursor[:nshards]
 	if cap(sc.order) < n {
+		sc.hash = make([]uint64, n)
 		sc.order = make([]int32, n)
+		sc.slots = make([]int32, n)
 		sc.res = make([]result, n)
 	}
+	sc.hash = sc.hash[:n]
 	sc.order = sc.order[:n]
+	sc.slots = sc.slots[:n]
 	sc.res = sc.res[:n]
 	if cap(sc.cc) < nclasses {
 		sc.cc = make([]classCounts, nclasses)
@@ -89,12 +95,13 @@ func (sc *scratch) grow(n, nshards, nclasses int) {
 	}
 }
 
-// ObserveBatch ingests one batch of observations. The batch is
-// partitioned by shard with a counting sort (stable, so a stream's
-// observations stay in batch order), each shard's segment is drained
-// under a single lock acquisition, and the results fan back in in
-// original batch order for journaling, metrics and trigger delivery.
-// One clock reading timestamps the whole batch.
+// ObserveBatch ingests one batch of observations. Each item's stream id
+// is mixed once; the batch is partitioned by shard on the mix's low
+// bits with a counting sort (stable, so a stream's observations stay in
+// batch order), each shard's segment is drained under a single lock
+// acquisition, and the results fan back in in original batch order for
+// journaling, metrics and trigger delivery. One clock reading
+// timestamps the whole batch.
 //
 // Items addressed to streams that are not open are counted and dropped.
 // Triggers that find the delivery queue full are counted and dropped
@@ -116,7 +123,9 @@ func (e *Engine) ObserveBatch(batch []StreamObs) {
 		sc.cursor[i] = 0
 	}
 	for i := range batch {
-		sc.cursor[e.shardOf(batch[i].Stream)]++
+		h := mix(batch[i].Stream)
+		sc.hash[i] = h
+		sc.cursor[e.shardOf(h)]++
 	}
 	pos := int32(0)
 	for i := range sc.cursor {
@@ -126,20 +135,20 @@ func (e *Engine) ObserveBatch(batch []StreamObs) {
 	}
 	sc.start[len(e.shards)] = pos
 	for i := range batch {
-		si := e.shardOf(batch[i].Stream)
+		si := e.shardOf(sc.hash[i])
 		sc.order[sc.cursor[si]] = int32(i)
 		sc.cursor[si]++
 	}
 
 	// Drain each shard's segment under one lock acquisition.
 	for si := range e.shards {
-		seg := sc.order[sc.start[si]:sc.start[si+1]]
-		if len(seg) == 0 {
+		lo, hi := sc.start[si], sc.start[si+1]
+		if lo == hi {
 			continue
 		}
 		s := &e.shards[si]
 		s.mu.Lock()
-		s.drainLocked(e.classes, e.cfg.Hygiene, nowNanos, batch, seg, sc.res)
+		s.drainLocked(e.classes, e.cfg.Hygiene, nowNanos, batch, sc.hash, sc.order[lo:hi], sc.slots[lo:hi], sc.res)
 		s.mu.Unlock()
 	}
 

@@ -30,12 +30,14 @@
 //
 // Detector state is struct-of-arrays: parallel slices of sample-window
 // sums, bucket fills and levels, hygiene memories, cooldowns and
-// watchdogs, indexed by slot. The transition rules are the shared core
-// primitives (core.BucketStep, core.AcceleratedSampleSize, the guard
-// state machines), and journal replay (journal.Replay) against the
-// pointer-based reference detectors proves the two implementations
-// byte-identical — see DESIGN §14 for the memory model, the batching
-// contract and the determinism story.
+// watchdogs, indexed by slot; each shard's flat, open-addressed stream
+// index maps an open stream id to its slot. The transition rules are
+// the shared core primitives (core.BucketStep,
+// core.AcceleratedSampleSize, the guard state machines), and journal
+// replay (journal.Replay) against the pointer-based reference
+// detectors proves the two implementations byte-identical — see
+// DESIGN §14 for the memory model, the batching contract and the
+// determinism story.
 package fleet
 
 import (
@@ -262,7 +264,7 @@ func New(cfg Config) (*Engine, error) {
 		e.byName[cc.Name] = int32(i)
 	}
 	for i := range e.shards {
-		e.shards[i].index = make(map[StreamID]int32)
+		e.shards[i].index = newStreamIndex()
 	}
 	for _, c := range e.classes {
 		if int(c.k) > e.maxLvl {
@@ -332,16 +334,10 @@ func (e *Engine) register() {
 	e.selfGauges = health.InstrumentSelf(reg)
 }
 
-// shardOf maps a stream id to its shard with a splitmix64-style mixing
-// hash, so dense sequential ids spread evenly.
-func (e *Engine) shardOf(id StreamID) uint64 {
-	x := uint64(id)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x & e.shardMask
+// shardOf maps a stream id's mix to its shard: the low bits, so dense
+// sequential ids spread evenly and the stream index keeps the high bits.
+func (e *Engine) shardOf(h uint64) uint64 {
+	return h & e.shardMask
 }
 
 // OpenStream brings a stream under monitoring in the named class. The
@@ -358,15 +354,17 @@ func (e *Engine) OpenStream(id StreamID, className string) error {
 	}
 	e.outMu.Lock()
 	defer e.outMu.Unlock()
-	s := &e.shards[e.shardOf(id)]
+	h := mix(id)
+	si := e.shardOf(h)
+	s := &e.shards[si]
 	s.mu.Lock()
-	err := s.open(id, ci, &e.classes[ci], e.cfg)
+	err := s.open(id, h, ci, &e.classes[ci], e.cfg)
 	open := s.opened
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	e.openGauge[e.shardOf(id)].SetInt(open)
+	e.openGauge[si].SetInt(open)
 	if jw := e.cfg.Journal; jw != nil {
 		now := e.cfg.Now()
 		if e.epoch.IsZero() {
@@ -383,10 +381,11 @@ func (e *Engine) OpenStream(id StreamID, className string) error {
 func (e *Engine) CloseStream(id StreamID) error {
 	e.outMu.Lock()
 	defer e.outMu.Unlock()
-	si := e.shardOf(id)
+	h := mix(id)
+	si := e.shardOf(h)
 	s := &e.shards[si]
 	s.mu.Lock()
-	err := s.close(id)
+	err := s.close(id, h)
 	open := s.opened
 	s.mu.Unlock()
 	if err != nil {

@@ -76,8 +76,9 @@ func (e *Engine) HealthSnapshot() health.Snapshot {
 				// same lock, so Level/Fill are current rather than stale
 				// sketch-side copies. Streams closed since their last
 				// signal are dropped.
-				slot, ok := s.index[StreamID(en.ID)]
-				if !ok || !s.live[slot] {
+				id := StreamID(en.ID)
+				slot := s.index.lookup(id, mix(id))
+				if slot < 0 {
 					continue
 				}
 				entries = append(entries, health.StreamHealth{

@@ -16,9 +16,9 @@ import (
 type shard struct {
 	mu sync.Mutex
 
-	index  map[StreamID]int32 // stream id -> slot; guarded by mu
-	free   []int32            // recycled slots; guarded by mu
-	opened int                // live slot count; guarded by mu
+	index  streamIndex // open stream id -> slot; guarded by mu
+	free   []int32     // recycled slots; guarded by mu
+	opened int         // live slot count; guarded by mu
 
 	// Parallel per-slot detector state.
 	ids    []StreamID          // stream id of each slot; guarded by mu
@@ -47,11 +47,12 @@ type shard struct {
 	exSet   []bool         // exemplar present per level; guarded by mu
 }
 
-// open registers a stream in the shard. Callers hold s.mu.
+// open registers a stream, whose mix is h, in the shard. Callers hold
+// s.mu.
 //
 //lint:holds mu
-func (s *shard) open(id StreamID, ci int32, c *class, cfg Config) error {
-	if i, ok := s.index[id]; ok && s.live[i] {
+func (s *shard) open(id StreamID, h uint64, ci int32, c *class, cfg Config) error {
+	if s.index.lookup(id, h) >= 0 {
 		return fmt.Errorf("fleet: stream %d is already open", uint64(id))
 	}
 	var slot int32
@@ -87,22 +88,21 @@ func (s *shard) open(id StreamID, ci int32, c *class, cfg Config) error {
 	s.cool[slot] = core.NewCooldown(cfg.Cooldown)
 	s.dog[slot] = core.NewWatchdog(cfg.MaxSilence)
 	s.shift[slot] = core.NewShiftState(c.cfg.Baseline)
-	s.index[id] = slot
+	s.index.insert(id, h, slot)
 	s.opened++
 	return nil
 }
 
-// close removes a stream from the shard, recycling its slot. Callers
-// hold s.mu.
+// close removes a stream, whose mix is h, from the shard, recycling its
+// slot. Callers hold s.mu.
 //
 //lint:holds mu
-func (s *shard) close(id StreamID) error {
-	i, ok := s.index[id]
-	if !ok || !s.live[i] {
+func (s *shard) close(id StreamID, h uint64) error {
+	i := s.index.remove(id, h)
+	if i < 0 {
 		return fmt.Errorf("fleet: stream %d is not open", uint64(id))
 	}
 	s.live[i] = false
-	delete(s.index, id)
 	s.free = append(s.free, i)
 	s.opened--
 	return nil
@@ -110,25 +110,36 @@ func (s *shard) close(id StreamID) error {
 
 // drainLocked steps every batch item addressed to this shard through
 // its stream's detector state, writing one result per item. idxs are
-// indices into batch, grouped by the caller's counting sort; res is the
-// batch-parallel result array. Callers hold s.mu, so the whole segment
-// is processed under one lock acquisition.
+// indices into batch, grouped by the caller's counting sort; hash and
+// res are batch-parallel (each item's mix, and its result); slots is
+// scratch parallel to idxs. Callers hold s.mu, so the whole segment is
+// processed under one lock acquisition.
 //
-// This loop is the cost the fleet pays per observation: array reads and
-// writes, one map lookup, the shared core transition functions. It must
+// The drain runs in two passes. The first resolves every item's slot
+// from the stream index (-1 for a stream that is not open); the lookups
+// are independent, so their cache misses overlap instead of queuing
+// behind detector work. The index changes only in open and close, so
+// resolving the segment up front sees exactly what per-item lookups
+// would. The second pass steps the detectors.
+//
+// This is the cost the fleet pays per observation: one index probe,
+// array reads and writes, the shared core transition functions. It must
 // never allocate — the hotpath contract below is enforced by rejuvlint
 // across everything reachable from here and pinned at runtime by
 // TestObserveBatchDoesNotAllocate.
 //
 //lint:hotpath
 //lint:holds mu
-func (s *shard) drainLocked(classes []class, hygienePolicy core.Hygiene, nowNanos int64, batch []StreamObs, idxs []int32, res []result) {
-	for _, bi := range idxs {
+func (s *shard) drainLocked(classes []class, hygienePolicy core.Hygiene, nowNanos int64, batch []StreamObs, hash []uint64, idxs, slots []int32, res []result) {
+	for k, bi := range idxs {
+		slots[k] = s.index.lookup(batch[bi].Stream, hash[bi])
+	}
+	for k, bi := range idxs {
 		o := &batch[bi]
 		r := &res[bi]
 		*r = result{}
-		i, ok := s.index[o.Stream]
-		if !ok || !s.live[i] {
+		i := slots[k]
+		if i < 0 {
 			r.flags = resUnknown
 			continue
 		}
