@@ -47,8 +47,9 @@
 //	f.OpenStream(id, "web")
 //	f.ObserveBatch(batch) // []StreamObs, partitioned over lock-striped shards
 //
-// Internally the engine keeps struct-of-arrays detector state in
-// lock-striped shards, drains each shard's share of a batch under one
+// Internally the engine keeps one detector-kernel state per stream in
+// lock-striped shards (the same kernel the single-stream detectors
+// run), drains each shard's share of a batch under one
 // lock acquisition, and allocates nothing at steady state. All streams
 // share one journal (stream-tagged records; ReplayFleetJournal proves
 // the decision stream byte-identical against the reference detectors)

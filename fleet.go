@@ -11,9 +11,9 @@ import (
 )
 
 // The fleet engine scales the detection pipeline from one Monitor to
-// very many streams at once: lock-striped shards of struct-of-arrays
-// detector state, batched ingestion, one shared journal and one shared
-// bounded-cardinality metrics registry. See the internal/fleet package
+// very many streams at once: lock-striped shards holding one kernel
+// state per stream, batched ingestion, one shared journal and one
+// shared bounded-cardinality metrics registry. See the internal/fleet package
 // documentation and DESIGN §14 for the architecture.
 
 // Fleet is the multi-tenant monitoring engine. Where a Monitor watches
@@ -118,11 +118,12 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 // ReplayFleetJournal re-derives every stream's decisions in a fleet
 // journal by feeding the journaled observations through fresh reference
 // detectors — one per stream, built by the per-class factory — and
-// compares them byte for byte against the journaled decisions. It is
-// the external-auditor proof that the fleet's struct-of-arrays fast
-// path implements exactly the published algorithms: use
-// StreamClass.Detector as the factory to check a journal against the
-// classes that produced it.
+// compares them byte for byte against the journaled decisions. The
+// fleet and the reference detectors step the same core kernel, so the
+// replay is the external auditor's check of everything around it —
+// hygiene, cooldown, shift layering and journaling — and of the
+// journal itself: use StreamClass.Detector as the factory to check a
+// journal against the classes that produced it.
 func ReplayFleetJournal(r io.Reader, factory func(class string) (Detector, error)) (ReplayReport, error) {
 	jr, err := journal.NewReader(r)
 	if err != nil {

@@ -24,8 +24,8 @@ type CLTAConfig struct {
 
 // Validate reports whether the configuration is usable.
 func (c CLTAConfig) Validate() error {
-	if c.SampleSize <= 0 {
-		return fmt.Errorf("core: CLTA sample size must be positive, got %d", c.SampleSize)
+	if err := checkPlanInt("CLTA sample size", c.SampleSize); err != nil {
+		return err
 	}
 	if c.Quantile <= 0 || math.IsNaN(c.Quantile) || math.IsInf(c.Quantile, 0) {
 		return fmt.Errorf("core: CLTA quantile must be positive and finite, got %v", c.Quantile)
@@ -33,29 +33,27 @@ func (c CLTAConfig) Validate() error {
 	return c.Baseline.Validate()
 }
 
+// Plan returns the kernel plan of a validated configuration.
+func (c CLTAConfig) Plan() Plan {
+	return Plan{n0: int32(c.SampleSize), q: c.Quantile}
+}
+
 // CLTA is the central-limit-theorem rejuvenation algorithm: a single
 // sample mean above mu + N*sigma/sqrt(n) triggers immediately. The
 // number of buckets and the bucket depth are both implicitly one.
-type CLTA struct {
-	cfg    CLTAConfig
-	window sampleWindow
-}
+type CLTA struct{ blockDetector }
 
 // NewCLTA returns a CLTA detector for the given configuration.
 func NewCLTA(cfg CLTAConfig) (*CLTA, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid CLTA config: %w", err)
 	}
-	return &CLTA{cfg: cfg, window: sampleWindow{size: cfg.SampleSize}}, nil
+	return &CLTA{newBlockDetector(cfg.Plan(), cfg.Baseline)}, nil
 }
 
 // Config returns the configuration the detector was built with.
-func (c *CLTA) Config() CLTAConfig { return c.cfg }
-
-// Target returns the trigger threshold mu + N*sigma/sqrt(n).
-func (c *CLTA) Target() float64 {
-	return c.cfg.Baseline.Mean +
-		c.cfg.Quantile*c.cfg.Baseline.StdDev/math.Sqrt(float64(c.cfg.SampleSize))
+func (c *CLTA) Config() CLTAConfig {
+	return CLTAConfig{SampleSize: int(c.plan.n0), Quantile: c.plan.q, Baseline: c.base}
 }
 
 // FalseAlarmProbability returns the nominal per-sample false-alarm
@@ -64,25 +62,5 @@ func (c *CLTA) Target() float64 {
 // paper quantifies the inflation for the M/M/16 response time (3.37%
 // instead of 2.5% at n=30).
 func (c *CLTA) FalseAlarmProbability() float64 {
-	return 1 - 0.5*math.Erfc(-c.cfg.Quantile/math.Sqrt2)
+	return 1 - 0.5*math.Erfc(-c.plan.q/math.Sqrt2)
 }
-
-// Observe feeds one observation.
-//
-//lint:hotpath
-func (c *CLTA) Observe(x float64) Decision {
-	mean, done := c.window.add(x)
-	if !done {
-		return Decision{}
-	}
-	target := c.Target()
-	return Decision{
-		Triggered:  mean > target,
-		Evaluated:  true,
-		SampleMean: mean,
-		Target:     target,
-	}
-}
-
-// Reset discards any partial sample.
-func (c *CLTA) Reset() { c.window.reset() }

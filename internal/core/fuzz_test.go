@@ -16,21 +16,19 @@ func FuzzBucketInvariants(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kRaw, dRaw uint8, pattern []byte) {
 		k := int(kRaw%10) + 1
 		d := int(dRaw%10) + 1
-		b, err := newBucketState(k, d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := bucketPlan(t, k, d)
+		b := p.Start()
 		for _, byteVal := range pattern {
 			for bit := 0; bit < 8; bit++ {
-				event := b.step(byteVal>>bit&1 == 1)
-				if b.fill < 0 || b.fill > d {
-					t.Fatalf("fill %d escaped [0,%d]", b.fill, d)
+				event := p.step(&b, byteVal>>bit&1 == 1)
+				if b.Fill() < 0 || b.Fill() > d {
+					t.Fatalf("fill %d escaped [0,%d]", b.Fill(), d)
 				}
-				if b.level < 0 || b.level >= k {
-					t.Fatalf("level %d escaped [0,%d)", b.level, k)
+				if b.Level() < 0 || b.Level() >= k {
+					t.Fatalf("level %d escaped [0,%d)", b.Level(), k)
 				}
-				if event == BucketTrigger && (b.fill != 0 || b.level != 0) {
-					t.Fatalf("trigger left state fill=%d level=%d", b.fill, b.level)
+				if event == bucketTrigger && (b.Fill() != 0 || b.Level() != 0) {
+					t.Fatalf("trigger left state fill=%d level=%d", b.Fill(), b.Level())
 				}
 			}
 		}
@@ -89,7 +87,7 @@ func FuzzSARAASampleSize(f *testing.F) {
 		for _, b := range raw {
 			det.Observe(float64(b))
 			if s := det.SampleSize(); s < 1 || s > norig {
-				t.Fatalf("sample size %d escaped [1,%d] at level %d", s, norig, det.buckets.level)
+				t.Fatalf("sample size %d escaped [1,%d] at level %d", s, norig, det.Internals().Level)
 			}
 		}
 	})

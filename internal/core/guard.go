@@ -9,11 +9,11 @@ import (
 // Monitor (one stream) and the fleet engine (many streams): trigger
 // cooldown, staleness watchdog, and the per-stream hygiene memory that
 // backs HygieneClamp. They live here, below both callers, so the two
-// ingestion paths cannot drift apart — the fleet's struct-of-arrays
-// shard stores these as plain value slices, and the Monitor embeds one
-// of each. All three are pure state machines over caller-supplied
-// clocks (nanosecond readings), never touching the wall clock
-// themselves, which keeps them usable from deterministic simulations.
+// ingestion paths cannot drift apart — a fleet shard stores these as
+// plain value slices, and the Monitor embeds one of each. All three
+// are pure state machines over caller-supplied clocks (nanosecond
+// readings), never touching the wall clock themselves, which keeps
+// them usable from deterministic simulations.
 
 // Cooldown suppresses triggers that fire too soon after a delivered
 // one, giving a rejuvenated system time to return to normal before it

@@ -108,35 +108,33 @@ func TestHygieneStateRejectAndClamp(t *testing.T) {
 func TestAcceleratedSampleSizeMatchesPaper(t *testing.T) {
 	// The integer form must round exactly; norig=6, K=5, N=4 is the case
 	// the floating-point form gets wrong (1 instead of 2).
-	if got := AcceleratedSampleSize(6, 5, 4); got != 2 {
-		t.Fatalf("AcceleratedSampleSize(6,5,4) = %d, want 2", got)
+	if got := acceleratedSampleSize(6, 5, 4); got != 2 {
+		t.Fatalf("acceleratedSampleSize(6,5,4) = %d, want 2", got)
 	}
-	if got := AcceleratedSampleSize(6, 5, 0); got != 6 {
+	if got := acceleratedSampleSize(6, 5, 0); got != 6 {
 		t.Fatalf("level 0 must keep n_orig: got %d", got)
 	}
 	// Never below 1.
-	if got := AcceleratedSampleSize(1, 3, 2); got != 1 {
+	if got := acceleratedSampleSize(1, 3, 2); got != 1 {
 		t.Fatalf("n stays at 1: got %d", got)
 	}
 }
 
 func TestBucketStepMatchesState(t *testing.T) {
-	// The exported pure function and the internal state machine must be
-	// the same transition relation (the state machine delegates, but pin
-	// it anyway: this equality is what fleet replay equivalence rests on).
-	b, err := newBucketState(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill, level := 0, 0
+	// The kernel's bucket step on a State and the pseudo-code
+	// transcription of the oracle must be the same transition relation;
+	// the kernel fuzz and oracle tests reach the rules only through
+	// sample means, so pin the bare step too.
+	p := bucketPlan(t, 3, 2)
+	s := p.Start()
+	o := newPseudoDetector("sraa", 1, 3, 2, 0, testBaseline)
 	seq := []bool{true, true, true, false, true, true, true, true, true, true, true, true}
 	for i, exceeded := range seq {
-		var ev BucketEvent
-		fill, level, ev = BucketStep(3, 2, fill, level, exceeded)
-		got := b.step(exceeded)
-		if fill != b.fill || level != b.level || ev != got {
-			t.Fatalf("step %d diverged: pure (%d,%d,%v) vs state (%d,%d,%v)",
-				i, fill, level, ev, b.fill, b.level, got)
+		ev := p.step(&s, exceeded)
+		trig := o.bucket(exceeded)
+		if s.Fill() != o.d || s.Level() != o.N || (ev == bucketTrigger) != trig {
+			t.Fatalf("step %d diverged: kernel (%d,%d,%v) vs pseudo-code (%d,%d,%v)",
+				i, s.Fill(), s.Level(), ev, o.d, o.N, trig)
 		}
 	}
 }

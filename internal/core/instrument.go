@@ -69,44 +69,6 @@ var (
 	_ Instrumented = (*Tracer)(nil)
 )
 
-// Internals returns the current bucket occupancy, sample progress and
-// target of the SRAA detector.
-func (s *SRAA) Internals() Internals {
-	return Internals{
-		Level:      s.buckets.level,
-		Buckets:    s.cfg.Buckets,
-		Fill:       s.buckets.fill,
-		Depth:      s.cfg.Depth,
-		SampleSize: s.window.size,
-		SampleFill: s.window.count,
-		Target:     s.Target(),
-	}
-}
-
-// Internals returns the current bucket occupancy, accelerated sample
-// size and target of the SARAA detector.
-func (s *SARAA) Internals() Internals {
-	return Internals{
-		Level:      s.buckets.level,
-		Buckets:    s.cfg.Buckets,
-		Fill:       s.buckets.fill,
-		Depth:      s.cfg.Depth,
-		SampleSize: s.window.size,
-		SampleFill: s.window.count,
-		Target:     s.Target(),
-	}
-}
-
-// Internals returns the sample progress and target of the CLTA detector
-// (which has no buckets: a single exceedance triggers).
-func (c *CLTA) Internals() Internals {
-	return Internals{
-		SampleSize: c.window.size,
-		SampleFill: c.window.count,
-		Target:     c.Target(),
-	}
-}
-
 // Internals returns the control limit of the memoryless Shewhart chart.
 func (s *Shewhart) Internals() Internals {
 	return Internals{SampleSize: 1, Target: s.Target()}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // SARAAConfig parameterizes the sampling-acceleration rejuvenation
 // algorithm with averaging (paper Fig. 7).
@@ -21,13 +18,18 @@ type SARAAConfig struct {
 
 // Validate reports whether the configuration is usable.
 func (c SARAAConfig) Validate() error {
-	if c.InitialSampleSize <= 0 {
-		return fmt.Errorf("core: SARAA initial sample size must be positive, got %d", c.InitialSampleSize)
+	if err := checkPlanInt("SARAA initial sample size", c.InitialSampleSize); err != nil {
+		return err
 	}
-	if _, err := newBucketState(c.Buckets, c.Depth); err != nil {
+	if err := validateBuckets(c.Buckets, c.Depth); err != nil {
 		return err
 	}
 	return c.Baseline.Validate()
+}
+
+// Plan returns the kernel plan of a validated configuration.
+func (c SARAAConfig) Plan() Plan {
+	return Plan{k: int32(c.Buckets), depth: int32(c.Depth), n0: int32(c.InitialSampleSize), accel: true}
 }
 
 // SARAA is the sampling-acceleration rejuvenation algorithm with
@@ -36,88 +38,21 @@ func (c SARAAConfig) Validate() error {
 // mean, and the sample size shrinks linearly as degradation deepens —
 // n = floor(1 + (n_orig-1)*(1 - N/K)) — so confirmation of a developing
 // degradation arrives faster.
-type SARAA struct {
-	cfg     SARAAConfig
-	window  sampleWindow
-	buckets bucketState
-}
+type SARAA struct{ blockDetector }
 
 // NewSARAA returns a SARAA detector for the given configuration.
 func NewSARAA(cfg SARAAConfig) (*SARAA, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid SARAA config: %w", err)
 	}
-	b, err := newBucketState(cfg.Buckets, cfg.Depth)
-	if err != nil {
-		return nil, err
-	}
-	return &SARAA{
-		cfg:     cfg,
-		window:  sampleWindow{size: cfg.InitialSampleSize},
-		buckets: b,
-	}, nil
+	return &SARAA{newBlockDetector(cfg.Plan(), cfg.Baseline)}, nil
 }
 
 // Config returns the configuration the detector was built with.
-func (s *SARAA) Config() SARAAConfig { return s.cfg }
+func (s *SARAA) Config() SARAAConfig {
+	return SARAAConfig{InitialSampleSize: int(s.plan.n0), Buckets: int(s.plan.k), Depth: int(s.plan.depth), Baseline: s.base}
+}
 
 // SampleSize returns the sample size currently in use, which depends on
 // the current bucket: floor(1 + (n_orig-1)*(1 - N/K)).
-func (s *SARAA) SampleSize() int { return s.window.size }
-
-// AcceleratedSampleSize returns the paper's linear sampling-
-// acceleration rule for bucket level N: floor(1 + (norig-1)*(1 - N/K)).
-// Evaluated in integer arithmetic — floor(1 + (norig-1)*(K-N)/K) —
-// because the floating-point form rounds cases like norig=6, K=5, N=4
-// down to 1 instead of the exact 2. Exported because the fleet engine's
-// struct-of-arrays SARAA state applies the identical rule; a diverging
-// copy would silently break replay equivalence.
-func AcceleratedSampleSize(norig, k, level int) int {
-	return 1 + (norig-1)*(k-level)/k
-}
-
-// acceleratedSize applies AcceleratedSampleSize to this detector's
-// configuration.
-func (s *SARAA) acceleratedSize(level int) int {
-	return AcceleratedSampleSize(s.cfg.InitialSampleSize, s.cfg.Buckets, level)
-}
-
-// Target returns the threshold the current bucket compares sample means
-// against: mu + N*sigma/sqrt(n) with the current sample size n.
-func (s *SARAA) Target() float64 {
-	return s.cfg.Baseline.Mean +
-		float64(s.buckets.level)*s.cfg.Baseline.StdDev/math.Sqrt(float64(s.window.size))
-}
-
-// Observe feeds one observation.
-//
-//lint:hotpath
-func (s *SARAA) Observe(x float64) Decision {
-	mean, done := s.window.add(x)
-	if !done {
-		return Decision{Level: s.buckets.level, Fill: s.buckets.fill}
-	}
-	target := s.Target()
-	event := s.buckets.step(mean > target)
-	switch event {
-	case BucketOverflow, BucketUnderflow:
-		// Recompute the sample size for the new current bucket.
-		s.window.resize(s.acceleratedSize(s.buckets.level))
-	case BucketTrigger:
-		s.window.resize(s.cfg.InitialSampleSize)
-	}
-	return Decision{
-		Triggered:  event == BucketTrigger,
-		Evaluated:  true,
-		SampleMean: mean,
-		Target:     target,
-		Level:      s.buckets.level,
-		Fill:       s.buckets.fill,
-	}
-}
-
-// Reset restores the initial state, including the original sample size.
-func (s *SARAA) Reset() {
-	s.buckets.reset()
-	s.window.resize(s.cfg.InitialSampleSize)
-}
+func (s *SARAA) SampleSize() int { return s.st.SampleSize() }

@@ -47,9 +47,8 @@ func TestSARAAAccelerationSchedule(t *testing.T) {
 		{1, 4, []int{1, 1, 1, 1}},
 	}
 	for _, tt := range tests {
-		det := mustSARAA(t, tt.norig, tt.k, 1)
 		for level, want := range tt.want {
-			if got := det.acceleratedSize(level); got != want {
+			if got := acceleratedSampleSize(tt.norig, tt.k, level); got != want {
 				t.Errorf("norig=%d K=%d level %d: size %d, want %d",
 					tt.norig, tt.k, level, got, want)
 			}
@@ -77,8 +76,8 @@ func TestSARAASampleSizeGrowsOnUnderflow(t *testing.T) {
 	for i := 0; i < 18; i++ {
 		det.Observe(1e6)
 	}
-	if det.buckets.level != 1 || det.SampleSize() != 5 {
-		t.Fatalf("level=%d size=%d after climb, want 1 and 5", det.buckets.level, det.SampleSize())
+	if det.Internals().Level != 1 || det.SampleSize() != 5 {
+		t.Fatalf("level=%d size=%d after climb, want 1 and 5", det.Internals().Level, det.SampleSize())
 	}
 	// Now recede: underflow needs fill to drop below zero — 1 sample
 	// below target at fill 0... fill was reset to 0 on overflow, so a
@@ -86,8 +85,8 @@ func TestSARAASampleSizeGrowsOnUnderflow(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		det.Observe(0)
 	}
-	if det.buckets.level != 0 {
-		t.Fatalf("level %d after underflow, want 0", det.buckets.level)
+	if det.Internals().Level != 0 {
+		t.Fatalf("level %d after underflow, want 0", det.Internals().Level)
 	}
 	if det.SampleSize() != 6 {
 		t.Fatalf("sample size after underflow %d, want 6 (back to norig)", det.SampleSize())
@@ -104,8 +103,8 @@ func TestSARAATargetUsesCurrentSampleSize(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		det.Observe(1e6)
 	}
-	if det.buckets.level != 1 {
-		t.Fatalf("level = %d, want 1", det.buckets.level)
+	if det.Internals().Level != 1 {
+		t.Fatalf("level = %d, want 1", det.Internals().Level)
 	}
 	want := 5 + 1*5/math.Sqrt(2)
 	if math.Abs(det.Target()-want) > 1e-12 {
@@ -133,7 +132,7 @@ func TestSARAATriggerResetsToInitialSize(t *testing.T) {
 	if det.SampleSize() != 6 {
 		t.Fatalf("sample size after trigger %d, want norig", det.SampleSize())
 	}
-	if det.buckets.level != 0 || det.buckets.fill != 0 {
+	if det.Internals().Level != 0 || det.Internals().Fill != 0 {
 		t.Fatal("buckets not reset after trigger")
 	}
 }
@@ -186,7 +185,7 @@ func TestSARAAResetRestoresInitialSampleSize(t *testing.T) {
 		t.Fatal("test setup failed to change the sample size")
 	}
 	det.Reset()
-	if det.SampleSize() != 8 || det.buckets.level != 0 {
+	if det.SampleSize() != 8 || det.Internals().Level != 0 {
 		t.Fatal("reset did not restore the initial state")
 	}
 }
@@ -196,12 +195,11 @@ func TestSARAASampleSizeAlwaysPositive(t *testing.T) {
 	// below one for any level reachable under any (norig, K).
 	for norig := 1; norig <= 40; norig++ {
 		for k := 1; k <= 12; k++ {
-			det := mustSARAA(t, norig, k, 1)
 			for level := 0; level < k; level++ {
-				if got := det.acceleratedSize(level); got < 1 {
+				if got := acceleratedSampleSize(norig, k, level); got < 1 {
 					t.Fatalf("norig=%d K=%d level=%d: size %d", norig, k, level, got)
 				}
-				if got := det.acceleratedSize(level); got > norig {
+				if got := acceleratedSampleSize(norig, k, level); got > norig {
 					t.Fatalf("norig=%d K=%d level=%d: size %d exceeds norig", norig, k, level, got)
 				}
 			}

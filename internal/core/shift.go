@@ -14,9 +14,9 @@ import (
 // wrapped detector trigger as today. The state machine is a plain value
 // (ShiftState) with one shared transition (Step), used verbatim by both
 // the pointer-based Rebase wrapper (rebase.go) and the fleet engine's
-// struct-of-arrays drain loop, so the two implementations cannot
-// diverge — the same construction that keeps BucketStep bit-identical
-// across both worlds.
+// drain loop, just as both run the detector kernel (kernel.go): the
+// fleet passes a stream's re-estimated Base to Plan.Decide where
+// Rebase rebuilds its inner detector from it.
 //
 // The decision rule: the change-point statistic watches standardized
 // residuals z = (x - µ)/σ against the committed baseline. When it
@@ -177,7 +177,7 @@ func (o ShiftOutcome) String() string {
 // ShiftState is the per-stream state of the workload-shift layer: the
 // committed baseline, the moment tracker and the change-point
 // statistics. It is a plain value so the fleet engine can store one per
-// stream in struct-of-arrays form; all behaviour lives in Step, which
+// stream slot; all behaviour lives in Step, which
 // the Rebase wrapper shares verbatim.
 type ShiftState struct {
 	// Base is the committed baseline the wrapped detector currently runs

@@ -20,13 +20,18 @@ type SRAAConfig struct {
 
 // Validate reports whether the configuration is usable.
 func (c SRAAConfig) Validate() error {
-	if c.SampleSize <= 0 {
-		return fmt.Errorf("core: SRAA sample size n must be positive, got %d", c.SampleSize)
+	if err := checkPlanInt("SRAA sample size n", c.SampleSize); err != nil {
+		return err
 	}
-	if _, err := newBucketState(c.Buckets, c.Depth); err != nil {
+	if err := validateBuckets(c.Buckets, c.Depth); err != nil {
 		return err
 	}
 	return c.Baseline.Validate()
+}
+
+// Plan returns the kernel plan of a validated configuration.
+func (c SRAAConfig) Plan() Plan {
+	return Plan{k: int32(c.Buckets), depth: int32(c.Depth), n0: int32(c.SampleSize)}
 }
 
 // SRAA is the static rejuvenation algorithm with averaging: it averages
@@ -34,61 +39,19 @@ func (c SRAAConfig) Validate() error {
 // targets mu + N*sigma. Because the targets do not shrink with n, SRAA
 // "verifies" that the metric's distribution has shifted right by K-1
 // whole standard deviations before triggering.
-type SRAA struct {
-	cfg     SRAAConfig
-	window  sampleWindow
-	buckets bucketState
-}
+type SRAA struct{ blockDetector }
 
 // NewSRAA returns an SRAA detector for the given configuration.
 func NewSRAA(cfg SRAAConfig) (*SRAA, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid SRAA config: %w", err)
 	}
-	b, err := newBucketState(cfg.Buckets, cfg.Depth)
-	if err != nil {
-		return nil, err
-	}
-	return &SRAA{
-		cfg:     cfg,
-		window:  sampleWindow{size: cfg.SampleSize},
-		buckets: b,
-	}, nil
+	return &SRAA{newBlockDetector(cfg.Plan(), cfg.Baseline)}, nil
 }
 
 // Config returns the configuration the detector was built with.
-func (s *SRAA) Config() SRAAConfig { return s.cfg }
-
-// Target returns the threshold the current bucket compares sample means
-// against: mu + N*sigma.
-func (s *SRAA) Target() float64 {
-	return s.cfg.Baseline.Mean + float64(s.buckets.level)*s.cfg.Baseline.StdDev
-}
-
-// Observe feeds one observation.
-//
-//lint:hotpath
-func (s *SRAA) Observe(x float64) Decision {
-	mean, done := s.window.add(x)
-	if !done {
-		return Decision{Level: s.buckets.level, Fill: s.buckets.fill}
-	}
-	target := s.Target()
-	event := s.buckets.step(mean > target)
-	return Decision{
-		Triggered:  event == BucketTrigger,
-		Evaluated:  true,
-		SampleMean: mean,
-		Target:     target,
-		Level:      s.buckets.level,
-		Fill:       s.buckets.fill,
-	}
-}
-
-// Reset restores the initial state.
-func (s *SRAA) Reset() {
-	s.window.reset()
-	s.buckets.reset()
+func (s *SRAA) Config() SRAAConfig {
+	return SRAAConfig{SampleSize: int(s.plan.n0), Buckets: int(s.plan.k), Depth: int(s.plan.depth), Baseline: s.base}
 }
 
 // NewStatic returns the static rejuvenation algorithm of the paper's

@@ -102,8 +102,8 @@ func TestSRAAAveragingSmoothsOutliers(t *testing.T) {
 		}
 	}
 	// The completed sample must have drained, not filled, the bucket.
-	if det.buckets.fill != 0 {
-		t.Fatalf("fill = %d after a below-target sample, want 0", det.buckets.fill)
+	if det.Internals().Fill != 0 {
+		t.Fatalf("fill = %d after a below-target sample, want 0", det.Internals().Fill)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestSRAAResetClearsEverything(t *testing.T) {
 		det.Observe(100)
 	}
 	det.Reset()
-	if det.buckets.fill != 0 || det.buckets.level != 0 || det.window.count != 0 {
+	if det.Internals().Fill != 0 || det.Internals().Level != 0 || det.Internals().SampleFill != 0 {
 		t.Fatal("reset left residual state")
 	}
 	if det.Target() != 5 {

@@ -2,16 +2,14 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 
 	"rejuv/internal/core"
 )
 
 // Family selects which of the paper's detector algorithms a stream
-// class runs. The fleet engine implements each family directly over
-// struct-of-arrays state; the transition rules are shared with the
-// pointer-based detectors in internal/core (BucketStep,
-// AcceleratedSampleSize), so the two implementations cannot diverge.
+// class runs. Every family is a core.Plan stepping one core.State per
+// stream, the same kernel the pointer-based detectors in internal/core
+// run.
 type Family int
 
 // Detector families a stream class may use.
@@ -81,40 +79,51 @@ type ClassConfig struct {
 // Validate reports whether the class is usable, by validating the
 // corresponding core detector configuration.
 func (c ClassConfig) Validate() error {
+	_, err := c.plan()
+	return err
+}
+
+// plan validates the class and returns its kernel plan, built from the
+// same core detector configuration the reference detector uses.
+func (c ClassConfig) plan() (core.Plan, error) {
 	if c.Name == "" {
-		return fmt.Errorf("fleet: class needs a name")
+		return core.Plan{}, fmt.Errorf("fleet: class needs a name")
 	}
 	if c.Shift != nil {
 		if err := c.Shift.WithDefaults().Validate(); err != nil {
-			return fmt.Errorf("fleet: class %q shift layer: %w", c.Name, err)
+			return core.Plan{}, fmt.Errorf("fleet: class %q shift layer: %w", c.Name, err)
 		}
 	}
 	switch c.Family {
 	case FamilySRAA:
-		return core.SRAAConfig{
+		cfg := core.SRAAConfig{
 			SampleSize: c.SampleSize, Buckets: c.Buckets, Depth: c.Depth,
 			Baseline: c.Baseline,
-		}.Validate()
+		}
+		return cfg.Plan(), cfg.Validate()
 	case FamilySARAA:
-		return core.SARAAConfig{
+		cfg := core.SARAAConfig{
 			InitialSampleSize: c.SampleSize, Buckets: c.Buckets, Depth: c.Depth,
 			Baseline: c.Baseline,
-		}.Validate()
+		}
+		return cfg.Plan(), cfg.Validate()
 	case FamilyCLTA:
-		return core.CLTAConfig{
+		cfg := core.CLTAConfig{
 			SampleSize: c.SampleSize, Quantile: c.Quantile,
 			Baseline: c.Baseline,
-		}.Validate()
+		}
+		return cfg.Plan(), cfg.Validate()
 	}
-	return fmt.Errorf("fleet: class %q has unknown family %d", c.Name, int(c.Family))
+	return core.Plan{}, fmt.Errorf("fleet: class %q has unknown family %d", c.Name, int(c.Family))
 }
 
 // Detector constructs the reference pointer-based detector for this
 // class (Rebase-wrapped when the class has a Shift layer). Fleet replay
 // verification uses it as the factory: feeding a stream's journaled
 // observations through this detector must reproduce the engine's
-// journaled decisions byte for byte, which is the proof that the
-// struct-of-arrays fast path implements the same algorithm.
+// journaled decisions byte for byte. Both sides step the same core
+// kernel, so the replay checks the engine's shell around it: hygiene,
+// cooldown, shift layering and journaling.
 func (c ClassConfig) Detector() (core.Detector, error) {
 	build := func(base core.Baseline) (core.Detector, error) {
 		switch c.Family {
@@ -142,80 +151,27 @@ func (c ClassConfig) Detector() (core.Detector, error) {
 	return core.NewRebase(*c.Shift, c.Baseline, build)
 }
 
-// class is the compiled, immutable form of a ClassConfig: every
-// threshold the hot path needs, precomputed per bucket level with the
-// exact floating-point expressions the core detectors evaluate, so the
-// drain loop never touches math.Sqrt and still produces bit-identical
-// targets.
+// class is the compiled, immutable form of a ClassConfig: the kernel
+// plan every stream of the class steps its core.State with.
 type class struct {
-	cfg    ClassConfig
-	family Family
-	k      int32 // bucket count K; 0 for CLTA
-	depth  int32 // bucket depth D; 0 for CLTA
-	// initSize is the sample size a fresh stream starts with.
-	initSize int32
-	// sizes[level] is the sample size in effect at each bucket level
-	// (constant for SRAA, the accelerated schedule for SARAA; one entry
-	// for CLTA).
-	sizes []int32
-	// targets[level] is the trigger threshold compared against a block
-	// mean completed at that level (one entry for CLTA). Streams of a
-	// shift class use these only until their first rebaseline; after
-	// that the drain loop recomputes the target from the stream's
-	// re-estimated baseline with the same expression.
-	targets []float64
+	cfg  ClassConfig
+	plan core.Plan
 	// shift marks a class with a workload-shift layer; shiftCfg is the
 	// defaults-applied configuration its streams step with.
 	shift    bool
 	shiftCfg core.ShiftConfig
-	// sqrtN[level] is math.Sqrt of sizes[level], precomputed so the
-	// per-stream target recompute of a shift class divides by the exact
-	// square roots the core detectors evaluate without calling
-	// math.Sqrt on the hot path (FamilySARAA per level; one entry for
-	// FamilyCLTA; unused by FamilySRAA).
-	sqrtN []float64
 }
 
-// compileClass precomputes the per-level schedule of one class.
+// compileClass validates one class and builds its plan.
 func compileClass(cfg ClassConfig) (class, error) {
-	if err := cfg.Validate(); err != nil {
+	p, err := cfg.plan()
+	if err != nil {
 		return class{}, err
 	}
-	c := class{cfg: cfg, family: cfg.Family, initSize: int32(cfg.SampleSize)}
+	c := class{cfg: cfg, plan: p}
 	if cfg.Shift != nil {
 		c.shift = true
 		c.shiftCfg = cfg.Shift.WithDefaults()
-	}
-	mean, sd := cfg.Baseline.Mean, cfg.Baseline.StdDev
-	switch cfg.Family {
-	case FamilySRAA:
-		c.k, c.depth = int32(cfg.Buckets), int32(cfg.Depth)
-		c.sizes = make([]int32, cfg.Buckets)
-		c.targets = make([]float64, cfg.Buckets)
-		for lvl := 0; lvl < cfg.Buckets; lvl++ {
-			c.sizes[lvl] = int32(cfg.SampleSize)
-			c.targets[lvl] = mean + float64(lvl)*sd
-		}
-	case FamilySARAA:
-		c.k, c.depth = int32(cfg.Buckets), int32(cfg.Depth)
-		c.sizes = make([]int32, cfg.Buckets)
-		c.targets = make([]float64, cfg.Buckets)
-		for lvl := 0; lvl < cfg.Buckets; lvl++ {
-			n := core.AcceleratedSampleSize(cfg.SampleSize, cfg.Buckets, lvl)
-			c.sizes[lvl] = int32(n)
-			// The exact expression core.SARAA.Target evaluates, so the
-			// precomputed threshold is bit-identical to the reference.
-			c.targets[lvl] = mean + float64(lvl)*sd/math.Sqrt(float64(n))
-		}
-	case FamilyCLTA:
-		c.sizes = []int32{int32(cfg.SampleSize)}
-		c.targets = []float64{mean + cfg.Quantile*sd/math.Sqrt(float64(cfg.SampleSize))}
-	}
-	if c.shift {
-		c.sqrtN = make([]float64, len(c.sizes))
-		for lvl, n := range c.sizes {
-			c.sqrtN[lvl] = math.Sqrt(float64(n))
-		}
 	}
 	return c, nil
 }

@@ -11,8 +11,8 @@
 // fleet engine changes all three axes at once:
 //
 //   - Sharding. Streams live in lock-striped shards (a power of two,
-//     sized from GOMAXPROCS by default), each owning a contiguous
-//     struct-of-arrays block of detector state, so concurrent batches
+//     sized from GOMAXPROCS by default), each owning contiguous
+//     per-slot arrays of stream state, so concurrent batches
 //     contend per shard, not per fleet, and a shard's drain loop walks
 //     adjacent memory.
 //
@@ -28,14 +28,16 @@
 //     never by stream id; the exact id appears only in journal records,
 //     which are built for unbounded cardinality.
 //
-// Detector state is struct-of-arrays: parallel slices of sample-window
-// sums, bucket fills and levels, hygiene memories, cooldowns and
-// watchdogs, indexed by slot; each shard's flat, open-addressed stream
-// index maps an open stream id to its slot. The transition rules are
-// the shared core primitives (core.BucketStep,
-// core.AcceleratedSampleSize, the guard state machines), and journal
-// replay (journal.Replay) against the pointer-based reference
-// detectors proves the two implementations byte-identical — see
+// Stream state is a set of parallel slices indexed by slot: one
+// core.State (sample block and bucket counter), hygiene memory,
+// cooldown, watchdog and shift state per stream; each shard's flat,
+// open-addressed stream index maps an open stream id to its slot. Each
+// class compiles to one core.Plan, and the drain steps a stream with
+// the same kernel calls (core.State.Add, core.Plan.Decide) the
+// pointer-based detectors make, against the class baseline or the
+// stream's re-estimated one. Journal replay (journal.Replay) against
+// those reference detectors checks the shell around the kernel —
+// hygiene, cooldown, shift layering, journaling — byte for byte; see
 // DESIGN §14 for the memory model, the batching contract and the
 // determinism story.
 package fleet
@@ -267,9 +269,7 @@ func New(cfg Config) (*Engine, error) {
 		e.shards[i].index = newStreamIndex()
 	}
 	for _, c := range e.classes {
-		if int(c.k) > e.maxLvl {
-			e.maxLvl = int(c.k)
-		}
+		e.maxLvl = max(e.maxLvl, c.plan.Buckets())
 	}
 	e.healthK = cfg.HealthTopK
 	if e.healthK == 0 {
@@ -283,10 +283,7 @@ func New(cfg Config) (*Engine, error) {
 			s := &e.shards[i]
 			s.mu.Lock()
 			s.sketch = health.NewSketch(e.healthK)
-			s.exID = make([]uint64, e.maxLvl+1)
-			s.exValue = make([]float64, e.maxLvl+1)
-			s.exNanos = make([]int64, e.maxLvl+1)
-			s.exSet = make([]bool, e.maxLvl+1)
+			s.ex = make([]exemplar, e.maxLvl+1)
 			s.mu.Unlock()
 		}
 	}
@@ -341,7 +338,7 @@ func (e *Engine) shardOf(h uint64) uint64 {
 }
 
 // OpenStream brings a stream under monitoring in the named class. The
-// slot costs a few dozen bytes of struct-of-arrays state; closed slots
+// slot costs a few dozen bytes of per-slot state; closed slots
 // are recycled, so open/close churn does not grow the shard. Id 0 is
 // reserved and rejected.
 func (e *Engine) OpenStream(id StreamID, className string) error {

@@ -96,9 +96,13 @@ func classFactory(class string) (core.Detector, error) {
 	return nil, fmt.Errorf("unknown class %q", class)
 }
 
-// TestFleetMatchesReferenceDetectors is the struct-of-arrays
-// equivalence proof: the journal the engine writes must replay
-// byte-identically through the pointer-based core detectors.
+// TestFleetMatchesReferenceDetectors checks the fleet's shell against
+// Monitor-style reference detectors: the journal the engine writes must
+// replay byte-identically through the pointer-based core detectors.
+// Both sides step the same core kernel, so this covers what surrounds
+// it — hygiene, cooldown, shift layering and journaling; the kernel's
+// arithmetic is checked independently against the paper's pseudo-code
+// by core's TestKernelMatchesPseudoCode.
 func TestFleetMatchesReferenceDetectors(t *testing.T) {
 	var buf bytes.Buffer
 	jw := journal.NewWriter(&buf, journal.Meta{CreatedBy: "fleet_test"})

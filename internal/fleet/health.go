@@ -44,12 +44,12 @@ func (e *Engine) HealthSnapshot() health.Snapshot {
 	}
 
 	// Per-level aggregation across shards. Level values beyond maxLvl
-	// cannot occur (BucketStep never exceeds K), but clamp anyway so a
-	// future detector family cannot index out of bounds.
+	// cannot occur (the kernel's bucket step keeps the level below K),
+	// but clamp anyway so a future detector family cannot index out of
+	// bounds.
 	counts := make([]int, e.maxLvl+1)
 	fills := make([]int64, e.maxLvl+1)
-	ex := make([]health.Exemplar, e.maxLvl+1)
-	exSet := make([]bool, e.maxLvl+1)
+	ex := make([]exemplar, e.maxLvl+1)
 
 	var entries []health.StreamHealth
 	var scratch []health.SketchEntry
@@ -62,12 +62,10 @@ func (e *Engine) HealthSnapshot() health.Snapshot {
 			}
 			snap.OpenStreams++
 			snap.Classes[s.cls[slot]].Open++
-			lvl := int(s.blevel[slot])
-			if lvl > e.maxLvl {
-				lvl = e.maxLvl
-			}
+			st := &s.det[slot]
+			lvl := min(st.Level(), e.maxLvl)
 			counts[lvl]++
-			fills[lvl] += int64(s.bfill[slot])
+			fills[lvl] += int64(st.Fill())
 		}
 		if s.sketch != nil {
 			scratch = s.sketch.AppendEntries(scratch[:0])
@@ -84,8 +82,8 @@ func (e *Engine) HealthSnapshot() health.Snapshot {
 				entries = append(entries, health.StreamHealth{
 					Stream:        en.ID,
 					Class:         e.classes[s.cls[slot]].cfg.Name,
-					Level:         int(s.blevel[slot]),
-					Fill:          int(s.bfill[slot]),
+					Level:         s.det[slot].Level(),
+					Fill:          s.det[slot].Fill(),
 					Count:         en.Count,
 					Err:           en.Err,
 					LastMean:      en.LastMean,
@@ -93,10 +91,9 @@ func (e *Engine) HealthSnapshot() health.Snapshot {
 				})
 			}
 			// Keep the most recent exemplar per level across shards.
-			for lvl := 1; lvl < len(s.exSet); lvl++ {
-				if s.exSet[lvl] && (!exSet[lvl] || s.exNanos[lvl] > ex[lvl].Nanos) {
-					ex[lvl] = health.Exemplar{Stream: s.exID[lvl], Value: s.exValue[lvl], Nanos: s.exNanos[lvl]}
-					exSet[lvl] = true
+			for lvl := 1; lvl < len(s.ex); lvl++ {
+				if x := s.ex[lvl]; x.set && (!ex[lvl].set || x.Nanos > ex[lvl].Nanos) {
+					ex[lvl] = x
 				}
 			}
 		}
@@ -112,9 +109,9 @@ func (e *Engine) HealthSnapshot() health.Snapshot {
 			Streams:  counts[lvl],
 			MeanFill: float64(fills[lvl]) / float64(counts[lvl]),
 		}
-		if exSet[lvl] {
-			e := ex[lvl]
-			lb.Exemplar = &e
+		if ex[lvl].set {
+			x := ex[lvl].Exemplar
+			lb.Exemplar = &x
 		}
 		snap.Levels = append(snap.Levels, lb)
 	}

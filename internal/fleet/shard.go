@@ -9,10 +9,10 @@ import (
 )
 
 // shard owns one stripe of the fleet's detector state, laid out as
-// struct-of-arrays: parallel slices indexed by slot, so the drain loop
-// touches a handful of adjacent arrays instead of chasing a pointer per
-// stream. Everything below mu is guarded by it; slots of closed streams
-// are recycled through the free list so churn does not grow the arrays.
+// parallel slices indexed by slot, so the drain loop touches a handful
+// of adjacent arrays instead of chasing a pointer per stream.
+// Everything below mu is guarded by it; slots of closed streams are
+// recycled through the free list so churn does not grow the arrays.
 type shard struct {
 	mu sync.Mutex
 
@@ -21,30 +21,29 @@ type shard struct {
 	opened int         // live slot count; guarded by mu
 
 	// Parallel per-slot detector state.
-	ids    []StreamID          // stream id of each slot; guarded by mu
-	cls    []int32             // class index of each slot; guarded by mu
-	live   []bool              // slot occupancy; guarded by mu
-	obs    []uint64            // observations consumed by the stream; guarded by mu
-	wsize  []int32             // current sample size n; guarded by mu
-	wcount []int32             // observations in the current block; guarded by mu
-	wsum   []float64           // running block sum; guarded by mu
-	bfill  []int32             // ball count d of the current bucket; guarded by mu
-	blevel []int32             // bucket pointer N; guarded by mu
-	hyg    []core.HygieneState // per-stream hygiene memory; guarded by mu
-	cool   []core.Cooldown     // per-stream trigger cooldown; guarded by mu
-	dog    []core.Watchdog     // per-stream staleness watchdog; guarded by mu
-	shift  []core.ShiftState   // per-stream workload-shift layer (shift classes); guarded by mu
+	ids   []StreamID          // stream id of each slot; guarded by mu
+	cls   []int32             // class index of each slot; guarded by mu
+	live  []bool              // slot occupancy; guarded by mu
+	obs   []uint64            // observations consumed by the stream; guarded by mu
+	det   []core.State        // kernel state: sample block and bucket counter; guarded by mu
+	hyg   []core.HygieneState // per-stream hygiene memory; guarded by mu
+	cool  []core.Cooldown     // per-stream trigger cooldown; guarded by mu
+	dog   []core.Watchdog     // per-stream staleness watchdog; guarded by mu
+	shift []core.ShiftState   // per-stream workload-shift layer (shift classes); guarded by mu
 
 	// Health observability state, nil/empty when Config.HealthTopK is
-	// negative. The sketch tallies the shard's aging signals; the ex*
-	// arrays hold one exemplar per bucket level (the last stream
-	// evaluated at that level, with its sample mean and capture time),
-	// indexed by level.
-	sketch  *health.Sketch // top-K aging sketch; guarded by mu
-	exID    []uint64       // exemplar stream id per level; guarded by mu
-	exValue []float64      // exemplar sample mean per level; guarded by mu
-	exNanos []int64        // exemplar capture time per level; guarded by mu
-	exSet   []bool         // exemplar present per level; guarded by mu
+	// negative. The sketch tallies the shard's aging signals; ex holds
+	// one exemplar per bucket level (the last stream evaluated at that
+	// level, with its sample mean and capture time), indexed by level.
+	sketch *health.Sketch // top-K aging sketch; guarded by mu
+	ex     []exemplar     // exemplar per level; guarded by mu
+}
+
+// exemplar is one bucket level's most recently evaluated stream; set
+// reports whether the level has captured one yet.
+type exemplar struct {
+	health.Exemplar
+	set bool
 }
 
 // open registers a stream, whose mix is h, in the shard. Callers hold
@@ -65,11 +64,7 @@ func (s *shard) open(id StreamID, h uint64, ci int32, c *class, cfg Config) erro
 		s.cls = append(s.cls, 0)
 		s.live = append(s.live, false)
 		s.obs = append(s.obs, 0)
-		s.wsize = append(s.wsize, 0)
-		s.wcount = append(s.wcount, 0)
-		s.wsum = append(s.wsum, 0)
-		s.bfill = append(s.bfill, 0)
-		s.blevel = append(s.blevel, 0)
+		s.det = append(s.det, core.State{})
 		s.hyg = append(s.hyg, core.HygieneState{})
 		s.cool = append(s.cool, core.Cooldown{})
 		s.dog = append(s.dog, core.Watchdog{})
@@ -79,11 +74,7 @@ func (s *shard) open(id StreamID, h uint64, ci int32, c *class, cfg Config) erro
 	s.cls[slot] = ci
 	s.live[slot] = true
 	s.obs[slot] = 0
-	s.wsize[slot] = c.initSize
-	s.wcount[slot] = 0
-	s.wsum[slot] = 0
-	s.bfill[slot] = 0
-	s.blevel[slot] = 0
+	s.det[slot] = c.plan.Start()
 	s.hyg[slot] = core.HygieneState{}
 	s.cool[slot] = core.NewCooldown(cfg.Cooldown)
 	s.dog[slot] = core.NewWatchdog(cfg.MaxSilence)
@@ -123,9 +114,11 @@ func (s *shard) close(id StreamID, h uint64) error {
 // would. The second pass steps the detectors.
 //
 // This is the cost the fleet pays per observation: one index probe,
-// array reads and writes, the shared core transition functions. It must
-// never allocate — the hotpath contract below is enforced by rejuvlint
-// across everything reachable from here and pinned at runtime by
+// array reads and writes, and one step of the core kernel
+// (core.State.Add, then core.Plan.Decide on a completed block) against
+// the class baseline or the stream's re-estimated one. It must never
+// allocate — the hotpath contract below is enforced by rejuvlint across
+// everything reachable from here and pinned at runtime by
 // TestObserveBatchDoesNotAllocate.
 //
 //lint:hotpath
@@ -158,91 +151,34 @@ func (s *shard) drainLocked(classes []class, hygienePolicy core.Hygiene, nowNano
 		r.value = v
 
 		c := &classes[s.cls[i]]
+		st := &s.det[i]
+		base := c.cfg.Baseline
 		if c.shift {
-			// The workload-shift layer steps before the sample window,
+			// The workload-shift layer steps before the sample block,
 			// exactly as core.Rebase steps before its wrapped detector:
 			// relearning observations never reach detector state, and a
-			// committed rebaseline resets it the way Rebase rebuilds its
-			// inner detector from the new baseline.
+			// committed rebaseline restarts it the way Rebase rebuilds
+			// its inner detector from the new baseline.
 			switch s.shift[i].Step(c.shiftCfg, v) {
 			case core.ShiftRelearning:
-				r.sampleSize = s.wsize[i]
 				continue
 			case core.ShiftRebaselined:
-				s.wsum[i], s.wcount[i] = 0, 0
-				s.bfill[i], s.blevel[i] = 0, 0
-				s.wsize[i] = c.initSize
-				r.sampleSize = s.wsize[i]
+				*st = c.plan.Start()
 				b := s.shift[i].Base
 				r.baseMean, r.baseSD = b.Mean, b.StdDev
 				r.flags |= resRebaselined
 				continue
 			}
+			base = s.shift[i].Base
 		}
 
-		// Sample window: identical arithmetic to core's sampleWindow.add.
-		s.wsum[i] += v
-		s.wcount[i]++
-		if s.wcount[i] < s.wsize[i] {
-			r.sampleSize = s.wsize[i]
+		mean, done := st.Add(v)
+		if !done {
 			continue
 		}
-		mean := s.wsum[i] / float64(s.wsize[i])
-		s.wsum[i] = 0
-		s.wcount[i] = 0
-
-		var d core.Decision
-		switch c.family {
-		case FamilySRAA:
-			target := c.targets[s.blevel[i]]
-			if c.shift {
-				// The stream's re-estimated baseline, with the exact
-				// expression core.SRAA.Target evaluates.
-				b := &s.shift[i].Base
-				target = b.Mean + float64(s.blevel[i])*b.StdDev
-			}
-			nf, nl, ev := core.BucketStep(int(c.k), int(c.depth), int(s.bfill[i]), int(s.blevel[i]), mean > target)
-			s.bfill[i], s.blevel[i] = int32(nf), int32(nl)
-			d = core.Decision{
-				Triggered: ev == core.BucketTrigger, Evaluated: true,
-				SampleMean: mean, Target: target, Level: nl, Fill: nf,
-			}
-		case FamilySARAA:
-			target := c.targets[s.blevel[i]]
-			if c.shift {
-				// core.SARAA.Target divides by math.Sqrt of the level's
-				// sample size; c.sqrtN holds those exact square roots.
-				b := &s.shift[i].Base
-				target = b.Mean + float64(s.blevel[i])*b.StdDev/c.sqrtN[s.blevel[i]]
-			}
-			nf, nl, ev := core.BucketStep(int(c.k), int(c.depth), int(s.bfill[i]), int(s.blevel[i]), mean > target)
-			s.bfill[i], s.blevel[i] = int32(nf), int32(nl)
-			switch ev {
-			case core.BucketOverflow, core.BucketUnderflow:
-				// The accelerated schedule: deeper buckets use smaller
-				// samples. The block is already empty, exactly like
-				// core.SARAA's resize on a completed block.
-				s.wsize[i] = c.sizes[nl]
-			case core.BucketTrigger:
-				s.wsize[i] = c.sizes[0]
-			}
-			d = core.Decision{
-				Triggered: ev == core.BucketTrigger, Evaluated: true,
-				SampleMean: mean, Target: target, Level: nl, Fill: nf,
-			}
-		case FamilyCLTA:
-			target := c.targets[0]
-			if c.shift {
-				b := &s.shift[i].Base
-				target = b.Mean + c.cfg.Quantile*b.StdDev/c.sqrtN[0]
-			}
-			d = core.Decision{
-				Triggered: mean > target, Evaluated: true,
-				SampleMean: mean, Target: target,
-			}
-		}
-		r.d = d
-		r.sampleSize = s.wsize[i]
+		c.plan.Decide(st, base, mean, &r.d)
+		d := &r.d
+		r.sampleSize = int32(st.SampleSize())
 		r.flags |= resEvaluated
 		if d.Triggered && c.shift {
 			// Rejuvenation restores capacity without moving the
@@ -261,19 +197,16 @@ func (s *shard) drainLocked(classes []class, hygienePolicy core.Hygiene, nowNano
 		// Health maintenance, still under the shard lock. Aging signals
 		// (a trigger, a raised bucket level, a target exceedance) feed
 		// the top-K sketch; healthy streams pay one nil check and one
-		// comparison. The exemplar arrays keep the last stream evaluated
+		// comparison. The exemplars keep the last stream evaluated
 		// at each raised level, so the level histogram can point at a
 		// concrete journal-greppable stream.
 		if s.sketch != nil {
-			lvl := int(s.blevel[i])
+			lvl := st.Level()
 			if d.Triggered || lvl > 0 || mean > d.Target {
 				s.sketch.Update(uint64(o.Stream), mean, nowNanos)
 			}
-			if lvl > 0 && lvl < len(s.exSet) {
-				s.exID[lvl] = uint64(o.Stream)
-				s.exValue[lvl] = mean
-				s.exNanos[lvl] = nowNanos
-				s.exSet[lvl] = true
+			if lvl > 0 && lvl < len(s.ex) {
+				s.ex[lvl] = exemplar{health.Exemplar{Stream: uint64(o.Stream), Value: mean, Nanos: nowNanos}, true}
 			}
 		}
 	}

@@ -67,10 +67,10 @@ func runShiftWorkload(t testing.TB, e *Engine, streams, batchSize int) {
 	}
 }
 
-// TestFleetShiftMatchesRebaseReference is the struct-of-arrays
-// equivalence proof for shift classes: a journal written across a
-// workload shift and a subsequent aging ramp must replay byte-identically
-// through Rebase-wrapped reference detectors, rebaselines included.
+// TestFleetShiftMatchesRebaseReference checks the fleet's shift
+// layering against Rebase-wrapped reference detectors: a journal written
+// across a workload shift and a subsequent aging ramp must replay
+// byte-identically through them, rebaselines included.
 func TestFleetShiftMatchesRebaseReference(t *testing.T) {
 	var buf bytes.Buffer
 	jw := journal.NewWriter(&buf, journal.Meta{CreatedBy: "fleet_shift_test"})

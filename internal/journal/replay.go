@@ -27,9 +27,10 @@ func sameF64Bits(a, b float64) bool {
 // contract), any divergence means the journal, the detector
 // construction, or the platform broke the determinism guarantee — which
 // makes Replay the strongest determinism test in the repository. For a
-// fleet journal, where many streams interleave, it doubles as the proof
-// that the fleet engine's struct-of-arrays detector state matches the
-// pointer-based reference detectors in internal/core.
+// fleet journal, where many streams interleave, it checks the fleet
+// engine's shell — hygiene, cooldown, shift layering and journaling —
+// against the pointer-based reference detectors in internal/core; both
+// step the same detector kernel.
 
 // ReplayReport summarizes one replay verification pass.
 type ReplayReport struct {
