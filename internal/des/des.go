@@ -192,8 +192,8 @@ func (s *Simulator) Step() bool {
 }
 
 // eventLoopLabels tags the run loop in CPU profiles so samples inside
-// Run/RunUntil (and everything the dispatch calls, detector evaluation
-// included) can be filtered with `-tagfocus des_phase=event-loop`.
+// Run (and everything the dispatch calls, detector evaluation included)
+// can be filtered with `-tagfocus des_phase=event-loop`.
 var eventLoopLabels = pprof.Labels("des_phase", "event-loop")
 
 // Run fires events in time order until the queue drains or Stop is
@@ -206,24 +206,6 @@ func (s *Simulator) Run() int {
 			fired++
 		}
 	})
-	return fired
-}
-
-// RunUntil fires events with time <= horizon, then advances the clock to
-// horizon. Events scheduled beyond the horizon remain queued. It returns
-// the number of events fired.
-func (s *Simulator) RunUntil(horizon float64) int {
-	s.stopped = false
-	fired := 0
-	pprof.Do(context.Background(), eventLoopLabels, func(context.Context) {
-		for !s.stopped && len(s.heap) > 0 && s.slab[s.heap[0]].time <= horizon {
-			s.Step()
-			fired++
-		}
-	})
-	if !s.stopped && s.now < horizon {
-		s.now = horizon
-	}
 	return fired
 }
 

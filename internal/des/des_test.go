@@ -288,31 +288,6 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 }
 
-func TestRunUntilHorizon(t *testing.T) {
-	r := newRecorder()
-	for _, at := range []float64{1, 2, 3, 4, 5} {
-		r.sim.ScheduleAt(at, 0, 0)
-	}
-	n := r.sim.RunUntil(3)
-	if n != 3 || len(r.fired) != 3 {
-		t.Fatalf("RunUntil(3) fired %d events, want 3", n)
-	}
-	if r.sim.Now() != 3 {
-		t.Fatalf("clock at %v after RunUntil(3), want 3", r.sim.Now())
-	}
-	if r.sim.Len() != 2 {
-		t.Fatalf("%d events left, want 2", r.sim.Len())
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	sim := New(nil)
-	sim.RunUntil(10)
-	if sim.Now() != 10 {
-		t.Fatalf("idle RunUntil left clock at %v, want 10", sim.Now())
-	}
-}
-
 func TestScheduleInPastPanics(t *testing.T) {
 	r := newRecorder()
 	r.sim.ScheduleAt(5, 0, 0)

@@ -9,21 +9,10 @@
 // unlike math/rand whose algorithm is unspecified across releases.
 package xrand
 
-import "math"
-
-// mul128 returns the 128-bit product of a and b as (hi, lo).
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
-}
+import (
+	"math"
+	"math/bits"
+)
 
 // pcg128 state constants (PCG-XSL-RR 128/64, O'Neill 2014).
 const (
@@ -33,13 +22,30 @@ const (
 	pcgIncLo = 1442695040888963407
 )
 
+// lookN is the size of the lookahead block: the generator produces its
+// raw outputs lookN at a time and every method consumes them strictly
+// in order, so buffering never changes a draw. It is a power of two, so
+// masking a block index with lookN-1 lets the compiler drop the bounds
+// check.
+const lookN = 32
+
 // Rand is a PCG-XSL-RR 128/64 pseudo-random number generator.
 // The zero value is not usable; construct with New or NewStream.
 // Rand is not safe for concurrent use; give each goroutine its own stream.
+//
+// Rand keeps a lookahead block of the next lookN raw outputs. The first
+// Exp after a refill computes the negated logarithms of all the outputs
+// not yet read in one loop whose iterations are independent, so the CPU
+// overlaps the latency of math.Log instead of paying it once per draw.
 type Rand struct {
-	hi, lo uint64 // 128-bit state
+	hi, lo uint64 // 128-bit state, advanced past every output in out
 	incHi  uint64 // stream selector (must be odd in the low half)
 	incLo  uint64
+	left   uint // outputs of out not yet read; out[lookN-left] is next
+	logged bool // nlog holds the logarithms of the unread outputs
+	out    [lookN]uint64
+	// nlog[i] = -math.Log(float64(out[i]>>11) / (1 << 53)).
+	nlog [lookN]float64
 }
 
 // New returns a generator seeded with seed on the default stream.
@@ -68,7 +74,7 @@ func NewStream(seed, stream uint64) *Rand {
 // step advances the 128-bit LCG state.
 func (r *Rand) step() {
 	// state = state * mul + inc (128-bit arithmetic).
-	hi, lo := mul128(r.lo, pcgMulLo)
+	hi, lo := bits.Mul64(r.lo, pcgMulLo)
 	hi += r.hi*pcgMulLo + r.lo*pcgMulHi
 	lo += r.incLo
 	if lo < r.incLo {
@@ -78,13 +84,33 @@ func (r *Rand) step() {
 	r.hi, r.lo = hi, lo
 }
 
+// refill generates the next lookN raw outputs into the block.
+func (r *Rand) refill() {
+	for i := range r.out {
+		r.step()
+		// XSL-RR output function: xor the halves, rotate by the top 6 bits.
+		r.out[i] = bits.RotateLeft64(r.hi^r.lo, -int(r.hi>>58))
+	}
+	r.left = lookN
+	r.logged = false
+}
+
+// fillLogs computes nlog for the outputs of the block not yet read.
+func (r *Rand) fillLogs() {
+	for i := lookN - r.left; i < lookN; i++ {
+		r.nlog[i] = -math.Log(float64(r.out[i]>>11) / (1 << 53))
+	}
+	r.logged = true
+}
+
 // Uint64 returns a uniformly distributed 64-bit value.
 func (r *Rand) Uint64() uint64 {
-	r.step()
-	// XSL-RR output function: xor the halves, rotate by the top 6 bits.
-	x := r.hi ^ r.lo
-	rot := uint(r.hi >> 58)
-	return x>>rot | x<<((64-rot)&63)
+	if r.left == 0 {
+		r.refill()
+	}
+	x := r.out[(lookN-r.left)&(lookN-1)]
+	r.left--
+	return x
 }
 
 // Float64 returns a uniformly distributed value in [0, 1).
@@ -112,7 +138,21 @@ func (r *Rand) Exp(rate float64) float64 {
 	if rate <= 0 {
 		panic("xrand: Exp rate must be positive")
 	}
-	return -math.Log(r.Float64Open()) / rate
+	// Same draws and arithmetic as -math.Log(r.Float64Open()) / rate,
+	// with the logarithm read from the block.
+	for {
+		if r.left == 0 {
+			r.refill()
+		}
+		if !r.logged {
+			r.fillLogs()
+		}
+		i := (lookN - r.left) & (lookN - 1)
+		r.left--
+		if r.out[i]>>11 != 0 {
+			return r.nlog[i] / rate
+		}
+	}
 }
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
@@ -122,11 +162,11 @@ func (r *Rand) Intn(n int) int {
 	}
 	// Lemire's nearly-divisionless bounded sampling.
 	bound := uint64(n)
-	hi, lo := mul128(r.Uint64(), bound)
+	hi, lo := bits.Mul64(r.Uint64(), bound)
 	if lo < bound {
 		threshold := -bound % bound
 		for lo < threshold {
-			hi, lo = mul128(r.Uint64(), bound)
+			hi, lo = bits.Mul64(r.Uint64(), bound)
 		}
 	}
 	return int(hi)

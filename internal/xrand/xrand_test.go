@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -221,6 +222,11 @@ func TestMul128KnownProducts(t *testing.T) {
 		hi, lo := mul128(tt.a, tt.b)
 		if hi != tt.hi || lo != tt.lo {
 			t.Errorf("mul128(%#x, %#x) = (%#x, %#x), want (%#x, %#x)",
+				tt.a, tt.b, hi, lo, tt.hi, tt.lo)
+		}
+		hi, lo = bits.Mul64(tt.a, tt.b)
+		if hi != tt.hi || lo != tt.lo {
+			t.Errorf("bits.Mul64(%#x, %#x) = (%#x, %#x), want (%#x, %#x)",
 				tt.a, tt.b, hi, lo, tt.hi, tt.lo)
 		}
 	}
