@@ -7,7 +7,9 @@
 //	tail -f access.log | awk '{print $NF}' | rejuvmon -algo SRAA -n 3 -k 2 -d 5 -mean 0.12 -sd 0.1
 //
 // With -adaptive N the baseline (mean, sd) is learned from the first N
-// observations instead of -mean/-sd.
+// observations instead of -mean/-sd. With -trace every observation and
+// decision is journaled to stderr in the JSON-lines journal codec; add
+// -q and stderr is a journal rejuvtrace can read.
 //
 // Exit status is 0 on clean EOF, 1 on input or configuration errors.
 package main
@@ -40,7 +42,7 @@ func main() {
 		adaptive = flag.Int("adaptive", 0, "learn the baseline from the first N observations")
 		cooldown = flag.Duration("cooldown", time.Minute, "suppress triggers for this long after one")
 		action   = flag.String("exec", "", "shell command to run on each trigger")
-		trace    = flag.Bool("trace", false, "log every evaluated sample to stderr (bucket dynamics)")
+		trace    = flag.Bool("trace", false, "write a JSON-lines journal of every observation and decision to stderr (readable by rejuvtrace)")
 		quiet    = flag.Bool("q", false, "print only trigger lines, not the startup banner")
 	)
 	flag.Parse()
@@ -72,14 +74,15 @@ func main() {
 		detector, err = build(rejuv.Baseline{Mean: *mean, StdDev: *sd})
 	}
 	fatalIf(err)
+	var journal *rejuv.JournalWriter
 	if *trace {
-		detector, err = rejuv.NewTracer(detector, os.Stderr)
-		fatalIf(err)
+		journal = rejuv.NewJournalJSONWriter(os.Stderr, rejuv.JournalMeta{CreatedBy: "rejuvmon", Detector: *algo})
 	}
 
 	monitor, err := rejuv.NewMonitor(rejuv.MonitorConfig{
 		Detector: detector,
 		Cooldown: *cooldown,
+		Journal:  journal,
 		OnTrigger: func(t rejuv.Trigger) {
 			fmt.Printf("%s TRIGGER observation=%d sample_mean=%g\n",
 				t.Time.Format(time.RFC3339), t.Observations, t.Decision.SampleMean)
@@ -119,6 +122,9 @@ func main() {
 		}
 	})
 	fatalIf(scanner.Err())
+	if journal != nil {
+		fatalIf(journal.Err())
+	}
 	s := monitor.Stats()
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "rejuvmon: %d observations, %d triggers, %d suppressed\n",

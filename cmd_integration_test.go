@@ -193,6 +193,60 @@ func TestCmdRejuvmon(t *testing.T) {
 	}
 }
 
+// TestCmdRejuvmonTraceJournal drives rejuvmon -q -trace on a step
+// stream: stderr must be a JSON-lines journal that the journal reader
+// decodes, with one observe record per input value and the triggering
+// decision records that explain the rejuvenations on stdout.
+func TestCmdRejuvmonTraceJournal(t *testing.T) {
+	var input strings.Builder
+	for i := 0; i < 50; i++ {
+		input.WriteString("0.1\n")
+	}
+	for i := 0; i < 50; i++ {
+		input.WriteString("9.9\n")
+	}
+	cmd := exec.Command(cmdPath(t, "rejuvmon"), "-q", "-trace",
+		"-algo", "SRAA", "-n", "2", "-k", "2", "-d", "2",
+		"-mean", "0.1", "-sd", "0.1", "-cooldown", "0s")
+	cmd.Stdin = strings.NewReader(input.String())
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("rejuvmon -q -trace: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "TRIGGER") {
+		t.Fatalf("rejuvmon never triggered on a step stream:\n%s", stdout.String())
+	}
+	jr, err := rejuv.NewJournalReader(strings.NewReader(stderr.String()))
+	if err != nil {
+		t.Fatalf("stderr is not a journal: %v\n%.400s", err, stderr.String())
+	}
+	recs, err := jr.ReadAll()
+	if err != nil {
+		t.Fatalf("decoding the stderr journal: %v", err)
+	}
+	if jr.Format() != rejuv.JournalJSONL {
+		t.Errorf("journal format %v, want JSON lines", jr.Format())
+	}
+	var observes, triggers int
+	for _, r := range recs {
+		switch r.Kind {
+		case rejuv.JournalKindObserve:
+			observes++
+		case rejuv.JournalKindDecision:
+			if r.Triggered {
+				triggers++
+			}
+		}
+	}
+	if observes != 100 {
+		t.Errorf("journal has %d observe records, want one per input value (100)", observes)
+	}
+	if triggers == 0 {
+		t.Error("journal has no triggered decision record")
+	}
+}
+
 func TestCmdRejuvmonRejectsGarbage(t *testing.T) {
 	cmd := exec.Command(cmdPath(t, "rejuvmon"), "-mean", "1", "-sd", "1")
 	cmd.Stdin = strings.NewReader("not-a-number\n")

@@ -84,13 +84,13 @@
 //     registry in Prometheus text exposition format (or JSON) from
 //     /metrics, so the paper's bucket dynamics are visible on a
 //     dashboard in real time.
-//   - A TraceLog keeps a bounded ring of TraceEntry records, one per
-//     detector evaluation, capturing the inputs behind each decision:
-//     the sample mean, the target it was compared against, and the
+//   - A TraceLog keeps a bounded ring of the journal's decision records
+//     (JournalRecord), one per decision, capturing the inputs behind
+//     it: the sample mean, the target it was compared against, and the
 //     bucket state that resulted. After a trigger fires,
-//     TraceLog.TriggerContext returns the evaluations that led up to
-//     it — the evidence for the rejuvenation, ready to dump as JSON
-//     lines.
+//     TraceLog.TriggerContext returns the decisions that led up to it
+//     — the evidence for the rejuvenation, ready to dump in the
+//     journal's JSON-lines encoding.
 //   - A JournalWriter (the flight recorder) appends every observation,
 //     decision and control action to a durable event journal.
 //     ReplayJournal re-runs a fresh detector over the recorded

@@ -179,7 +179,7 @@ func ExampleNewTraceLog() {
 			suffix = "  TRIGGER"
 		}
 		fmt.Printf("obs=%d mean=%g target=%g level=%d fill=%d%s\n",
-			e.Observation, e.SampleMean, e.Target, e.Level, e.Fill, suffix)
+			e.Seq, e.SampleMean, e.Target, e.Level, e.Fill, suffix)
 	}
 	// Output:
 	// obs=4 mean=100 target=5 level=1 fill=0

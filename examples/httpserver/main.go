@@ -282,7 +282,7 @@ func main() {
 			mark = "  << trigger"
 		}
 		fmt.Printf("  obs %4d: mean %6.1f ms vs target %6.1f ms, bucket level %d fill %d%s\n",
-			e.Observation, e.SampleMean*1000, e.Target*1000, e.Level, e.Fill, mark)
+			e.Seq, e.SampleMean*1000, e.Target*1000, e.Level, e.Fill, mark)
 	}
 
 	// Close out the journal and prove the decision stream replays

@@ -66,7 +66,6 @@ var (
 	_ Instrumented = (*CUSUM)(nil)
 	_ Instrumented = (*Adaptive)(nil)
 	_ Instrumented = (*Rebase)(nil)
-	_ Instrumented = (*Tracer)(nil)
 )
 
 // Internals returns the control limit of the memoryless Shewhart chart.
@@ -95,15 +94,6 @@ func (a *Adaptive) Internals() Internals {
 		return Internals{SampleFill: int(a.acc.N())}
 	}
 	if in, ok := a.inner.(Instrumented); ok {
-		return in.Internals()
-	}
-	return Internals{}
-}
-
-// Internals delegates to the wrapped detector, returning the zero
-// snapshot when it is not instrumented.
-func (t *Tracer) Internals() Internals {
-	if in, ok := t.inner.(Instrumented); ok {
 		return in.Internals()
 	}
 	return Internals{}

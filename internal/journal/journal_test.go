@@ -54,13 +54,13 @@ func writeSample(jw *Writer) {
 	jw.StreamClose(71, 9001)
 	jw.Rebaseline(72, 0, 9.25, 2.5)
 	jw.Rebaseline(72.5, 9002, 9.25, 2.5)
-	jw.SchedEnqueue(80, 3, 4, 2, 95.5, 15, 0xDEC1)
-	jw.SchedDefer(80.5, 3, "budget", 4, 2, 1, 0xDEC1)
-	jw.SchedCoalesce(81, 3, "duplicate", 5, 2, 2, 96, 18.25, 0xDEC1)
-	jw.SchedStart(82, 3, "medium", 0.5, 30, 0xDEC1)
-	jw.SchedComplete(112, 3, true, 0xDEC1)
-	jw.SchedQuarantine(113, 4, "restart rpc unreachable", 0xBEEF)
-	jw.SchedReadmit(120, 4, 0)
+	jw.Record(Record{Kind: KindSchedEnqueue, Time: 80, Stream: 3, Level: 4, Fill: 2, EventTime: 95.5, Value: 15, TriggerID: 0xDEC1})
+	jw.Record(Record{Kind: KindSchedDefer, Time: 80.5, Stream: 3, Class: "budget", Level: 4, Fill: 2, Attempt: 1, TriggerID: 0xDEC1})
+	jw.Record(Record{Kind: KindSchedCoalesce, Time: 81, Stream: 3, Class: "duplicate", Level: 5, Fill: 2, Attempt: 2, EventTime: 96, Value: 18.25, TriggerID: 0xDEC1})
+	jw.Record(Record{Kind: KindSchedStart, Time: 82, Stream: 3, Class: "medium", Value: 0.5, Backoff: 30, TriggerID: 0xDEC1})
+	jw.Record(Record{Kind: KindSchedComplete, Time: 112, Stream: 3, OK: true, TriggerID: 0xDEC1})
+	jw.Record(Record{Kind: KindSchedQuarantine, Time: 113, Stream: 4, Class: "restart rpc unreachable", TriggerID: 0xBEEF})
+	jw.Record(Record{Kind: KindSchedReadmit, Time: 120, Stream: 4})
 }
 
 // wantSample is the decoded form of writeSample, in order.

@@ -83,8 +83,9 @@ func (jw *Writer) Count(k Kind) uint64 {
 
 // Record appends one fully populated record. The record's Seq is
 // overwritten with the writer's running sequence number. The typed
-// emitters below are the preferred interface; Record exists so analysis
-// tooling can rewrite journals.
+// emitters below serve the per-observation and simulator paths;
+// Record writes the rarer kinds (the scheduler's, via SchedRecord) and
+// lets analysis tooling rewrite journals.
 func (jw *Writer) Record(r Record) {
 	if jw.err != nil || !r.Kind.Valid() {
 		return
@@ -383,156 +384,6 @@ func (jw *Writer) Rebaseline(t float64, stream uint64, mean, sd float64) {
 	b = binary.AppendUvarint(b, stream)
 	b = appendF64(b, mean)
 	b = appendF64(b, sd)
-	jw.finish(b)
-}
-
-// SchedEnqueue records a rejuvenation request admitted to the scheduler
-// queue for the given replica, with the detector level/fill that raised
-// it, the QoS deadline horizon declared with the request (EventTime; 0
-// when none) and the computed urgency.
-func (jw *Writer) SchedEnqueue(t float64, replica uint64, level, fill int, deadline, urgency float64, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindSchedEnqueue)
-	if jw.jsonl(Record{Kind: KindSchedEnqueue, Seq: seq, Time: t,
-		Stream: replica, Level: level, Fill: fill, EventTime: deadline, Value: urgency, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedEnqueue, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	b = binary.AppendUvarint(b, uint64(level))
-	b = binary.AppendUvarint(b, uint64(fill))
-	b = appendF64(b, deadline)
-	b = appendF64(b, urgency)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// SchedDefer records a request the scheduler considered but did not
-// start, with the reason, the request's detector state and how many
-// times it has now been deferred.
-func (jw *Writer) SchedDefer(t float64, replica uint64, reason string, level, fill, deferrals int, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	reason = clipClass(reason)
-	seq := jw.nextSeq(KindSchedDefer)
-	if jw.jsonl(Record{Kind: KindSchedDefer, Seq: seq, Time: t,
-		Stream: replica, Class: reason, Level: level, Fill: fill, Attempt: deferrals, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedDefer, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	b = appendString(b, reason)
-	b = binary.AppendUvarint(b, uint64(level))
-	b = binary.AppendUvarint(b, uint64(fill))
-	b = binary.AppendUvarint(b, uint64(deferrals))
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// SchedCoalesce records a duplicate request merged into an already
-// queued entry, or a starved entry escalated past the deferral windows:
-// level/fill are the merged detector state, deadline the QoS horizon
-// declared with the duplicate (EventTime; 0 for escalations), count the
-// total requests the entry now represents, urgency its refreshed
-// priority.
-func (jw *Writer) SchedCoalesce(t float64, replica uint64, reason string, level, fill, count int, deadline, urgency float64, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	reason = clipClass(reason)
-	seq := jw.nextSeq(KindSchedCoalesce)
-	if jw.jsonl(Record{Kind: KindSchedCoalesce, Seq: seq, Time: t,
-		Stream: replica, Class: reason, Level: level, Fill: fill, Attempt: count, EventTime: deadline, Value: urgency, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedCoalesce, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	b = appendString(b, reason)
-	b = binary.AppendUvarint(b, uint64(level))
-	b = binary.AppendUvarint(b, uint64(fill))
-	b = binary.AppendUvarint(b, uint64(count))
-	b = appendF64(b, deadline)
-	b = appendF64(b, urgency)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// SchedStart records a rejuvenation action dispatched by the scheduler:
-// the Kijima tier name, its rollback fraction ρ and the pause (seconds)
-// the action holds the replica down.
-func (jw *Writer) SchedStart(t float64, replica uint64, tier string, rho, pause float64, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	tier = clipClass(tier)
-	seq := jw.nextSeq(KindSchedStart)
-	if jw.jsonl(Record{Kind: KindSchedStart, Seq: seq, Time: t,
-		Stream: replica, Class: tier, Value: rho, Backoff: pause, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedStart, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	b = appendString(b, tier)
-	b = appendF64(b, rho)
-	b = appendF64(b, pause)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// SchedComplete records a dispatched action finishing; ok reports
-// whether the replica returned to service.
-func (jw *Writer) SchedComplete(t float64, replica uint64, ok bool, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindSchedComplete)
-	if jw.jsonl(Record{Kind: KindSchedComplete, Seq: seq, Time: t, Stream: replica, OK: ok, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedComplete, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	if ok {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// SchedQuarantine records a replica quarantined after its actuator gave
-// up, with the terminal error text.
-func (jw *Writer) SchedQuarantine(t float64, replica uint64, errText string, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	errText = clipClass(errText)
-	seq := jw.nextSeq(KindSchedQuarantine)
-	if jw.jsonl(Record{Kind: KindSchedQuarantine, Seq: seq, Time: t, Stream: replica, Class: errText, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedQuarantine, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	b = appendString(b, errText)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// SchedReadmit records a quarantined replica re-admitted to scheduling.
-func (jw *Writer) SchedReadmit(t float64, replica uint64, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindSchedReadmit)
-	if jw.jsonl(Record{Kind: KindSchedReadmit, Seq: seq, Time: t, Stream: replica, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedReadmit, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	b = appendTriggerID(b, triggerID)
 	jw.finish(b)
 }
 

@@ -17,13 +17,14 @@ import (
 // updateGolden regenerates the writer byte pins under testdata instead
 // of comparing against them:
 //
-//	go test -run TestWriterBytesPinned -update-golden ./internal/journal
+//	go test ./internal/journal -run TestWriterBytesPinned -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata writer byte pins")
 
-// pinnedEmitters writes one record of every kind through the typed
-// emitters. The values exercise every optional encoding: non-zero
-// stream ids, trigger ids present and absent, class strings, ±0 and
-// negative zero time. The two trailing records carry NaN, which only
+// pinnedEmitters writes one record of every kind: through the typed
+// emitters, and through Record for the scheduler kinds, which have
+// none. The values exercise every optional encoding: non-zero stream
+// ids, trigger ids present and absent, class strings, ±0 and negative
+// zero time. The two trailing records carry NaN, which only
 // the binary codec can encode; the JSONL encoder rejects it, so they
 // come last and the JSONL pin ends where the error latches.
 var pinnedEmitters = []func(jw *Writer){
@@ -57,17 +58,20 @@ var pinnedEmitters = []func(jw *Writer){
 	func(jw *Writer) { jw.ActGiveUp(67, 3, "budget exhausted", 0x7A11_0000_0002) },
 	func(jw *Writer) { jw.Rebaseline(68, 300, 12.75, math.Copysign(0, -1)) },
 	func(jw *Writer) { jw.StreamClose(69, 300) },
-	func(jw *Writer) { jw.SchedEnqueue(70, 5, 4, 1, 130.5, 22.25, 0x7A11_0000_0001) },
-	func(jw *Writer) { jw.SchedDefer(70.5, 5, "capacity-floor", 4, 1, 3, 0) },
-	func(jw *Writer) { jw.SchedCoalesce(71, 5, "starved", 5, 0, 4, 0, 30.5, 0x7A11_0000_0001) },
-	func(jw *Writer) { jw.SchedStart(72, 5, "major", 1, 45, 0x7A11_0000_0001) },
-	func(jw *Writer) { jw.SchedComplete(117, 5, false, 0) },
-	func(jw *Writer) { jw.SchedQuarantine(118, 6, "actuator gave up", 0x7A11_0000_0003) },
-	func(jw *Writer) { jw.SchedReadmit(200, 6, 0x7A11_0000_0003) },
+	record(Record{Kind: KindSchedEnqueue, Time: 70, Stream: 5, Level: 4, Fill: 1, EventTime: 130.5, Value: 22.25, TriggerID: 0x7A11_0000_0001}),
+	record(Record{Kind: KindSchedDefer, Time: 70.5, Stream: 5, Class: "capacity-floor", Level: 4, Fill: 1, Attempt: 3}),
+	record(Record{Kind: KindSchedCoalesce, Time: 71, Stream: 5, Class: "starved", Level: 5, Attempt: 4, Value: 30.5, TriggerID: 0x7A11_0000_0001}),
+	record(Record{Kind: KindSchedStart, Time: 72, Stream: 5, Class: "major", Value: 1, Backoff: 45, TriggerID: 0x7A11_0000_0001}),
+	record(Record{Kind: KindSchedComplete, Time: 117, Stream: 5}),
+	record(Record{Kind: KindSchedQuarantine, Time: 118, Stream: 6, Class: "actuator gave up", TriggerID: 0x7A11_0000_0003}),
+	record(Record{Kind: KindSchedReadmit, Time: 200, Stream: 6, TriggerID: 0x7A11_0000_0003}),
 	// NaN-carrying records: binary only.
 	func(jw *Writer) { jw.Observe(201, 301, math.NaN()) },
 	func(jw *Writer) { jw.Fault(202, "stall", math.NaN()) },
 }
+
+// record writes r through Writer.Record.
+func record(r Record) func(*Writer) { return func(jw *Writer) { jw.Record(r) } }
 
 // pinnedNaNRecords counts the trailing NaN records of pinnedEmitters.
 const pinnedNaNRecords = 2
@@ -138,7 +142,7 @@ func assertPinned(t *testing.T, name, got string) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing pin (run go test -update-golden ./internal/journal): %v", err)
+		t.Fatalf("missing pin (run go test ./internal/journal -run TestWriterBytesPinned -update-golden): %v", err)
 	}
 	if got != string(want) {
 		t.Errorf("writer bytes diverged from %s.\ngot:\n%s\nwant:\n%s", path, got, want)

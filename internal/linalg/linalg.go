@@ -62,15 +62,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns the element at (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -93,66 +84,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 		m.Data[i] *= s
 	}
 	return m
-}
-
-// Mul returns the matrix product m*other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.Cols != other.Rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d * %dx%d",
-			m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if num.Zero(a) {
-				continue
-			}
-			row := other.Data[k*other.Cols : (k+1)*other.Cols]
-			outRow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, b := range row {
-				outRow[j] += a * b
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns the matrix-vector product m*x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if m.Cols != len(x) {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %dx%d * %d",
-			m.Rows, m.Cols, len(x)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// VecMul returns the vector-matrix product x*m (x treated as a row vector).
-func (m *Matrix) VecMul(x []float64) []float64 {
-	if m.Rows != len(x) {
-		panic(fmt.Sprintf("linalg: VecMul dimension mismatch %d * %dx%d",
-			len(x), m.Rows, m.Cols))
-	}
-	out := make([]float64, m.Cols)
-	for i, xi := range x {
-		if num.Zero(xi) {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			out[j] += xi * v
-		}
-	}
-	return out
 }
 
 // String renders the matrix for debugging.
@@ -262,40 +193,6 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// SolveMatrix returns X with a*X = b, solving column by column.
-func SolveMatrix(a, b *Matrix) (*Matrix, error) {
-	if a.Rows != b.Rows {
-		return nil, fmt.Errorf("linalg: SolveMatrix dimension mismatch %d != %d", a.Rows, b.Rows)
-	}
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	out := NewMatrix(b.Rows, b.Cols)
-	col := make([]float64, b.Rows)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < b.Rows; i++ {
-			col[i] = b.At(i, j)
-		}
-		x, err := f.Solve(col)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range x {
-			out.Set(i, j, v)
-		}
-	}
-	return out, nil
-}
-
-// Inverse returns the inverse of a.
-func Inverse(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Inverse needs square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	return SolveMatrix(a, Identity(a.Rows))
 }
 
 // Dot returns the inner product of two equal-length vectors.

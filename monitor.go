@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rejuv/internal/core"
+	"rejuv/internal/journal"
 )
 
 // Trigger describes one rejuvenation trigger raised by a Monitor.
@@ -50,9 +51,10 @@ type MonitorConfig struct {
 	// into a metrics Registry: counts, an observed-value histogram,
 	// cooldown state and detector internals. See NewCollector.
 	Collector *Collector
-	// Trace, when non-nil, records every evaluated detector decision
-	// (one TraceEntry per completed sample) into the ring buffer, so a
-	// fired trigger can be explained after the fact. See NewTraceLog.
+	// Trace, when non-nil, keeps the most recent decisions in a ring of
+	// journal decision records — the records Journal receives, with the
+	// observation ordinal and value added — so a fired trigger can be
+	// explained after the fact without a journal. See NewTraceLog.
 	Trace *TraceLog
 	// Journal, when non-nil, records every observation and every
 	// evaluated decision to the flight recorder, with timestamps in
@@ -124,8 +126,8 @@ type Monitor struct {
 
 	mu    sync.Mutex
 	stats MonitorStats // guarded by mu
-	// epoch anchors journal timestamps at the first observation; the
-	// zero value means no observation was journaled yet.
+	// epoch anchors journal and trace timestamps at the first
+	// observation; the zero value means none was recorded yet.
 	epoch time.Time // guarded by mu
 	// hygiene remembers the last admitted value, the substitute
 	// HygieneClamp falls back to.
@@ -227,28 +229,34 @@ func (m *Monitor) Observe(x float64) {
 			c.rejected.Inc()
 		}
 	}
-	if tl := m.cfg.Trace; tl != nil && d.Evaluated {
-		tl.Record(m.traceEntry(now, v, d, suppressed, tid))
-	}
-	if jw := m.cfg.Journal; jw != nil {
+	if tl, jw := m.cfg.Trace, m.cfg.Journal; tl != nil || jw != nil {
 		if m.epoch.IsZero() {
 			m.epoch = now
 		}
 		t := now.Sub(m.epoch).Seconds()
-		if intercepted {
-			jw.Fault(t, hygieneClass(x), 0)
-		}
-		jw.Observe(t, 0, v)
-		if rebased {
-			b := m.reb.CurrentBaseline()
-			jw.Rebaseline(t, 0, b.Mean, b.StdDev)
+		if jw != nil {
+			if intercepted {
+				jw.Fault(t, hygieneClass(x), 0)
+			}
+			jw.Observe(t, 0, v)
+			if rebased {
+				b := m.reb.CurrentBaseline()
+				jw.Rebaseline(t, 0, b.Mean, b.StdDev)
+			}
 		}
 		if d.Evaluated || d.Triggered {
 			var in DetectorInternals
 			if instr, ok := m.cfg.Detector.(Instrumented); ok {
 				in = instr.Internals()
 			}
-			jw.Decision(t, 0, d, in, suppressed, tid)
+			if jw != nil {
+				jw.Decision(t, 0, d, in, suppressed, tid)
+			}
+			if tl != nil {
+				r := journal.DecisionRecord(t, d, in, suppressed)
+				r.Seq, r.Value, r.TriggerID = m.stats.Observations, v, tid
+				tl.Record(r)
+			}
 		}
 	}
 	if d.Triggered && !suppressed {
@@ -344,31 +352,6 @@ func (m *Monitor) CheckStall() bool {
 		}
 	}
 	return m.dog.Stalled()
-}
-
-// traceEntry assembles the trace record for one evaluated decision,
-// folding in detector internals when available. Callers hold m.mu.
-//
-//lint:holds mu
-func (m *Monitor) traceEntry(now time.Time, x float64, d Decision, suppressed bool, tid uint64) TraceEntry {
-	e := TraceEntry{
-		Observation: m.stats.Observations,
-		Time:        now,
-		Value:       x,
-		SampleMean:  d.SampleMean,
-		Target:      d.Target,
-		Level:       d.Level,
-		Fill:        d.Fill,
-		Triggered:   d.Triggered,
-		Suppressed:  suppressed,
-		TriggerID:   tid,
-	}
-	if in, ok := m.cfg.Detector.(Instrumented); ok {
-		snap := in.Internals()
-		e.SampleSize = snap.SampleSize
-		e.Statistic = snap.Statistic
-	}
-	return e
 }
 
 // ObserveDuration reports a duration observation in seconds, the natural

@@ -1,6 +1,7 @@
 package rejuv_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -146,7 +147,9 @@ func TestTraceLogExplainsTrigger(t *testing.T) {
 		t.Errorf("trace records mean %v not exceeding target %v: cannot explain the trigger",
 			last.SampleMean, last.Target)
 	}
-	if last.Value != 100 || last.Observation == 0 || !last.Time.Equal(now) {
+	// Every observation lands at the same instant, so each record sits
+	// at the journal clock's origin: 0 seconds after the first one.
+	if last.Value != 100 || last.Seq == 0 || last.Time != 0 {
 		t.Errorf("entry inputs wrong: %+v", last)
 	}
 
@@ -172,17 +175,122 @@ func TestTraceLogExplainsTrigger(t *testing.T) {
 			hdr, trace.Len(), trace.Total(), trace.Dropped())
 	}
 	for _, line := range lines[1:] {
-		var e rejuv.TraceEntry
+		var e rejuv.JournalRecord
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			t.Fatalf("unparseable trace line %q: %v", line, err)
 		}
 	}
 }
 
+// TestTraceLogMatchesJournal pins the one-schema contract: the trace
+// ring holds the very decision records the monitor journals. One
+// monitor feeds both sinks over a stream that triggers, has triggers
+// eaten by the cooldown and wraps the ring; every retained ring record
+// must equal its journal decision record on every field but Seq and
+// Value, which the ring fills from the observe stream instead.
+func TestTraceLogMatchesJournal(t *testing.T) {
+	det, err := rejuv.NewSRAA(rejuv.SRAAConfig{
+		SampleSize: 2, Buckets: 2, Depth: 1,
+		Baseline: rejuv.Baseline{Mean: 5, StdDev: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := rejuv.NewTraceLog(8)
+	var buf bytes.Buffer
+	jw := rejuv.NewJournalWriter(&buf, rejuv.JournalMeta{Detector: "SRAA"})
+	clock := time.Unix(3000, 0)
+	m, err := rejuv.NewMonitor(rejuv.MonitorConfig{
+		Detector:  det,
+		OnTrigger: func(rejuv.Trigger) {},
+		Cooldown:  20 * time.Second,
+		Trace:     trace,
+		Journal:   jw,
+		Now: func() time.Time {
+			clock = clock.Add(1250 * time.Millisecond)
+			return clock
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 120; i++ {
+		v := 3.0 + float64(i%4)
+		if i%40 >= 10 {
+			v = 100 + float64(i)
+		}
+		m.Observe(v)
+	}
+	if err := jw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Stats()
+	if st.Triggers == 0 || st.Suppressed == 0 {
+		t.Fatalf("stream must both deliver and suppress triggers: %+v", st)
+	}
+
+	jr, err := rejuv.NewJournalReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := jr.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each journal decision, with the observation ordinal and value of
+	// the observe record written just before it.
+	type decision struct {
+		rec   rejuv.JournalRecord
+		seq   uint64
+		value float64
+	}
+	var decisions []decision
+	var observed uint64
+	var lastValue float64
+	for _, r := range recs {
+		switch r.Kind {
+		case rejuv.JournalKindObserve:
+			observed++
+			lastValue = r.Value
+		case rejuv.JournalKindDecision:
+			decisions = append(decisions, decision{r, observed, lastValue})
+		}
+	}
+	if trace.Total() != uint64(len(decisions)) {
+		t.Fatalf("ring recorded %d decisions, journal %d", trace.Total(), len(decisions))
+	}
+
+	ring := trace.Entries()
+	if len(ring) != 8 || trace.Total() <= uint64(len(ring)) {
+		t.Fatalf("ring did not wrap: retained %d of %d", len(ring), trace.Total())
+	}
+	var triggered, suppressed int
+	for i, got := range ring {
+		want := decisions[len(decisions)-len(ring)+i]
+		if got.Seq != want.seq || got.Value != want.value {
+			t.Errorf("ring record %d: seq=%d value=%v, want observation %d value %v",
+				i, got.Seq, got.Value, want.seq, want.value)
+		}
+		got.Seq, got.Value = want.rec.Seq, want.rec.Value
+		if got != want.rec {
+			t.Errorf("ring record %d differs from the journal:\n ring    %+v\n journal %+v", i, got, want.rec)
+		}
+		if got.Triggered {
+			triggered++
+		}
+		if got.Suppressed {
+			suppressed++
+		}
+	}
+	if triggered == 0 || suppressed == 0 {
+		t.Errorf("retained window has %d triggered and %d suppressed records; want both", triggered, suppressed)
+	}
+}
+
 func TestTraceLogRingOverwritesOldest(t *testing.T) {
 	l := rejuv.NewTraceLog(3)
 	for i := 1; i <= 5; i++ {
-		l.Record(rejuv.TraceEntry{Observation: uint64(i)})
+		l.Record(rejuv.JournalRecord{Seq: uint64(i)})
 	}
 	if l.Len() != 3 {
 		t.Fatalf("len = %d, want 3", l.Len())
@@ -192,7 +300,7 @@ func TestTraceLogRingOverwritesOldest(t *testing.T) {
 	}
 	got := l.Entries()
 	for i, want := range []uint64{3, 4, 5} {
-		if got[i].Observation != want {
+		if got[i].Seq != want {
 			t.Fatalf("entries = %+v, want observations 3,4,5 oldest-first", got)
 		}
 	}
@@ -211,14 +319,14 @@ func TestTraceLogDroppedCountsUnreadOverwrites(t *testing.T) {
 	l.Instrument(reg)
 
 	for i := 1; i <= 3; i++ {
-		l.Record(rejuv.TraceEntry{Observation: uint64(i)})
+		l.Record(rejuv.JournalRecord{Seq: uint64(i)})
 	}
 	if l.Dropped() != 0 {
 		t.Fatalf("dropped=%d before any overwrite", l.Dropped())
 	}
 
 	// Entry 1 was never snapshotted; overwriting it is a drop.
-	l.Record(rejuv.TraceEntry{Observation: 4})
+	l.Record(rejuv.JournalRecord{Seq: 4})
 	if l.Dropped() != 1 {
 		t.Fatalf("dropped=%d after unread overwrite, want 1", l.Dropped())
 	}
@@ -227,7 +335,7 @@ func TestTraceLogDroppedCountsUnreadOverwrites(t *testing.T) {
 	// next three overwrites are not drops.
 	_ = l.Entries()
 	for i := 5; i <= 7; i++ {
-		l.Record(rejuv.TraceEntry{Observation: uint64(i)})
+		l.Record(rejuv.JournalRecord{Seq: uint64(i)})
 	}
 	if l.Dropped() != 1 {
 		t.Fatalf("dropped=%d after overwriting read entries, want still 1", l.Dropped())
@@ -235,7 +343,7 @@ func TestTraceLogDroppedCountsUnreadOverwrites(t *testing.T) {
 
 	// Entry 5 (recorded after the snapshot) is unread; dropping it
 	// counts again.
-	l.Record(rejuv.TraceEntry{Observation: 8})
+	l.Record(rejuv.JournalRecord{Seq: 8})
 	if l.Dropped() != 2 {
 		t.Fatalf("dropped=%d, want 2", l.Dropped())
 	}

@@ -1,8 +1,6 @@
 package rejuv
 
 import (
-	"io"
-
 	"rejuv/internal/core"
 	"rejuv/internal/ecommerce"
 )
@@ -147,17 +145,6 @@ type Rebaseliner = core.Rebaseliner
 // is invoked once up front and again after every committed rebaseline.
 func NewRebaseDetector(cfg ShiftConfig, base Baseline, build func(Baseline) (Detector, error)) (*Rebase, error) {
 	return core.NewRebase(cfg, base, build)
-}
-
-// Tracer wraps a detector and logs every evaluated decision, for
-// offline analysis of bucket dynamics.
-type Tracer = core.Tracer
-
-// NewTracer wraps a detector so each evaluated sample writes one line
-// to w (and triggers are marked), for replaying logs and debugging
-// configurations.
-func NewTracer(inner Detector, w io.Writer) (*Tracer, error) {
-	return core.NewTracer(inner, w)
 }
 
 // SimulationConfig parameterizes the paper's e-commerce system model

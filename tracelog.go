@@ -4,63 +4,31 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"time"
 )
-
-// TraceEntry is one recorded detector decision with the inputs that
-// produced it, so a fired trigger can be explained after the fact:
-// which sample mean, compared against which target, moved which bucket.
-type TraceEntry struct {
-	// Observation is the monitor's observation count when the decision
-	// was made (1-based).
-	Observation uint64 `json:"observation"`
-	// Time is the wall-clock time of the decision, from
-	// MonitorConfig.Now.
-	Time time.Time `json:"time"`
-	// Value is the raw observation that completed the sample.
-	Value float64 `json:"value"`
-	// SampleMean is the completed sample mean the detector evaluated.
-	SampleMean float64 `json:"sample_mean"`
-	// Target is the threshold SampleMean was compared against.
-	Target float64 `json:"target"`
-	// Level is the bucket pointer N after the step (0 for detectors
-	// without buckets).
-	Level int `json:"level"`
-	// Fill is the ball count d after the step (0 for detectors without
-	// buckets).
-	Fill int `json:"fill"`
-	// SampleSize is the sample size in effect after the step, when the
-	// detector is Instrumented (0 otherwise).
-	SampleSize int `json:"sample_size,omitempty"`
-	// Statistic is the chart statistic after the step for EWMA/CUSUM
-	// detectors, when Instrumented.
-	Statistic float64 `json:"statistic,omitempty"`
-	// Triggered reports that this decision called for rejuvenation.
-	Triggered bool `json:"triggered,omitempty"`
-	// Suppressed reports that the trigger fell inside the cooldown
-	// window and was not delivered.
-	Suppressed bool `json:"suppressed,omitempty"`
-	// TriggerID is the correlation id minted for a triggering decision
-	// (see Trigger.ID); 0 on non-triggering entries.
-	TriggerID uint64 `json:"trigger_id,omitempty"`
-}
 
 // DefaultTraceCapacity is the ring size NewTraceLog uses when given a
 // non-positive capacity.
 const DefaultTraceCapacity = 1024
 
-// TraceLog is a fixed-capacity ring buffer of detector decisions.
-// Attach one via MonitorConfig.Trace and the monitor records every
-// evaluated decision (one entry per completed sample, not per raw
-// observation); when the ring is full the oldest entries are
-// overwritten. All methods are safe for concurrent use.
+// TraceLog is a fixed-capacity ring buffer of detector decisions, held
+// as journal decision records. Attach one via MonitorConfig.Trace and
+// the monitor records every decision it would journal (one record per
+// completed sample or trigger, not per raw observation); when the ring
+// is full the oldest records are overwritten. All methods are safe for
+// concurrent use.
+//
+// A ring record is the record the monitor hands its journal — same
+// Time, Stream (0) and TriggerID — with two fields the journal leaves
+// to its observe records: Seq is the monitor's 1-based observation
+// ordinal at the decision (not a journal sequence number), and Value is
+// the observation that completed the sample.
 type TraceLog struct {
 	mu      sync.Mutex
-	entries []TraceEntry // guarded by mu
-	next    int          // ring write position once the ring is full; guarded by mu
-	total   uint64       // entries ever recorded; guarded by mu
-	readTo  uint64       // highest ordinal included in any snapshot so far; guarded by mu
-	dropped uint64       // entries overwritten before any snapshot saw them; guarded by mu
+	entries []JournalRecord // guarded by mu
+	next    int             // ring write position once the ring is full; guarded by mu
+	total   uint64          // records ever recorded; guarded by mu
+	readTo  uint64          // highest ordinal included in any snapshot so far; guarded by mu
+	dropped uint64          // records overwritten before any snapshot saw them; guarded by mu
 
 	// droppedCtr mirrors dropped into a metrics registry when
 	// Instrument was called; nil otherwise; guarded by mu.
@@ -68,18 +36,18 @@ type TraceLog struct {
 }
 
 // NewTraceLog returns a trace log keeping the most recent capacity
-// entries (DefaultTraceCapacity when capacity <= 0).
+// records (DefaultTraceCapacity when capacity <= 0).
 func NewTraceLog(capacity int) *TraceLog {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &TraceLog{entries: make([]TraceEntry, 0, capacity)}
+	return &TraceLog{entries: make([]JournalRecord, 0, capacity)}
 }
 
-// Record appends one entry, overwriting the oldest once the ring is
+// Record appends one record, overwriting the oldest once the ring is
 // full. Monitors call it automatically; it is exported so replay and
 // analysis tooling can build logs from recorded data.
-func (l *TraceLog) Record(e TraceEntry) {
+func (l *TraceLog) Record(e JournalRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.total++
@@ -87,7 +55,7 @@ func (l *TraceLog) Record(e TraceEntry) {
 		l.entries = append(l.entries, e) //lint:allow hotpath the ring is preallocated at capacity; this append never grows
 		return
 	}
-	// Entries carry 1-based ordinals; the one being overwritten is the
+	// Records carry 1-based ordinals; the one being overwritten is the
 	// oldest retained, ordinal total - capacity. If no snapshot ever
 	// included it, its evidence is lost for good — count the drop so
 	// operators can tell "the ring was big enough" from "we lost
@@ -105,7 +73,7 @@ func (l *TraceLog) Record(e TraceEntry) {
 	}
 }
 
-// Dropped returns the number of entries that were overwritten before
+// Dropped returns the number of records that were overwritten before
 // any snapshot (Entries, TriggerContext or Dump) had seen them.
 func (l *TraceLog) Dropped() uint64 {
 	l.mu.Lock()
@@ -115,7 +83,7 @@ func (l *TraceLog) Dropped() uint64 {
 
 // Instrument registers rejuv_tracelog_dropped_total in reg and
 // increments it whenever the ring overwrites a never-snapshotted
-// entry. Call it once, before the log is attached to a monitor.
+// record. Call it once, before the log is attached to a monitor.
 func (l *TraceLog) Instrument(reg *Registry, labels ...Label) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -124,14 +92,14 @@ func (l *TraceLog) Instrument(reg *Registry, labels ...Label) {
 	l.droppedCtr.Add(l.dropped)
 }
 
-// Len returns the number of entries currently retained.
+// Len returns the number of records currently retained.
 func (l *TraceLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.entries)
 }
 
-// Total returns the number of entries ever recorded, including those
+// Total returns the number of records ever recorded, including those
 // already overwritten.
 func (l *TraceLog) Total() uint64 {
 	l.mu.Lock()
@@ -139,8 +107,8 @@ func (l *TraceLog) Total() uint64 {
 	return l.total
 }
 
-// Entries returns a copy of the retained entries, oldest first.
-func (l *TraceLog) Entries() []TraceEntry {
+// Entries returns a copy of the retained records, oldest first.
+func (l *TraceLog) Entries() []JournalRecord {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.readTo = l.total
@@ -150,8 +118,8 @@ func (l *TraceLog) Entries() []TraceEntry {
 // snapshotLocked copies the ring in oldest-first order; l.mu is held.
 //
 //lint:holds mu
-func (l *TraceLog) snapshotLocked() []TraceEntry {
-	out := make([]TraceEntry, 0, len(l.entries))
+func (l *TraceLog) snapshotLocked() []JournalRecord {
+	out := make([]JournalRecord, 0, len(l.entries))
 	if len(l.entries) == cap(l.entries) {
 		out = append(out, l.entries[l.next:]...)
 		out = append(out, l.entries[:l.next]...)
@@ -160,11 +128,11 @@ func (l *TraceLog) snapshotLocked() []TraceEntry {
 	return append(out, l.entries...)
 }
 
-// TriggerContext returns the most recent triggered entry together with
-// up to k-1 entries leading into it, oldest first — the minimal
+// TriggerContext returns the most recent triggered record together with
+// up to k-1 records leading into it, oldest first — the minimal
 // explanation of why the detector fired. It returns nil when no
-// retained entry triggered.
-func (l *TraceLog) TriggerContext(k int) []TraceEntry {
+// retained record triggered.
+func (l *TraceLog) TriggerContext(k int) []JournalRecord {
 	if k <= 0 {
 		return nil
 	}
@@ -186,23 +154,23 @@ func (l *TraceLog) TriggerContext(k int) []TraceEntry {
 }
 
 // dumpHeader is the first line of a Dump: how much of the decision
-// history the entry lines that follow actually cover.
+// history the record lines that follow actually cover.
 type dumpHeader struct {
-	// Retained is the number of entry lines that follow.
+	// Retained is the number of record lines that follow.
 	Retained int `json:"retained"`
-	// Total is the number of entries ever recorded.
+	// Total is the number of records ever recorded.
 	Total uint64 `json:"total"`
-	// Dropped is the number of entries overwritten before any snapshot
+	// Dropped is the number of records overwritten before any snapshot
 	// saw them — evidence lost for good.
 	Dropped uint64 `json:"dropped"`
 }
 
-// Dump writes a header line followed by the retained entries as JSON
-// lines (one object per line, oldest first), the format jq and log
-// pipelines expect. The header reports how many entries the dump
-// retains, how many were ever recorded, and how many were dropped
-// (overwritten before any snapshot saw them), so a reader can tell a
-// complete history from a truncated one.
+// Dump writes a header line followed by the retained records, oldest
+// first, one JSON object per line in the journal's JSON-lines record
+// encoding. The header reports how many records the dump retains, how
+// many were ever recorded, and how many were dropped (overwritten
+// before any snapshot saw them), so a reader can tell a complete
+// history from a truncated one.
 func (l *TraceLog) Dump(w io.Writer) error {
 	l.mu.Lock()
 	l.readTo = l.total
@@ -214,8 +182,8 @@ func (l *TraceLog) Dump(w io.Writer) error {
 	if err := enc.Encode(hdr); err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if err := enc.Encode(e); err != nil {
+	for _, r := range entries {
+		if err := enc.Encode(r); err != nil {
 			return err
 		}
 	}
