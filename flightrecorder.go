@@ -72,7 +72,7 @@ type JournalWriter = journal.Writer
 
 // NewJournalWriter returns a writer emitting the binary codec to w,
 // writing the header immediately. Wrap w in a bufio.Writer when it is
-// a file; the journal issues two small writes per record.
+// a file; the journal issues one small Write per record.
 func NewJournalWriter(w io.Writer, meta JournalMeta) *JournalWriter {
 	return journal.NewWriter(w, meta)
 }

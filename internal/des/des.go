@@ -6,9 +6,15 @@
 // virtual time. The simulator's owner installs one Dispatch function
 // and switches on the kind when an event fires, so scheduling captures
 // no closure. Events live by value in a slab whose free slots thread an
-// intrusive free list, and the queue is a binary heap of slot indices
-// ordered by (time, seq): once the slab and heap have grown to the peak
-// number of pending events, neither scheduling nor firing allocates.
+// intrusive free list. The queue is a binary heap of slot indices
+// ordered by (time, seq), plus one lane: an owner built with NewLaned
+// names a kind of which it usually keeps at most one event pending (the
+// next Poisson arrival, say), and while the lane is empty the next event
+// of that kind waits there instead of in the heap, so it costs no sift.
+// Step fires the lesser of the heap top and the lane entry by the same
+// (time, seq) key, so the lane never changes the firing order. Once the
+// slab and heap have grown to the peak number of pending events, neither
+// scheduling nor firing allocates.
 //
 // Scheduling returns a generation-checked Handle that can be cancelled
 // or rescheduled, which the e-commerce model uses to push back in-flight
@@ -45,8 +51,9 @@ type Handle struct {
 	gen  uint32
 }
 
-// event is one slab slot. While queued, pos is its index in the heap;
-// while free, next links it into the free list.
+// event is one slab slot. While queued in the heap, pos is its index
+// there; while in the lane, pos is negative; while free, next links it
+// into the free list.
 type event struct {
 	time float64
 	seq  uint64 // tie-breaker: FIFO among same-time events
@@ -57,8 +64,13 @@ type event struct {
 	arg  int32
 }
 
-// noSlot terminates the free list.
+// noSlot terminates the free list, marks an empty lane and is the pos
+// of the lane entry.
 const noSlot int32 = -1
+
+// noLane is the lane slot of a simulator built without a lane; as it is
+// not noSlot, no event ever takes the lane.
+const noLane int32 = -2
 
 // Simulator owns the virtual clock and the event queue. Build it with
 // New.
@@ -68,6 +80,8 @@ type Simulator struct {
 	slab     []event
 	free     int32   // head of the free-slot list, noSlot when empty
 	heap     []int32 // slot indices, a min-heap by (time, seq)
+	lane     Kind    // the kind NewLaned keeps out of the heap
+	laneSlot int32   // the lane entry's slot; noSlot while empty, noLane without a lane
 	dispatch Dispatch
 	stopped  bool
 	met      *simMetrics     // nil unless Instrument was called
@@ -76,13 +90,31 @@ type Simulator struct {
 
 // New returns a simulator at virtual time zero with an empty queue that
 // hands every fired event to d.
-func New(d Dispatch) *Simulator { return &Simulator{free: noSlot, dispatch: d} }
+func New(d Dispatch) *Simulator {
+	return &Simulator{free: noSlot, laneSlot: noLane, dispatch: d}
+}
+
+// NewLaned is New with a lane for events of the given kind: while no
+// event of that kind waits in the lane, the next one scheduled does,
+// outside the heap; any further one goes to the heap. Name the kind the
+// owner keeps at most one of pending, such as its next arrival. The
+// lane only saves heap work and never changes which event fires next.
+func NewLaned(d Dispatch, lane Kind) *Simulator {
+	s := New(d)
+	s.lane, s.laneSlot = lane, noSlot
+	return s
+}
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() float64 { return s.now }
 
-// Len returns the number of pending events.
-func (s *Simulator) Len() int { return len(s.heap) }
+// Len returns the number of pending events, in the heap and the lane.
+func (s *Simulator) Len() int {
+	if s.laneSlot >= 0 {
+		return len(s.heap) + 1
+	}
+	return len(s.heap)
+}
 
 // ScheduleAt schedules an event of the given kind and argument at
 // absolute virtual time t. It panics if t precedes the current time or
@@ -96,7 +128,7 @@ func (s *Simulator) ScheduleAt(t float64, kind Kind, arg int32) Handle {
 	e := &s.slab[i]
 	e.time, e.seq, e.kind, e.arg = t, s.seq, kind, arg
 	s.seq++
-	s.push(i)
+	s.enqueue(i)
 	s.noteScheduled()
 	s.journalScheduled(t)
 	return Handle{slot: i, gen: e.gen}
@@ -134,7 +166,7 @@ func (s *Simulator) Cancel(h Handle) {
 	if !s.Pending(h) {
 		return
 	}
-	s.remove(s.slab[h.slot].pos)
+	s.unlink(h.slot)
 	s.release(h.slot)
 	s.noteCancelled()
 	s.journalCancelled()
@@ -142,9 +174,10 @@ func (s *Simulator) Cancel(h Handle) {
 
 // Reschedule moves the pending event h to absolute time t, keeping its
 // kind and argument; it takes a fresh sequence number, so it fires
-// after events already scheduled for the same time. It panics if t
-// precedes the current time or if h is not pending: moving an event
-// that already fired or was cancelled is a modeling bug.
+// after events already scheduled for the same time. An event waiting in
+// the lane stays there and needs no sift. It panics if t precedes the
+// current time or if h is not pending: moving an event that already
+// fired or was cancelled is a modeling bug.
 func (s *Simulator) Reschedule(h Handle, t float64) {
 	if math.IsNaN(t) || t < s.now {
 		//lint:allow hotpath formatting the modeling-bug panic happens at most once per process
@@ -157,14 +190,17 @@ func (s *Simulator) Reschedule(h Handle, t float64) {
 	e.time = t
 	e.seq = s.seq
 	s.seq++
-	s.fix(e.pos)
+	if e.pos >= 0 {
+		s.fix(e.pos)
+	}
 }
 
 // Stop makes the current Run call return after the executing dispatch
 // completes. Pending events remain queued.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// Step fires the next pending event, advancing the clock to its time.
+// Step fires the next pending event, the lesser by (time, seq) of the
+// heap top and the lane entry, advancing the clock to its time.
 // It returns false when no events are pending. Step is the kernel's
 // inner loop: everything it reaches (metrics, journaling) must stay
 // allocation-free so event throughput is bounded by the dispatch alone.
@@ -173,11 +209,22 @@ func (s *Simulator) Stop() { s.stopped = true }
 //
 //lint:hotpath
 func (s *Simulator) Step() bool {
-	if len(s.heap) == 0 {
+	i := noSlot
+	if len(s.heap) > 0 {
+		i = s.heap[0]
+	}
+	if l := s.laneSlot; l >= 0 && (i == noSlot || s.less(l, i)) {
+		i = l
+	}
+	if i == noSlot {
 		return false
 	}
-	i := s.popMin()
 	e := &s.slab[i]
+	if e.pos < 0 { // unlink(i) inlined for the hot path; a heap entry here is the top
+		s.laneSlot = noSlot
+	} else {
+		s.remove(0)
+	}
 	if e.time < s.now {
 		//lint:allow hotpath formatting the modeling-bug panic happens at most once per process
 		panic(fmt.Sprintf("des: time went backwards: %v -> %v", s.now, e.time))
@@ -242,18 +289,26 @@ func (s *Simulator) less(a, b int32) bool {
 	return ea.seq < eb.seq
 }
 
-// push adds slot i to the heap.
-func (s *Simulator) push(i int32) {
+// enqueue queues slot i: in the lane if it is empty and i is of its
+// kind, in the heap otherwise.
+func (s *Simulator) enqueue(i int32) {
+	if e := &s.slab[i]; s.laneSlot == noSlot && e.kind == s.lane {
+		s.laneSlot = i
+		e.pos = noSlot
+		return
+	}
 	//lint:allow hotpath amortized growth to the peak number of pending events
 	s.heap = append(s.heap, i)
 	s.up(int32(len(s.heap) - 1))
 }
 
-// popMin removes and returns the slot at the top of the heap.
-func (s *Simulator) popMin() int32 {
-	top := s.heap[0]
-	s.remove(0)
-	return top
+// unlink takes the queued slot i out of the lane or the heap.
+func (s *Simulator) unlink(i int32) {
+	if p := s.slab[i].pos; p < 0 {
+		s.laneSlot = noSlot
+	} else {
+		s.remove(p)
+	}
 }
 
 // remove deletes the heap entry at position p.

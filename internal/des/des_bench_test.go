@@ -60,3 +60,59 @@ func BenchmarkCancel(b *testing.B) {
 		sim.Cancel(sim.Schedule(1e6, 0, 0))
 	}
 }
+
+// BenchmarkStationMix times the event mix of the e-commerce model at
+// λ = 1.6: one self-rescheduling arrival plus 16 pending service
+// completions that each reschedule themselves on firing, at rates that
+// make half the events arrivals. The heap case declares no lane; the
+// lane case declares the arrival kind, as ecommerce.Model does. Delays
+// come from a precomputed exponential table, so the numbers time the
+// kernel and not the RNG.
+func BenchmarkStationMix(b *testing.B) {
+	const (
+		arrival    Kind = 0
+		completion Kind = 1
+		lambda          = 1.6
+		mu              = lambda / 16
+	)
+	rng := rand.New(rand.NewSource(1))
+	var exp [4096]float64
+	for i := range exp {
+		exp[i] = rng.ExpFloat64()
+	}
+	for _, bc := range []struct {
+		name  string
+		laned bool
+	}{{"heap", false}, {"lane", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var sim *Simulator
+			n := 0
+			draw := func(rate float64) float64 {
+				n++
+				return exp[n%len(exp)] / rate
+			}
+			dispatch := func(kind Kind, arg int32) {
+				if kind == arrival {
+					sim.Schedule(draw(lambda), arrival, 0)
+				} else {
+					sim.Schedule(draw(mu), completion, arg)
+				}
+			}
+			if bc.laned {
+				sim = NewLaned(dispatch, arrival)
+			} else {
+				sim = New(dispatch)
+			}
+			sim.Schedule(draw(lambda), arrival, 0)
+			for j := int32(0); j < 16; j++ {
+				sim.Schedule(draw(mu), completion, j)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.Step()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+		})
+	}
+}

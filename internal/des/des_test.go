@@ -369,9 +369,10 @@ func TestStepOnEmptyQueue(t *testing.T) {
 
 // TestScheduleStepDoesNotAllocate pins the kernel's allocation contract:
 // once the slab and heap have grown, schedule, reschedule, cancel and
-// fire reuse slots and allocate nothing.
+// fire reuse slots and allocate nothing, for heap and lane entries
+// alike. Kind 2 has a lane.
 func TestScheduleStepDoesNotAllocate(t *testing.T) {
-	sim := New(func(Kind, int32) {})
+	sim := NewLaned(func(Kind, int32) {}, 2)
 	for i := 0; i < 64; i++ {
 		sim.Schedule(float64(i), 0, 0)
 	}
@@ -383,9 +384,19 @@ func TestScheduleStepDoesNotAllocate(t *testing.T) {
 		sim.Reschedule(a, sim.Now()+3)
 		sim.Cancel(b)
 		sim.Step()
+		c := sim.Schedule(0.5, 2, 0) // takes the lane
+		sim.Schedule(4, 2, 0)        // lane taken: goes to the heap
+		sim.Cancel(c)
+		d := sim.Schedule(1.5, 2, 0) // takes the freed lane
+		sim.Reschedule(d, sim.Now()+2)
+		sim.Step()
+		sim.Step()
 	})
 	if allocs != 0 {
 		t.Fatalf("schedule/reschedule/cancel/step allocated %v times per cycle, want 0", allocs)
+	}
+	if sim.Len() != 0 {
+		t.Fatalf("%d events left pending after balanced cycles", sim.Len())
 	}
 	if len(sim.slab) > 64 {
 		t.Fatalf("slab grew to %d slots for at most 64 pending events", len(sim.slab))

@@ -18,7 +18,7 @@ type simMetrics struct {
 //	des_events_scheduled_total   events pushed onto the queue
 //	des_events_fired_total       events whose handler ran
 //	des_events_cancelled_total   events removed before firing
-//	des_pending_events           current queue length
+//	des_pending_events           pending events, heap and lane
 //	des_sim_time_seconds         current virtual time
 //
 // Call it before Run; calling it again re-binds to the new registry.
@@ -41,7 +41,7 @@ func (s *Simulator) Instrument(reg *metrics.Registry) {
 func (s *Simulator) noteScheduled() {
 	if s.met != nil {
 		s.met.scheduled.Inc()
-		s.met.queueLen.SetInt(len(s.heap))
+		s.met.queueLen.SetInt(s.Len())
 	}
 }
 
@@ -49,7 +49,7 @@ func (s *Simulator) noteScheduled() {
 func (s *Simulator) noteCancelled() {
 	if s.met != nil {
 		s.met.cancelled.Inc()
-		s.met.queueLen.SetInt(len(s.heap))
+		s.met.queueLen.SetInt(s.Len())
 	}
 }
 
@@ -57,7 +57,7 @@ func (s *Simulator) noteCancelled() {
 func (s *Simulator) noteFired() {
 	if s.met != nil {
 		s.met.fired.Inc()
-		s.met.queueLen.SetInt(len(s.heap))
+		s.met.queueLen.SetInt(s.Len())
 		s.met.simTime.Set(s.now)
 	}
 }

@@ -160,7 +160,8 @@ func NewCluster(cfg ClusterConfig, factory func(host int) (core.Detector, error)
 		inService: make([]bool, cfg.Hosts),
 		obs:       make([]uint64, cfg.Hosts),
 	}
-	c.sim = des.New(c.dispatch)
+	// At most one arrival is pending, so it waits in a lane, not the heap.
+	c.sim = des.NewLaned(c.dispatch, evArrival)
 	c.res.PerHost = make([]Result, cfg.Hosts)
 	for h := 0; h < cfg.Hosts; h++ {
 		c.stations[h] = newStation(host, c.sim, c.rng, c.jobs, h)

@@ -298,7 +298,8 @@ func New(cfg Config, detector core.Detector) (*Model, error) {
 		jobs:     newJobSlab(),
 		wlFactor: 1,
 	}
-	m.sim = des.New(m.dispatch)
+	// At most one arrival is pending, so it waits in a lane, not the heap.
+	m.sim = des.NewLaned(m.dispatch, evArrival)
 	m.reb, _ = detector.(core.Rebaseliner)
 	m.st = newStation(cfg, m.sim, m.rng, m.jobs, 0)
 	return m, nil
