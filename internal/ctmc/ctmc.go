@@ -79,19 +79,6 @@ func (c *Chain) ExitRate(state int) float64 { return c.exitRate[state] }
 // IsAbsorbing reports whether the state has no outgoing transitions.
 func (c *Chain) IsAbsorbing(state int) bool { return num.Zero(c.exitRate[state]) }
 
-// Generator returns the dense generator matrix Q with Q[i][j] the rate
-// i->j and Q[i][i] = -sum of row i.
-func (c *Chain) Generator() *linalg.Matrix {
-	q := linalg.NewMatrix(c.n, c.n)
-	for i, ts := range c.out {
-		for _, t := range ts {
-			q.Add(i, t.to, t.rate)
-		}
-		q.Set(i, i, -c.exitRate[i])
-	}
-	return q
-}
-
 // uniformizationRate returns a rate dominating every exit rate. A strict
 // margin keeps the DTMC aperiodic, which speeds convergence of the
 // iterated products.

@@ -210,26 +210,6 @@ func TestAbsorptionRequiresAbsorbingState(t *testing.T) {
 	}
 }
 
-func TestGeneratorMatrixRowSums(t *testing.T) {
-	c := New(3)
-	c.MustAddRate(0, 1, 2)
-	c.MustAddRate(0, 2, 3)
-	c.MustAddRate(1, 2, 1)
-	q := c.Generator()
-	for i := 0; i < 3; i++ {
-		sum := 0.0
-		for j := 0; j < 3; j++ {
-			sum += q.At(i, j)
-		}
-		if math.Abs(sum) > 1e-12 {
-			t.Fatalf("generator row %d sums to %v", i, sum)
-		}
-	}
-	if q.At(0, 0) != -5 {
-		t.Fatalf("diagonal = %v, want -5", q.At(0, 0))
-	}
-}
-
 func TestMMcNumberInSystemSteadyState(t *testing.T) {
 	// Truncated M/M/2 birth-death chain: steady state must match the
 	// closed-form pi_k. lambda=1, mu=1, c=2 => rho=0.5.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"sync"
 	"time"
 
 	"rejuv/internal/core"
@@ -60,6 +61,14 @@ type scratch struct {
 	cc     []classCounts // per-class metric aggregation
 }
 
+// scratchPool is package-wide, shared by every engine: grow resizes a
+// scratch for any shard, batch or class count. A pool embedded in the
+// Engine would be an interior pointer into it, and the runtime keeps
+// each pool it has seen a Put on until two collections later, so a
+// closed engine, with its shards, index, trigger queue and detector
+// state, would outlive the next collection.
+var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
+
 // classCounts accumulates one batch's per-class counter increments, so
 // the shared metric counters are touched once per class per batch
 // instead of once per observation.
@@ -115,7 +124,7 @@ func (e *Engine) ObserveBatch(batch []StreamObs) {
 	}
 	now := e.cfg.Now()
 	nowNanos := now.UnixNano()
-	sc := e.pool.Get().(*scratch)
+	sc := scratchPool.Get().(*scratch)
 	sc.grow(len(batch), len(e.shards), len(e.classes))
 
 	// Counting sort by shard: count, prefix-sum, scatter.
@@ -153,7 +162,7 @@ func (e *Engine) ObserveBatch(batch []StreamObs) {
 	}
 
 	e.fanIn(now, batch, sc)
-	e.pool.Put(sc)
+	scratchPool.Put(sc)
 }
 
 // fanIn walks the results in original batch order — the order journal

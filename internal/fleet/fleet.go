@@ -194,7 +194,6 @@ type Engine struct {
 	// to. Guarded by outMu, like the journal order it mirrors.
 	lastBase []baseline
 
-	pool  sync.Pool // *scratch
 	trigs chan Trigger
 	quit  chan struct{}
 	wg    sync.WaitGroup
@@ -287,7 +286,6 @@ func New(cfg Config) (*Engine, error) {
 			s.mu.Unlock()
 		}
 	}
-	e.pool.New = func() any { return &scratch{} }
 	e.register()
 	if cfg.OnTrigger != nil {
 		e.wg.Add(1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -482,5 +483,42 @@ func TestShardRounding(t *testing.T) {
 			t.Errorf("Shards=%d rounded to %d, want %d", tc.in, got, tc.want)
 		}
 		e.Close()
+	}
+}
+
+// TestClosedEngineIsCollectable checks that a closed, dropped engine
+// is freed by the next collection. Nothing global may point into the
+// engine: a sync.Pool embedded in it, for one, is kept by the runtime
+// for two collections after its last Put, and with it the engine's
+// shards, stream index and trigger queue.
+func TestClosedEngineIsCollectable(t *testing.T) {
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	runtime.GC()
+	runtime.GC()
+	before := heap()
+	func() {
+		e, err := New(Config{Classes: testClasses(), QueueDepth: 1 << 16, Now: newFakeClock(time.Millisecond).Now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes := testClasses()
+		batch := make([]StreamObs, 1000)
+		for i := range batch {
+			id := StreamID(i + 1)
+			if err := e.OpenStream(id, classes[i%len(classes)].Name); err != nil {
+				t.Fatal(err)
+			}
+			batch[i] = StreamObs{Stream: id, Value: 5}
+		}
+		e.ObserveBatch(batch)
+		e.Close()
+	}()
+	runtime.GC()
+	if after := heap(); after > before+1<<20 {
+		t.Errorf("heap %d B after one collection, %d B before the engine was built: the closed engine is still reachable", after, before)
 	}
 }

@@ -26,6 +26,9 @@ type Reader struct {
 	tolerateTorn bool
 	torn         int
 	drained      bool
+
+	// payload is the reused binary record buffer (see next).
+	payload []byte
 }
 
 // NewReader wraps r and reads the journal header. It fails on a missing
@@ -122,6 +125,11 @@ func (jr *Reader) Next() (Record, error) {
 // previous record survives into the next. The replay verifiers loop
 // over one Record this way instead of copying each record out of Next.
 // On error r holds no meaningful record.
+//
+// A binary record's payload is read into one buffer the Reader keeps,
+// grown to the longest record so far and so bounded by MaxRecordLen.
+// Decoding copies every string out of it, so no returned Record
+// aliases the buffer.
 func (jr *Reader) next(r *Record) error {
 	*r = Record{}
 	if jr.format == FormatJSONL {
@@ -222,7 +230,10 @@ func (jr *Reader) nextBinary(r *Record) error {
 	if n > MaxRecordLen {
 		return fmt.Errorf("journal: record of %d bytes exceeds limit %d", n, MaxRecordLen)
 	}
-	payload := make([]byte, n)
+	if uint64(cap(jr.payload)) < n {
+		jr.payload = make([]byte, n)
+	}
+	payload := jr.payload[:n]
 	read, err := io.ReadFull(jr.br, payload)
 	if err != nil {
 		// A payload cut short by EOF is the binary shape of a torn tail:

@@ -125,10 +125,13 @@ func Replay(jr *Reader, factory func(class string) (core.Detector, error)) (Repl
 // replayStream is the replay state of one open stream.
 type replayStream struct {
 	det core.Detector
-	// pending holds the replayed decision awaiting its recorded
-	// counterpart; decision records always follow their observation in
-	// writer order.
-	pending *Record
+	// d and in hold, while waiting is set, the replayed decision
+	// awaiting its recorded counterpart; decision records always follow
+	// their observation in writer order. They are kept by value so a
+	// replayed decision allocates nothing.
+	d       core.Decision
+	in      core.Internals
+	waiting bool
 }
 
 // verifier is the state of one Replay pass. recBuf and repBuf are the
@@ -180,7 +183,7 @@ func (v *verifier) run(jr *Reader) error {
 			switch {
 			case !ok:
 				v.mismatch(rec, fmt.Sprintf("stream %d closed but never opened", rec.Stream))
-			case st.pending != nil:
+			case st.waiting:
 				v.mismatch(rec, fmt.Sprintf("stream %d closed while a replayed decision awaited its recorded counterpart", rec.Stream))
 			default:
 				delete(v.streams, rec.Stream)
@@ -191,7 +194,7 @@ func (v *verifier) run(jr *Reader) error {
 			if st == nil {
 				return err
 			}
-			if st.pending != nil {
+			if st.waiting {
 				v.mismatch(rec, "observation arrived while a replayed decision awaited its recorded counterpart"+onStream(rec.Stream))
 				break
 			}
@@ -201,8 +204,7 @@ func (v *verifier) run(jr *Reader) error {
 				if instr, ok := st.det.(core.Instrumented); ok {
 					in = instr.Internals()
 				}
-				r := DecisionRecord(rec.Time, d, in, false)
-				st.pending = &r
+				st.d, st.in, st.waiting = d, in, true
 			}
 		case KindDecision:
 			st, err := v.stream(rec, "decision")
@@ -273,19 +275,17 @@ func (v *verifier) stream(rec *Record, what string) (*replayStream, error) {
 // compare checks a recorded decision against the stream's pending
 // replayed one.
 func (v *verifier) compare(st *replayStream, rec *Record) {
-	pending := st.pending
-	if pending == nil {
+	if !st.waiting {
 		v.mismatch(rec, "recorded decision has no replayed counterpart (replayed detector did not evaluate)"+onStream(rec.Stream))
 		return
 	}
-	st.pending = nil
+	st.waiting = false
 	// Suppression belongs to the cooldown layer, not the detector;
 	// encode both sides with the recorded flag so the byte comparison
 	// covers exactly the detector-owned fields.
 	d, in := recordDecision(rec)
 	v.recBuf = appendDecision(v.recBuf[:0], d, in, rec.Suppressed)
-	d, in = recordDecision(pending)
-	v.repBuf = appendDecision(v.repBuf[:0], d, in, rec.Suppressed)
+	v.repBuf = appendDecision(v.repBuf[:0], st.d, st.in, rec.Suppressed)
 	if !bytes.Equal(v.recBuf, v.repBuf) {
 		v.report.Mismatch = &Mismatch{
 			Seq:      rec.Seq,
@@ -303,7 +303,7 @@ func (v *verifier) compare(st *replayStream, rec *Record) {
 func (v *verifier) waitingStream() (uint64, bool) {
 	id, found := uint64(0), false
 	for sid, st := range v.streams {
-		if st.pending != nil && (!found || sid < id) {
+		if st.waiting && (!found || sid < id) {
 			id, found = sid, true
 		}
 	}

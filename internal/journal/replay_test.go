@@ -237,52 +237,79 @@ func TestKernelJournaling(t *testing.T) {
 	}
 }
 
-// TestReplayAllocsPerRecord pins the verifier's allocation budget: it
-// encodes both canonical decision payloads into two reused buffers, so
-// replay allocates the decoded record payload and, per decision, the
-// pending replayed record — and nothing else that grows with the
-// journal.
+// TestReplayAllocsPerRecord pins the verifier's allocation budget:
+// the reader reuses one payload buffer, each stream holds its pending
+// replayed decision by value and both canonical decision payloads are
+// encoded into two reused buffers, so replay allocates nothing that
+// grows with the journal. The fleet case interleaves several streams,
+// each with its own pending decision.
 func TestReplayAllocsPerRecord(t *testing.T) {
-	tc := replayCases()[0] // SRAA
-	record := func(n int) (data []byte, records, decisions uint64) {
-		det, err := tc.factory()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		jw := journal.NewWriter(&buf, journal.Meta{})
-		for i := 0; i < n; i++ {
-			v := float64(i%17) * 0.75 // walks the buckets up and back down
-			jw.Observe(float64(i), 0, v)
-			if d := det.Observe(v); d.Evaluated || d.Triggered {
-				jw.Decision(float64(i), 0, d, det.(core.Instrumented).Internals(), false, 0)
+	for _, tc := range []struct {
+		name string
+		// classes names one fleet stream per entry; none means the
+		// single-detector stream 0.
+		classes []string
+		factory func(class string) (core.Detector, error)
+	}{
+		{"single", nil, single(replayCases()[0].factory)}, // SRAA
+		{"fleet", []string{"sraa", "saraa", "sraa", "saraa"}, journal.FleetFactory},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			record := func(n int) (data []byte, records, decisions uint64) {
+				var buf bytes.Buffer
+				jw := journal.NewWriter(&buf, journal.Meta{})
+				ids, classes := []uint64{0}, []string{""}
+				if len(tc.classes) > 0 {
+					ids, classes = nil, tc.classes
+					for i, class := range classes {
+						ids = append(ids, uint64(i+1))
+						jw.StreamOpen(0, uint64(i+1), class)
+					}
+				}
+				dets := make([]core.Detector, len(classes))
+				for i, class := range classes {
+					det, err := tc.factory(class)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dets[i] = det
+				}
+				for i := 0; i < n; i++ {
+					k := i % len(dets)
+					v := float64(i%17) * 0.75 // walks the buckets up and back down
+					jw.Observe(float64(i), ids[k], v)
+					if d := dets[k].Observe(v); d.Evaluated || d.Triggered {
+						jw.Decision(float64(i), ids[k], d, dets[k].(core.Instrumented).Internals(), false, 0)
+					}
+				}
+				if err := jw.Err(); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes(), jw.Seq(), jw.Count(journal.KindDecision)
 			}
-		}
-		if err := jw.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), jw.Seq(), jw.Count(journal.KindDecision)
-	}
-	allocs := func(data []byte) float64 {
-		return testing.AllocsPerRun(5, func() {
-			jr, err := journal.NewReader(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
+			allocs := func(data []byte) float64 {
+				return testing.AllocsPerRun(5, func() {
+					jr, err := journal.NewReader(bytes.NewReader(data))
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep, err := journal.Replay(jr, tc.factory)
+					if err != nil || !rep.Identical() || rep.Decisions == 0 {
+						t.Fatalf("replay: %+v, %v", rep, err)
+					}
+				})
 			}
-			rep, err := journal.Replay(jr, single(tc.factory))
-			if err != nil || !rep.Identical() || rep.Decisions == 0 {
-				t.Fatalf("replay: %+v, %v", rep, err)
+			short, shortRecs, shortDecs := record(1_000)
+			long, longRecs, longDecs := record(10_000)
+			extra := allocs(long) - allocs(short)
+			// A few objects of slack absorb amortized growth elsewhere;
+			// the bound does not depend on the journal's length.
+			const budget = 16
+			if extra > budget {
+				t.Errorf("replay allocates %.0f times for %d more records (%d more decisions), want at most %d",
+					extra, longRecs-shortRecs, longDecs-shortDecs, budget)
 			}
 		})
-	}
-	short, shortRecs, shortDecs := record(1_000)
-	long, longRecs, longDecs := record(10_000)
-	extra := allocs(long) - allocs(short)
-	// A few objects of slack absorb amortized growth elsewhere.
-	budget := float64(longRecs-shortRecs) + float64(longDecs-shortDecs) + 16
-	if extra > budget {
-		t.Errorf("replay allocates %.0f times for %d more records (%d more decisions), want at most %.0f",
-			extra, longRecs-shortRecs, longDecs-shortDecs, budget)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -106,6 +107,50 @@ func TestReaderReuseMatchesOnErrors(t *testing.T) {
 	for _, cut := range []int{len(data) - 1, len(data) - 9, len(data) / 2} {
 		if n := compareReuse(t, data[:cut]); n == 0 {
 			t.Errorf("cut at %d: no record decoded before the truncation", cut)
+		}
+	}
+}
+
+// TestReaderRecordsOutliveBuffer checks that records returned by Next
+// keep every field, class strings included, after later records have
+// been decoded into the Reader's reused payload buffer; ReadAll
+// collects them. The sample journal's class-carrying records (fault,
+// actuator, stream-open and scheduler kinds) are overwritten by the
+// shorter records after them, and are then repeated with
+// MaxClassLen-byte classes that regrow the buffer and are overwritten
+// in turn.
+func TestReaderRecordsOutliveBuffer(t *testing.T) {
+	want := wantSample()
+	n := len(want)
+	for i, r := range want[:n] {
+		if r.Class != "" {
+			r.Class = strings.Repeat(string(rune('a'+i%26)), MaxClassLen)
+		}
+		r.Seq += uint64(n)
+		want = append(want, r)
+	}
+	var buf bytes.Buffer
+	jw := NewWriter(&buf, sampleMeta)
+	for _, r := range want {
+		jw.Record(r)
+	}
+	if err := jw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	jr, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := jr.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !identicalRecords(&got[i], &want[i]) {
+			t.Errorf("record %d changed after later decodes:\n got  %+v\n want %+v", i, got[i], want[i])
 		}
 	}
 }

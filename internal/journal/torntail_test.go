@@ -89,6 +89,38 @@ func TestTolerateTornTailBinary(t *testing.T) {
 	}
 }
 
+// TestTolerateTornTailAfterLongRecord tears a short final record that
+// follows a MaxClassLen-class record, so the torn payload is read into
+// the reader's payload buffer already grown by the long one, and
+// asserts that TornBytes stays exact at every cut.
+func TestTolerateTornTailAfterLongRecord(t *testing.T) {
+	complete := append(wantSample(),
+		Record{Kind: KindFault, Time: 130, Class: strings.Repeat("x", MaxClassLen), Value: 1},
+		Record{Kind: KindActGiveUp, Time: 131, Attempt: 3, Class: "short", TriggerID: 0xBEEF})
+	write := func(recs []Record) []byte {
+		var buf bytes.Buffer
+		jw := NewWriter(&buf, sampleMeta)
+		for _, r := range recs {
+			jw.Record(r)
+		}
+		if err := jw.Err(); err != nil {
+			t.Fatalf("writer: %v", err)
+		}
+		return buf.Bytes()
+	}
+	full := write(complete)
+	boundary := len(write(complete[:len(complete)-1]))
+	for cut := boundary + 1; cut < len(full); cut++ {
+		recs, torn := readTolerant(t, full[:cut])
+		if len(recs) != len(complete)-1 {
+			t.Fatalf("cut at %d: salvaged %d records, want %d", cut, len(recs), len(complete)-1)
+		}
+		if want := cut - boundary; torn != want {
+			t.Errorf("cut at %d: TornBytes = %d, want %d", cut, torn, want)
+		}
+	}
+}
+
 // TestTolerateTornTailCleanEOF asserts that an intact journal reports
 // zero torn bytes under the tolerant reader.
 func TestTolerateTornTailCleanEOF(t *testing.T) {

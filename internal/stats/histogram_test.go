@@ -145,27 +145,3 @@ func TestSummaryAndRelDiff(t *testing.T) {
 		t.Fatal("RelDiff not symmetric")
 	}
 }
-
-func TestMeanCI(t *testing.T) {
-	var w Welford
-	for i := 0; i < 1000; i++ {
-		w.Add(float64(i%10) - 4.5) // mean 0
-	}
-	lo, hi := MeanCI(&w, 0.95)
-	if math.IsNaN(lo) || math.IsNaN(hi) {
-		t.Fatal("CI is NaN for a real sample")
-	}
-	if lo > w.Mean() || hi < w.Mean() {
-		t.Fatalf("CI [%v,%v] excludes the mean %v", lo, hi, w.Mean())
-	}
-	if hi-lo <= 0 {
-		t.Fatal("CI has non-positive width")
-	}
-	var empty Welford
-	if lo, _ := MeanCI(&empty, 0.95); !math.IsNaN(lo) {
-		t.Fatal("CI of empty accumulator must be NaN")
-	}
-	if lo, _ := MeanCI(&w, 1.5); !math.IsNaN(lo) {
-		t.Fatal("CI with invalid level must be NaN")
-	}
-}

@@ -31,18 +31,6 @@ func (s Summary) String() string {
 		s.N, s.Mean, s.StdDev, s.Min, s.Max)
 }
 
-// MeanCI returns a normal-approximation confidence interval for the mean
-// of the accumulated sample at the given confidence level (e.g. 0.95).
-// With fewer than two observations both bounds are NaN.
-func MeanCI(w *Welford, level float64) (lo, hi float64) {
-	if w.N() < 2 || level <= 0 || level >= 1 {
-		return math.NaN(), math.NaN()
-	}
-	z := StdNormQuantile(0.5 + level/2)
-	h := z * w.StdErr()
-	return w.Mean() - h, w.Mean() + h
-}
-
 // RelDiff returns |a-b| / max(|a|,|b|), a symmetric relative difference
 // used by experiment reports when comparing measured values to the
 // paper's. It returns 0 when both are zero.
