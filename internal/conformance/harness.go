@@ -159,19 +159,17 @@ func Families(base core.Baseline) []Family {
 // RebasedFamily returns the family with its factory wrapped in the
 // workload-shift layer (core.Rebase): the change-point rule rebaselines
 // on workload shifts and passes software aging through to the family's
-// detector. Committed rebaselines rebuild the detector at the
-// re-estimated baseline through the family's affine re-parameterization
-// (Scaled with a = sd'/sd, b = mu' - a*mu), so every family — including
-// the adaptive one, which relearns its own baseline instead — runs
-// under the shift conformance laws without per-family wiring. The
-// initial build maps through Scaled(1, 0), so pre-shift behaviour is
-// exactly the bare family's.
+// detector. base must be the baseline fam.New judges against. Committed
+// rebaselines restart the detector in place at the re-estimated
+// baseline, so every family — including the adaptive one, which
+// relearns its own baseline instead — runs under the shift conformance
+// laws without per-family wiring, and pre-shift behaviour is exactly
+// the bare family's.
 func RebasedFamily(fam Family, cfg core.ShiftConfig, base core.Baseline) Family {
 	out := fam
 	out.New = func() (core.Detector, error) {
-		return core.NewRebase(cfg, base, func(b core.Baseline) (core.Detector, error) {
-			a := b.StdDev / base.StdDev
-			return fam.Scaled(a, b.Mean-a*base.Mean)()
+		return core.NewRebase(cfg, base, func(core.Baseline) (core.Detector, error) {
+			return fam.New()
 		})
 	}
 	return out

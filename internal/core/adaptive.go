@@ -93,3 +93,7 @@ func (a *Adaptive) Relearn() {
 	a.base = Baseline{}
 	a.acc.Reset()
 }
+
+// rebase ignores base: an adaptive detector learns its own baseline, so
+// a rebaseline sends it back to warmup.
+func (a *Adaptive) rebase(Baseline) { a.Relearn() }

@@ -46,6 +46,8 @@ func (s *Shewhart) Observe(x float64) Decision {
 // Reset is a no-op: the chart is memoryless.
 func (s *Shewhart) Reset() {}
 
+func (s *Shewhart) rebase(base Baseline) { s.baseline = base }
+
 // EWMA is the exponentially weighted moving-average chart: the smoothed
 // statistic z = (1-w)z + w*x triggers above its asymptotic control limit
 // mu + L*sigma*sqrt(w/(2-w)).
@@ -97,6 +99,8 @@ func (e *EWMA) Observe(x float64) Decision {
 // Reset restores the statistic to the baseline mean.
 func (e *EWMA) Reset() { e.z = e.baseline.Mean }
 
+func (e *EWMA) rebase(base Baseline) { e.baseline, e.z = base, base.Mean }
+
 // CUSUM is the one-sided (upper) cumulative-sum chart on standardized
 // observations: S = max(0, S + (x-mu)/sigma - k) triggers above h.
 type CUSUM struct {
@@ -141,3 +145,5 @@ func (c *CUSUM) Observe(x float64) Decision {
 
 // Reset zeroes the cumulative sum.
 func (c *CUSUM) Reset() { c.s = 0 }
+
+func (c *CUSUM) rebase(base Baseline) { c.baseline, c.s = base, 0 }

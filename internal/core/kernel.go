@@ -210,6 +210,15 @@ func newBlockDetector(p Plan, base Baseline) blockDetector {
 	return blockDetector{plan: p, base: base, st: p.Start()}
 }
 
+// NewDetector returns the pointer detector that steps the plan against
+// base: the SRAA, SARAA or CLTA the plan was built from, minus its
+// Config accessor. The plan must come from a validated configuration
+// and base must be valid.
+func (p *Plan) NewDetector(base Baseline) Detector {
+	b := newBlockDetector(*p, base)
+	return &b
+}
+
 // Target returns the threshold the next completed sample mean is
 // compared against: µ + N·σ (SRAA), µ + N·σ/√n with the current n
 // (SARAA) or µ + q·σ/√n (CLTA).
@@ -231,6 +240,8 @@ func (b *blockDetector) Observe(x float64) (d Decision) {
 // Reset restores the initial state, including SARAA's original sample
 // size.
 func (b *blockDetector) Reset() { b.st = b.plan.Start() }
+
+func (b *blockDetector) rebase(base Baseline) { b.base, b.st = base, b.plan.Start() }
 
 // Internals returns the current bucket occupancy (zero for CLTA, which
 // has no buckets), sample progress and target.

@@ -5,11 +5,11 @@ import "fmt"
 // Rebase layers the workload-shift decision rule (shift.go) under any
 // detector family: the change-point statistics watch the admitted
 // observation stream, and when the workload shifts the inner detector
-// is rebuilt from the re-estimated baseline — bucket targets and sample
-// sizes recomputed from the new (µ, σ) — instead of firing a false
-// rejuvenation or staying miscalibrated forever. Changes classified as
-// software aging pass through untouched, so the wrapped family triggers
-// exactly as it does without the wrapper.
+// restarts in place at the re-estimated baseline — bucket targets and
+// sample sizes recomputed from the new (µ, σ) — instead of firing a
+// false rejuvenation or staying miscalibrated forever. Changes
+// classified as software aging pass through untouched, so the wrapped
+// family triggers exactly as it does without the wrapper.
 //
 // During a relearn window the inner detector is paused: a sample window
 // straddling two workload regimes has a meaningless mean, so no
@@ -19,10 +19,19 @@ import "fmt"
 // Rebase-wrapped reference detectors proves them byte-identical.
 type Rebase struct {
 	cfg   ShiftConfig
-	build func(Baseline) (Detector, error)
 	st    ShiftState
-	inner Detector
+	inner rebaser
 	orig  Baseline
+}
+
+// rebaser is a detector Rebase can wrap: every detector of this
+// package except Rebase itself.
+type rebaser interface {
+	Detector
+	// rebase restarts the detector in exactly the state its constructor
+	// gives it at base. The rule is the one a fleet stream applies to
+	// its core.State on a committed rebaseline.
+	rebase(base Baseline)
 }
 
 // Rebaseliner is implemented by detectors that re-estimate their
@@ -42,8 +51,10 @@ var _ Rebaseliner = (*Rebase)(nil)
 
 // NewRebase wraps the detector family built by build with the
 // workload-shift layer, starting from the given baseline. cfg's zero
-// fields take the documented defaults. build is invoked once up front
-// and again after every committed rebaseline.
+// fields take the documented defaults. build is invoked once, at base;
+// a committed rebaseline restarts the detector it returned in place.
+// The detector must be one of this package's families (SRAA, SARAA,
+// CLTA, a Plan's detector, Shewhart, EWMA, CUSUM or Adaptive).
 func NewRebase(cfg ShiftConfig, base Baseline, build func(Baseline) (Detector, error)) (*Rebase, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -62,7 +73,11 @@ func NewRebase(cfg ShiftConfig, base Baseline, build func(Baseline) (Detector, e
 	if inner == nil {
 		return nil, fmt.Errorf("core: rebase factory returned a nil detector")
 	}
-	return &Rebase{cfg: cfg, build: build, st: NewShiftState(base), inner: inner, orig: base}, nil
+	rb, ok := inner.(rebaser)
+	if !ok {
+		return nil, fmt.Errorf("core: rebase cannot restart a %T at a new baseline", inner)
+	}
+	return &Rebase{cfg: cfg, st: NewShiftState(base), inner: rb, orig: base}, nil
 }
 
 // Observe feeds one observation through the shift layer and, unless a
@@ -74,15 +89,7 @@ func (r *Rebase) Observe(x float64) Decision {
 	case ShiftRelearning:
 		return Decision{}
 	case ShiftRebaselined:
-		inner, err := r.build(r.st.Base)
-		if err != nil || inner == nil {
-			// The committed baseline is finite with positive spread by
-			// construction; a factory that rejects it is a programming
-			// error in the caller.
-			//lint:allow hotpath formatting a panic on the dying path costs nothing in steady state
-			panic(fmt.Sprintf("core: rebase factory failed on relearned baseline: %v", err))
-		}
-		r.inner = inner
+		r.inner.rebase(r.st.Base)
 		return Decision{}
 	}
 	d := r.inner.Observe(x)

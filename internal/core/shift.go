@@ -14,9 +14,10 @@ import (
 // wrapped detector trigger as today. The state machine is a plain value
 // (ShiftState) with one shared transition (Step), used verbatim by both
 // the pointer-based Rebase wrapper (rebase.go) and the fleet engine's
-// drain loop, just as both run the detector kernel (kernel.go): the
-// fleet passes a stream's re-estimated Base to Plan.Decide where
-// Rebase rebuilds its inner detector from it.
+// drain loop, just as both run the detector kernel (kernel.go). On a
+// committed rebaseline both restart their detector in place: the fleet
+// resets a stream's State and passes its re-estimated Base to
+// Plan.Decide, and Rebase restarts its inner detector at that Base.
 //
 // The decision rule: the change-point statistic watches standardized
 // residuals z = (x - µ)/σ against the committed baseline. When it
@@ -147,8 +148,8 @@ const (
 	// re-estimated; the wrapped detector is paused for this observation.
 	ShiftRelearning
 	// ShiftRebaselined: the relearn window just completed and the
-	// re-estimated baseline was committed; the wrapped detector must be
-	// rebuilt from it before the next observation.
+	// re-estimated baseline was committed; the wrapped detector must
+	// restart at it before the next observation.
 	ShiftRebaselined
 	// ShiftAging: the change-point statistic fired but the run length
 	// classified the change as software aging; the observation goes to

@@ -340,4 +340,16 @@ func TestNewRebaseValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("nil detector from the factory must not validate")
 	}
+	if _, err := NewRebase(ShiftConfig{}, shiftTestBase, func(Baseline) (Detector, error) {
+		return foreignDetector{}, nil
+	}); err == nil {
+		t.Fatal("a detector Rebase cannot restart must not validate")
+	}
 }
+
+// foreignDetector stands in for a Detector defined outside this
+// package: it has no in-place restart, so Rebase cannot wrap it.
+type foreignDetector struct{}
+
+func (foreignDetector) Observe(float64) Decision { return Decision{} }
+func (foreignDetector) Reset()                   {}

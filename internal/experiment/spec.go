@@ -81,8 +81,8 @@ func (s Spec) withoutShift() Spec {
 
 // NewDetector builds the configured detector, or nil for the
 // no-rejuvenation baseline. Specs with a Shift layer build the bare
-// detector wrapped in core.Rebase: committed rebaselines rebuild it at
-// the re-estimated baseline.
+// detector wrapped in core.Rebase: committed rebaselines restart it in
+// place at the re-estimated baseline.
 func (s Spec) NewDetector() (core.Detector, error) {
 	base := s.Baseline
 	if base == (core.Baseline{}) {

@@ -66,12 +66,12 @@ type ClassConfig struct {
 	// monitored metric.
 	Baseline core.Baseline
 	// Shift, when non-nil, layers online baseline re-estimation under
-	// every stream of the class: workload shifts rebaseline the stream's
-	// detector state (targets and sample sizes recomputed from the
-	// re-estimated mean and deviation, journaled as stream-tagged
-	// KindRebaseline records) while software aging triggers as usual.
-	// The per-stream transition rule is core.ShiftState, shared verbatim
-	// with the Rebase wrapper, so replay against Rebase-wrapped
+	// every stream of the class: workload shifts restart the stream's
+	// detector state at the re-estimated mean and deviation (journaled
+	// as stream-tagged KindRebaseline records) while software aging
+	// triggers as usual. The per-stream transition rule is
+	// core.ShiftState and the restart is Plan.Start, both shared
+	// verbatim with the Rebase wrapper, so replay against Rebase-wrapped
 	// reference detectors stays byte-identical.
 	Shift *core.ShiftConfig
 }
@@ -83,8 +83,8 @@ func (c ClassConfig) Validate() error {
 	return err
 }
 
-// plan validates the class and returns its kernel plan, built from the
-// same core detector configuration the reference detector uses.
+// plan validates the class and returns its kernel plan: the one its
+// streams step and its reference detector (Detector) steps.
 func (c ClassConfig) plan() (core.Plan, error) {
 	if c.Name == "" {
 		return core.Plan{}, fmt.Errorf("fleet: class needs a name")
@@ -121,34 +121,20 @@ func (c ClassConfig) plan() (core.Plan, error) {
 // class (Rebase-wrapped when the class has a Shift layer). Fleet replay
 // verification uses it as the factory: feeding a stream's journaled
 // observations through this detector must reproduce the engine's
-// journaled decisions byte for byte. Both sides step the same core
-// kernel, so the replay checks the engine's shell around it: hygiene,
-// cooldown, shift layering and journaling.
+// journaled decisions byte for byte. It steps the same compiled plan as
+// the class's streams, so the replay checks the engine's shell around
+// the kernel: hygiene, cooldown, shift layering and journaling.
 func (c ClassConfig) Detector() (core.Detector, error) {
-	build := func(base core.Baseline) (core.Detector, error) {
-		switch c.Family {
-		case FamilySRAA:
-			return core.NewSRAA(core.SRAAConfig{
-				SampleSize: c.SampleSize, Buckets: c.Buckets, Depth: c.Depth,
-				Baseline: base,
-			})
-		case FamilySARAA:
-			return core.NewSARAA(core.SARAAConfig{
-				InitialSampleSize: c.SampleSize, Buckets: c.Buckets, Depth: c.Depth,
-				Baseline: base,
-			})
-		case FamilyCLTA:
-			return core.NewCLTA(core.CLTAConfig{
-				SampleSize: c.SampleSize, Quantile: c.Quantile,
-				Baseline: base,
-			})
-		}
-		return nil, fmt.Errorf("fleet: class %q has unknown family %d", c.Name, int(c.Family))
+	p, err := c.plan()
+	if err != nil {
+		return nil, err
 	}
 	if c.Shift == nil {
-		return build(c.Baseline)
+		return p.NewDetector(c.Baseline), nil
 	}
-	return core.NewRebase(*c.Shift, c.Baseline, build)
+	return core.NewRebase(*c.Shift, c.Baseline, func(base core.Baseline) (core.Detector, error) {
+		return p.NewDetector(base), nil
+	})
 }
 
 // class is the compiled, immutable form of a ClassConfig: the kernel

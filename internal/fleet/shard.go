@@ -157,8 +157,8 @@ func (s *shard) drainLocked(classes []class, hygienePolicy core.Hygiene, nowNano
 			// The workload-shift layer steps before the sample block,
 			// exactly as core.Rebase steps before its wrapped detector:
 			// relearning observations never reach detector state, and a
-			// committed rebaseline restarts it the way Rebase rebuilds
-			// its inner detector from the new baseline.
+			// committed rebaseline restarts it at Plan.Start, as Rebase
+			// restarts its inner detector at the new baseline.
 			switch s.shift[i].Step(c.shiftCfg, v) {
 			case core.ShiftRelearning:
 				continue

@@ -367,7 +367,7 @@ func (jw *Writer) StreamClose(t float64, stream uint64) {
 
 // Rebaseline records a committed workload-shift rebaseline on a stream
 // (0 for a single-detector journal): the shift layer re-estimated the
-// baseline and the wrapped detector was rebuilt from mean/sd. It sits
+// baseline and the wrapped detector restarted at mean/sd. It sits
 // on the per-observation paths (a rebaseline is decided inside an
 // observation) and must stay allocation-free on the binary codec.
 //

@@ -125,21 +125,6 @@ func LoadModule(dir string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the single package in dir under the
-// given import path. The path need not match the directory: golden tests
-// use it to place testdata packages inside policed path scopes.
-func LoadDir(dir, asPath string) (*Package, error) {
-	l, err := newLoader(dir)
-	if err != nil {
-		return nil, err
-	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.load(asPath, abs)
-}
-
 func hasGoFiles(dir string) (bool, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

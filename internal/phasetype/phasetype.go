@@ -69,65 +69,6 @@ func New(alpha []float64, t *linalg.Matrix) (*PH, error) {
 	return &PH{Alpha: a, T: t.Clone()}, nil
 }
 
-// Exponential returns the PH form of an exponential distribution.
-func Exponential(rate float64) (*PH, error) {
-	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		return nil, fmt.Errorf("phasetype: exponential rate must be positive and finite, got %v", rate)
-	}
-	t := linalg.NewMatrix(1, 1)
-	t.Set(0, 0, -rate)
-	return New([]float64{1}, t)
-}
-
-// HypoExp returns the PH form of a series of exponential stages.
-func HypoExp(rates ...float64) (*PH, error) {
-	if len(rates) == 0 {
-		return nil, fmt.Errorf("phasetype: HypoExp needs at least one stage")
-	}
-	m := len(rates)
-	t := linalg.NewMatrix(m, m)
-	for i, r := range rates {
-		if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("phasetype: stage rate must be positive and finite, got %v", r)
-		}
-		t.Set(i, i, -r)
-		if i+1 < m {
-			t.Set(i, i+1, r)
-		}
-	}
-	alpha := make([]float64, m)
-	alpha[0] = 1
-	return New(alpha, t)
-}
-
-// Mix returns the probabilistic mixture p*a + (1-p)*b as a PH on the
-// disjoint union of phases.
-func Mix(p float64, a, b *PH) (*PH, error) {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return nil, fmt.Errorf("phasetype: mixture probability %v outside [0,1]", p)
-	}
-	na, nb := len(a.Alpha), len(b.Alpha)
-	t := linalg.NewMatrix(na+nb, na+nb)
-	for i := 0; i < na; i++ {
-		for j := 0; j < na; j++ {
-			t.Set(i, j, a.T.At(i, j))
-		}
-	}
-	for i := 0; i < nb; i++ {
-		for j := 0; j < nb; j++ {
-			t.Set(na+i, na+j, b.T.At(i, j))
-		}
-	}
-	alpha := make([]float64, na+nb)
-	for i, v := range a.Alpha {
-		alpha[i] = p * v
-	}
-	for i, v := range b.Alpha {
-		alpha[na+i] = (1 - p) * v
-	}
-	return New(alpha, t)
-}
-
 // NumPhases returns the number of transient phases.
 func (p *PH) NumPhases() int { return len(p.Alpha) }
 

@@ -8,108 +8,30 @@ import (
 	"rejuv/internal/linalg"
 )
 
-func TestExponentialPH(t *testing.T) {
-	ph, err := Exponential(0.2)
+// series returns the PH of a series of exponential stages with the
+// given rates: enter stage 1, pass each stage in turn, absorb after the
+// last. One stage is the exponential distribution.
+func series(t *testing.T, rates ...float64) *PH {
+	t.Helper()
+	m := len(rates)
+	tm := linalg.NewMatrix(m, m)
+	for i, r := range rates {
+		tm.Set(i, i, -r)
+		if i+1 < m {
+			tm.Set(i, i+1, r)
+		}
+	}
+	alpha := make([]float64, m)
+	alpha[0] = 1
+	ph, err := New(alpha, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(ph.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v, want 5", ph.Mean())
-	}
-	if math.Abs(ph.Var()-25) > 1e-9 {
-		t.Fatalf("var = %v, want 25", ph.Var())
-	}
-	ref := dist.Exponential{Rate: 0.2}
-	for _, x := range []float64{0.5, 5, 20} {
-		pdf, err := ph.PDF(x, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(pdf-ref.PDF(x)) > 1e-9 {
-			t.Errorf("PDF(%v) = %v, want %v", x, pdf, ref.PDF(x))
-		}
-		cdf, err := ph.CDF(x, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(cdf-ref.CDF(x)) > 1e-9 {
-			t.Errorf("CDF(%v) = %v, want %v", x, cdf, ref.CDF(x))
-		}
-	}
-}
-
-func TestHypoExpPHMatchesClosedForm(t *testing.T) {
-	ph, err := HypoExp(0.2, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := dist.NewHypoExp(0.2, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ph.Mean()-ref.Mean()) > 1e-10 {
-		t.Fatalf("mean = %v, want %v", ph.Mean(), ref.Mean())
-	}
-	if math.Abs(ph.Var()-ref.Var()) > 1e-9 {
-		t.Fatalf("var = %v, want %v", ph.Var(), ref.Var())
-	}
-	for _, x := range []float64{0.3, 2, 8, 25} {
-		pdf, err := ph.PDF(x, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(pdf-ref.PDF(x)) > 1e-9 {
-			t.Errorf("PDF(%v) = %v, want %v", x, pdf, ref.PDF(x))
-		}
-	}
-}
-
-func TestMixMatchesMixtureDistribution(t *testing.T) {
-	// The paper's response time: Wc exp + (1-Wc) hypoexp.
-	const wc = 0.990981
-	expPH, err := Exponential(0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hypoPH, err := HypoExp(0.2, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := Mix(wc, expPH, hypoPH)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hypoDist, err := dist.NewHypoExp(0.2, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := dist.NewMixture([]float64{wc, 1 - wc},
-		[]dist.Dist{dist.Exponential{Rate: 0.2}, hypoDist})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mixed.Mean()-ref.Mean()) > 1e-9 {
-		t.Fatalf("mean = %v, want %v", mixed.Mean(), ref.Mean())
-	}
-	if math.Abs(mixed.Var()-ref.Var()) > 1e-9 {
-		t.Fatalf("var = %v, want %v", mixed.Var(), ref.Var())
-	}
-	for _, x := range []float64{1, 5, 12} {
-		cdf, err := mixed.CDF(x, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(cdf-ref.CDF(x)) > 1e-9 {
-			t.Errorf("CDF(%v) = %v, want %v", x, cdf, ref.CDF(x))
-		}
-	}
+	return ph
 }
 
 func TestScaleDividesMeanAndVariance(t *testing.T) {
-	ph, err := HypoExp(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ph := series(t, 1, 2)
 	scaled, err := ph.Scale(4)
 	if err != nil {
 		t.Fatal(err)
@@ -126,14 +48,8 @@ func TestScaleDividesMeanAndVariance(t *testing.T) {
 }
 
 func TestConvolveAddsMoments(t *testing.T) {
-	a, err := Exponential(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Exponential(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := series(t, 1)
+	b := series(t, 3)
 	sum, err := Convolve(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -164,10 +80,7 @@ func TestConvolveAddsMoments(t *testing.T) {
 func TestSampleMeanMoments(t *testing.T) {
 	// E[X̄n] = E[X]; Var[X̄n] = Var[X]/n — the identities behind the
 	// paper's Fig. 4 construction.
-	base, err := HypoExp(0.5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := series(t, 0.5, 2)
 	for _, n := range []int{1, 2, 5, 10} {
 		avg, err := base.SampleMean(n)
 		if err != nil {
@@ -189,10 +102,7 @@ func TestSampleMeanMoments(t *testing.T) {
 }
 
 func TestCDFMonotoneAndNormalized(t *testing.T) {
-	ph, err := HypoExp(1, 0.5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ph := series(t, 1, 0.5, 2)
 	prev := 0.0
 	for x := 0.0; x <= 30; x += 0.5 {
 		cdf, err := ph.CDF(x, 0)
@@ -238,27 +148,8 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestConstructorValidation(t *testing.T) {
-	if _, err := Exponential(0); err == nil {
-		t.Error("Exponential(0) accepted")
-	}
-	if _, err := HypoExp(); err == nil {
-		t.Error("HypoExp() accepted")
-	}
-	if _, err := HypoExp(1, -2); err == nil {
-		t.Error("HypoExp with negative rate accepted")
-	}
-	a, _ := Exponential(1)
-	if _, err := Mix(1.5, a, a); err == nil {
-		t.Error("Mix with p>1 accepted")
-	}
-}
-
 func TestExitVector(t *testing.T) {
-	ph, err := HypoExp(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ph := series(t, 2, 3)
 	exit := ph.ExitVector()
 	// Stage 1 exits only into stage 2 (no absorption); stage 2 absorbs
 	// at its full rate.

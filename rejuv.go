@@ -130,9 +130,9 @@ const (
 )
 
 // Rebase layers online baseline re-estimation under any detector
-// family: workload shifts rebaseline the wrapped detector (bucket
-// targets and sample sizes recomputed from the re-estimated µ and σ)
-// while software aging passes through and triggers as usual.
+// family: workload shifts restart the wrapped detector in place at the
+// re-estimated µ and σ (bucket targets and sample sizes recomputed from
+// them) while software aging passes through and triggers as usual.
 type Rebase = core.Rebase
 
 // Rebaseliner is implemented by detectors that re-estimate their
@@ -142,7 +142,9 @@ type Rebaseliner = core.Rebaseliner
 
 // NewRebaseDetector wraps the detector family built by build with the
 // workload-shift layer, starting from the given baseline. The factory
-// is invoked once up front and again after every committed rebaseline.
+// is invoked once, at that baseline, and must return one of this
+// package's detectors (SRAA, SARAA, CLTA, Static, Shewhart, EWMA, CUSUM
+// or Adaptive); a committed rebaseline restarts it in place.
 func NewRebaseDetector(cfg ShiftConfig, base Baseline, build func(Baseline) (Detector, error)) (*Rebase, error) {
 	return core.NewRebase(cfg, base, build)
 }
