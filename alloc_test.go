@@ -12,6 +12,7 @@ package rejuv_test
 import (
 	"io"
 	"testing"
+	"time"
 
 	"rejuv"
 )
@@ -92,28 +93,44 @@ func TestMonitorObserveInstrumentedDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// BenchmarkMonitorObserveInstrumented times the fully instrumented
-// per-observation path (collector + trace ring + binary journal); its
-// allocs/op column is the runtime counterpart of the hotpath lint rule.
+// BenchmarkMonitorObserveInstrumented times the per-observation path
+// with each layer-5 sink alone and with all three (collector + trace
+// ring + binary journal), on a virtual clock so the wall clock's cost
+// does not mask the sinks'. Its allocs/op column is the runtime
+// counterpart of the hotpath lint rule and reads 0 in every case.
 func BenchmarkMonitorObserveInstrumented(b *testing.B) {
-	reg := rejuv.NewRegistry()
-	jw := rejuv.NewJournalWriter(io.Discard, rejuv.JournalMeta{Detector: "SRAA"})
-	m, err := rejuv.NewMonitor(rejuv.MonitorConfig{
-		Detector:  hotPathDetector(b),
-		OnTrigger: func(rejuv.Trigger) {},
-		Collector: rejuv.NewCollector(reg),
-		Trace:     rejuv.NewTraceLog(1024),
-		Journal:   jw,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		m.Observe(float64(i%13) + 30)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Observe(float64(i%13) + 30)
+	for _, sinks := range []string{"none", "collector", "trace", "journal", "all"} {
+		b.Run(sinks, func(b *testing.B) {
+			vt := time.Unix(1000, 0)
+			cfg := rejuv.MonitorConfig{
+				Detector:  hotPathDetector(b),
+				OnTrigger: func(rejuv.Trigger) {},
+				Now: func() time.Time {
+					vt = vt.Add(time.Millisecond)
+					return vt
+				},
+			}
+			if sinks == "collector" || sinks == "all" {
+				cfg.Collector = rejuv.NewCollector(rejuv.NewRegistry())
+			}
+			if sinks == "trace" || sinks == "all" {
+				cfg.Trace = rejuv.NewTraceLog(1024)
+			}
+			if sinks == "journal" || sinks == "all" {
+				cfg.Journal = rejuv.NewJournalWriter(io.Discard, rejuv.JournalMeta{Detector: "SRAA"})
+			}
+			m, err := rejuv.NewMonitor(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 200; i++ {
+				m.Observe(float64(i%13) + 30)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Observe(float64(i%13) + 30)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rejuv/internal/core"
+	"rejuv/internal/streamindex"
 )
 
 // StreamObs is one observation addressed to one stream — the unit of
@@ -132,7 +133,7 @@ func (e *Engine) ObserveBatch(batch []StreamObs) {
 		sc.cursor[i] = 0
 	}
 	for i := range batch {
-		h := mix(batch[i].Stream)
+		h := streamindex.Mix(uint64(batch[i].Stream))
 		sc.hash[i] = h
 		sc.cursor[e.shardOf(h)]++
 	}

@@ -54,6 +54,7 @@ import (
 	"rejuv/internal/health"
 	"rejuv/internal/journal"
 	"rejuv/internal/metrics"
+	"rejuv/internal/streamindex"
 )
 
 // StreamID identifies one monitored observation stream. Ids are chosen
@@ -265,7 +266,7 @@ func New(cfg Config) (*Engine, error) {
 		e.byName[cc.Name] = int32(i)
 	}
 	for i := range e.shards {
-		e.shards[i].index = newStreamIndex()
+		e.shards[i].index = streamindex.New()
 	}
 	for _, c := range e.classes {
 		e.maxLvl = max(e.maxLvl, c.plan.Buckets())
@@ -349,7 +350,7 @@ func (e *Engine) OpenStream(id StreamID, className string) error {
 	}
 	e.outMu.Lock()
 	defer e.outMu.Unlock()
-	h := mix(id)
+	h := streamindex.Mix(uint64(id))
 	si := e.shardOf(h)
 	s := &e.shards[si]
 	s.mu.Lock()
@@ -376,7 +377,7 @@ func (e *Engine) OpenStream(id StreamID, className string) error {
 func (e *Engine) CloseStream(id StreamID) error {
 	e.outMu.Lock()
 	defer e.outMu.Unlock()
-	h := mix(id)
+	h := streamindex.Mix(uint64(id))
 	si := e.shardOf(h)
 	s := &e.shards[si]
 	s.mu.Lock()

@@ -201,6 +201,47 @@ func TestOpenCloseChurnRecyclesSlots(t *testing.T) {
 	}
 }
 
+// TestOpenCloseChurnKeepsIndexBounded extends the bounded-memory
+// guarantee of TestOpenCloseChurnRecyclesSlots to the stream index:
+// 10⁵ open/close cycles at a fixed population, each opening an id never
+// seen before, leave the table and the slot arrays at the length they
+// reached when the population was first opened. Deletion leaves no
+// tombstones, so fresh ids cannot crowd the table.
+func TestOpenCloseChurnKeepsIndexBounded(t *testing.T) {
+	e, err := New(Config{Classes: testClasses(), Shards: 1, Now: newFakeClock(time.Millisecond).Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const population, cycles = 300, 100_000
+	for id := StreamID(1); id <= population; id++ {
+		if err := e.OpenStream(id, "web-sraa"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := &e.shards[0]
+	tabLen, slots := s.index.TableLen(), len(s.ids)
+	for c := 0; c < cycles; c++ {
+		oldest, fresh := StreamID(c+1), StreamID(c+1+population)
+		if err := e.CloseStream(oldest); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.OpenStream(fresh, "web-sraa"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.index.TableLen() != tabLen || len(s.ids) != slots {
+		t.Errorf("after %d churn cycles: table %d entries (was %d), %d slots (was %d)",
+			cycles, s.index.TableLen(), tabLen, len(s.ids), slots)
+	}
+	if s.index.Len() != population {
+		t.Errorf("index holds %d streams, want %d", s.index.Len(), population)
+	}
+	if st := e.Stats(); st.OpenStreams != population {
+		t.Errorf("OpenStreams = %d, want %d", st.OpenStreams, population)
+	}
+}
+
 func TestOpenStreamErrors(t *testing.T) {
 	e, err := New(Config{Classes: testClasses(), Now: newFakeClock(time.Millisecond).Now})
 	if err != nil {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"rejuv/internal/health"
+	"rejuv/internal/streamindex"
 )
 
 // This file assembles the fleet health snapshot: the engine owns the
@@ -74,8 +75,7 @@ func (e *Engine) HealthSnapshot() health.Snapshot {
 				// same lock, so Level/Fill are current rather than stale
 				// sketch-side copies. Streams closed since their last
 				// signal are dropped.
-				id := StreamID(en.ID)
-				slot := s.index.lookup(id, mix(id))
+				slot := s.index.Lookup(en.ID, streamindex.Mix(en.ID))
 				if slot < 0 {
 					continue
 				}

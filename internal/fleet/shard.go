@@ -6,6 +6,7 @@ import (
 
 	"rejuv/internal/core"
 	"rejuv/internal/health"
+	"rejuv/internal/streamindex"
 )
 
 // shard owns one stripe of the fleet's detector state, laid out as
@@ -16,9 +17,9 @@ import (
 type shard struct {
 	mu sync.Mutex
 
-	index  streamIndex // open stream id -> slot; guarded by mu
-	free   []int32     // recycled slots; guarded by mu
-	opened int         // live slot count; guarded by mu
+	index  streamindex.Index // open stream id -> slot; guarded by mu
+	free   []int32           // recycled slots; guarded by mu
+	opened int               // live slot count; guarded by mu
 
 	// Parallel per-slot detector state.
 	ids   []StreamID          // stream id of each slot; guarded by mu
@@ -51,7 +52,7 @@ type exemplar struct {
 //
 //lint:holds mu
 func (s *shard) open(id StreamID, h uint64, ci int32, c *class, cfg Config) error {
-	if s.index.lookup(id, h) >= 0 {
+	if s.index.Lookup(uint64(id), h) >= 0 {
 		return fmt.Errorf("fleet: stream %d is already open", uint64(id))
 	}
 	var slot int32
@@ -79,7 +80,7 @@ func (s *shard) open(id StreamID, h uint64, ci int32, c *class, cfg Config) erro
 	s.cool[slot] = core.NewCooldown(cfg.Cooldown)
 	s.dog[slot] = core.NewWatchdog(cfg.MaxSilence)
 	s.shift[slot] = core.NewShiftState(c.cfg.Baseline)
-	s.index.insert(id, h, slot)
+	s.index.Insert(uint64(id), h, slot)
 	s.opened++
 	return nil
 }
@@ -89,7 +90,7 @@ func (s *shard) open(id StreamID, h uint64, ci int32, c *class, cfg Config) erro
 //
 //lint:holds mu
 func (s *shard) close(id StreamID, h uint64) error {
-	i := s.index.remove(id, h)
+	i := s.index.Remove(uint64(id), h)
 	if i < 0 {
 		return fmt.Errorf("fleet: stream %d is not open", uint64(id))
 	}
@@ -125,7 +126,7 @@ func (s *shard) close(id StreamID, h uint64) error {
 //lint:holds mu
 func (s *shard) drainLocked(classes []class, hygienePolicy core.Hygiene, nowNanos int64, batch []StreamObs, hash []uint64, idxs, slots []int32, res []result) {
 	for k, bi := range idxs {
-		slots[k] = s.index.lookup(batch[bi].Stream, hash[bi])
+		slots[k] = s.index.Lookup(uint64(batch[bi].Stream), hash[bi])
 	}
 	for k, bi := range idxs {
 		o := &batch[bi]

@@ -594,7 +594,7 @@ func Diff(metaA Meta, a []Record, metaB Meta, b []Record, window int) DiffReport
 		n = len(db)
 	}
 	for i := 0; i < n; i++ {
-		if !sameDecision(da[i], db[i]) {
+		if !sameDecisionRecord(&da[i], &db[i]) {
 			rep.Divergence = &DecisionDiff{Ordinal: i, A: da[i], B: db[i]}
 			return rep
 		}
@@ -615,13 +615,14 @@ func decisions(records []Record) []Record {
 	return out
 }
 
-// sameDecision compares two decision records on stream, timestamp and
-// detector-owned fields, masking the cooldown-owned suppression flag.
-func sameDecision(x, y Record) bool {
-	if x.Stream != y.Stream || math.Float64bits(x.Time) != math.Float64bits(y.Time) {
+// sameDecisionRecord compares two decision records on stream,
+// timestamp and detector-owned fields, masking the cooldown-owned
+// suppression flag.
+func sameDecisionRecord(x, y *Record) bool {
+	if x.Stream != y.Stream || !sameF64Bits(x.Time, y.Time) {
 		return false
 	}
-	dx, inx := recordDecision(&x)
-	dy, iny := recordDecision(&y)
-	return string(appendDecision(nil, dx, inx, false)) == string(appendDecision(nil, dy, iny, false))
+	dx, inx := recordDecision(x)
+	dy, iny := recordDecision(y)
+	return sameDecision(dx, inx, dy, iny)
 }

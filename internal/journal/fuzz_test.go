@@ -38,7 +38,9 @@ func fuzzSeedFleet(f *testing.F) []byte {
 // panic, never loop forever, and on records it does accept, re-encoding
 // must reproduce the accepted payload (decode/encode idempotence).
 // Decoding into one reused Record must also match a fresh decode per
-// record, errors included.
+// record, errors included, and a Reader with a 16-byte read buffer,
+// which decodes through the copying path, must match a default one,
+// which decodes buffered records in place, strict and tolerant alike.
 func FuzzReader(f *testing.F) {
 	f.Add(fuzzSeed())
 	f.Add(fuzzSeedJSONL())
@@ -48,6 +50,8 @@ func FuzzReader(f *testing.F) {
 	f.Add(append(append([]byte{}, magic[:]...), Version, 0x02, '{', '}'))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		compareReuse(t, data)
+		compareBufferSizes(t, data, false)
+		compareBufferSizes(t, data, true)
 		jr, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			return

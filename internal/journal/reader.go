@@ -34,7 +34,14 @@ type Reader struct {
 // NewReader wraps r and reads the journal header. It fails on a missing
 // or malformed header rather than guessing.
 func NewReader(r io.Reader) (*Reader, error) {
-	jr := &Reader{br: bufio.NewReaderSize(r, 64<<10)}
+	return newReaderSize(r, 64<<10)
+}
+
+// newReaderSize is NewReader with a read buffer of size bytes (bufio's
+// minimum of 16 applies). Records longer than the buffer, and records
+// that straddle a refill, take the copying path of nextBinary.
+func newReaderSize(r io.Reader, size int) (*Reader, error) {
+	jr := &Reader{br: bufio.NewReaderSize(r, size)}
 	head, err := jr.br.Peek(len(magic))
 	if err != nil {
 		return nil, fmt.Errorf("journal: reading stream head: %w", err)
@@ -126,10 +133,11 @@ func (jr *Reader) Next() (Record, error) {
 // over one Record this way instead of copying each record out of Next.
 // On error r holds no meaningful record.
 //
-// A binary record's payload is read into one buffer the Reader keeps,
+// A binary record already whole in the read buffer is decoded there in
+// place; any other payload is read into one buffer the Reader keeps,
 // grown to the longest record so far and so bounded by MaxRecordLen.
-// Decoding copies every string out of it, so no returned Record
-// aliases the buffer.
+// Decoding copies every string out, so no returned Record aliases
+// either buffer.
 func (jr *Reader) next(r *Record) error {
 	*r = Record{}
 	if jr.format == FormatJSONL {
@@ -211,6 +219,19 @@ func (jr *Reader) readLine() ([]byte, error) {
 func (jr *Reader) nextBinary(r *Record) error {
 	if jr.drained {
 		return io.EOF
+	}
+	// Fast path: the length prefix and the whole payload are already
+	// buffered, so decode them where they lie. Everything else — a
+	// record straddling a refill, a torn or truncated tail, a malformed
+	// or oversized prefix — takes the copying path below, which owns
+	// every error text and torn-byte count.
+	if buf, _ := jr.br.Peek(jr.br.Buffered()); len(buf) > 0 {
+		if n, k := binary.Uvarint(buf); k > 0 && n <= MaxRecordLen && n <= uint64(len(buf)-k) {
+			end := k + int(n)
+			err := decodeBinary(buf[k:end], r)
+			_, _ = jr.br.Discard(end) // the bytes are buffered; Discard cannot fail
+			return err
+		}
 	}
 	n, lenBytes, err := jr.readUvarintCounted()
 	if err != nil {
@@ -425,6 +446,13 @@ func (c *cursor) u8() byte {
 func (c *cursor) uvarint() uint64 {
 	if c.err != nil {
 		return 0
+	}
+	// Most varints in a record (stream ids, levels, fills, sample
+	// sizes) fit in one byte.
+	if c.off < len(c.b) && c.b[c.off] < 0x80 {
+		v := c.b[c.off]
+		c.off++
+		return uint64(v)
 	}
 	v, n := binary.Uvarint(c.b[c.off:])
 	if n <= 0 {

@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -11,6 +10,7 @@ import (
 	"runtime/pprof"
 
 	"rejuv/internal/core"
+	"rejuv/internal/streamindex"
 )
 
 // sameF64Bits compares two floats bitwise, the equality the replay
@@ -100,10 +100,10 @@ func (m *Mismatch) Error() string {
 //     a stream closed or a replication started while a replayed decision
 //     awaits its recorded counterpart are structural mismatches.
 //
-// The comparison is byte-level: both sides are encoded with the
-// canonical binary decision layout (appendDecision) and must match
-// exactly. Both sides carry the recorded Suppressed flag, because
-// suppression is decided by the cooldown layer above the detector and
+// The comparison is byte-level: every field of the canonical binary
+// decision layout (appendDecision) must match, floats bitwise, which is
+// the same as comparing the two encodings. Suppression is masked,
+// because it is decided by the cooldown layer above the detector and
 // is not reproducible from the observation stream alone; every
 // detector-owned field must match.
 // Records of other kinds are ignored, so a journal may carry GC,
@@ -112,7 +112,7 @@ func (m *Mismatch) Error() string {
 // Replay stops at the first divergence and reports it; a nil error with
 // report.Identical() true is the determinism proof.
 func Replay(jr *Reader, factory func(class string) (core.Detector, error)) (ReplayReport, error) {
-	v := verifier{factory: factory, streams: make(map[uint64]*replayStream)}
+	v := verifier{factory: factory, index: streamindex.New()}
 	var err error
 	// Label the replay loop so CPU profiles attribute detector
 	// evaluation time to this phase.
@@ -122,23 +122,49 @@ func Replay(jr *Reader, factory func(class string) (core.Detector, error)) (Repl
 	return v.report, err
 }
 
-// replayStream is the replay state of one open stream.
+// replayStream is the replay state of one stream, held by value in the
+// verifier's slot table; a slot with a nil det is free.
 type replayStream struct {
+	id  uint64
 	det core.Detector
-	// d and in hold, while waiting is set, the replayed decision
-	// awaiting its recorded counterpart; decision records always follow
-	// their observation in writer order. They are kept by value so a
-	// replayed decision allocates nothing.
-	d       core.Decision
-	in      core.Internals
-	waiting bool
+	// instr is det's core.Instrumented view, asserted once at open; nil
+	// when the detector exposes no internals.
+	instr core.Instrumented
+	// d holds, while waiting is set, the replayed decision awaiting its
+	// recorded counterpart, and sampleSize, sampleFill and statistic the
+	// internals its payload carries (appendDecision); decision records
+	// always follow their observation in writer order.
+	d                      core.Decision
+	sampleSize, sampleFill int
+	statistic              float64
+	waiting                bool
 }
 
-// verifier is the state of one Replay pass. recBuf and repBuf are the
-// reused encodings of the recorded and replayed decision payloads.
+// internals returns the pending decision's payload internals.
+func (st *replayStream) internals() core.Internals {
+	return core.Internals{SampleSize: st.sampleSize, SampleFill: st.sampleFill, Statistic: st.statistic}
+}
+
+// streamPage is the number of stream slots per page of the verifier's
+// slot table.
+const streamPage = 64
+
+// verifier is the state of one Replay pass. Stream 0 has a state of its
+// own, zero, because the index reserves id 0 for its empty entries.
+// Every other open stream has a slot from index, and its state lives by
+// value in pages of streamPage slots: a page never moves, so a
+// *replayStream stays valid and a growing table leaves no outgrown
+// copies behind. Slots below next have been handed out, and the slots
+// of closed streams are recycled through free. recBuf and repBuf are
+// the reused encodings of a differing recorded and replayed decision
+// payload.
 type verifier struct {
 	factory        func(class string) (core.Detector, error)
-	streams        map[uint64]*replayStream
+	zero           replayStream
+	index          streamindex.Index
+	pages          []*[streamPage]replayStream
+	next           int32
+	free           []int32
 	report         ReplayReport
 	recBuf, repBuf []byte
 }
@@ -151,11 +177,10 @@ func (v *verifier) run(jr *Reader) error {
 	sawRepStart := false
 	rec := new(Record)
 	for v.report.Mismatch == nil {
-		err := jr.next(rec)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
+		if err := jr.next(rec); err != nil {
+			if errors.Is(err, io.EOF) {
+				break
+			}
 			return err
 		}
 		switch rec.Kind {
@@ -168,9 +193,9 @@ func (v *verifier) run(jr *Reader) error {
 				v.report.Reps++
 			}
 			sawRepStart = true
-			clear(v.streams)
+			v.closeAll()
 		case KindStreamOpen:
-			if _, ok := v.streams[rec.Stream]; ok {
+			if v.lookup(rec.Stream) != nil {
 				v.mismatch(rec, fmt.Sprintf("stream %d opened twice", rec.Stream))
 				break
 			}
@@ -179,14 +204,14 @@ func (v *verifier) run(jr *Reader) error {
 			}
 			v.report.Streams++
 		case KindStreamClose:
-			st, ok := v.streams[rec.Stream]
+			st := v.lookup(rec.Stream)
 			switch {
-			case !ok:
+			case st == nil:
 				v.mismatch(rec, fmt.Sprintf("stream %d closed but never opened", rec.Stream))
 			case st.waiting:
 				v.mismatch(rec, fmt.Sprintf("stream %d closed while a replayed decision awaited its recorded counterpart", rec.Stream))
 			default:
-				delete(v.streams, rec.Stream)
+				v.close(rec.Stream)
 				v.report.Closes++
 			}
 		case KindObserve:
@@ -201,10 +226,11 @@ func (v *verifier) run(jr *Reader) error {
 			v.report.Observations++
 			if d := st.det.Observe(rec.Value); d.Evaluated || d.Triggered {
 				var in core.Internals
-				if instr, ok := st.det.(core.Instrumented); ok {
-					in = instr.Internals()
+				if st.instr != nil {
+					in = st.instr.Internals()
 				}
-				st.d, st.in, st.waiting = d, in, true
+				st.d, st.waiting = d, true
+				st.sampleSize, st.sampleFill, st.statistic = in.SampleSize, in.SampleFill, in.Statistic
 			}
 		case KindDecision:
 			st, err := v.stream(rec, "decision")
@@ -218,11 +244,7 @@ func (v *verifier) run(jr *Reader) error {
 			v.compare(st, rec)
 		case KindReset:
 			v.report.Resets++
-			// Reset has no cross-stream effects, so the map order is
-			// immaterial.
-			for _, st := range v.streams {
-				st.det.Reset()
-			}
+			v.each(func(st *replayStream) { st.det.Reset() })
 		case KindRebaseline:
 			st, err := v.stream(rec, "rebaseline")
 			if st == nil {
@@ -244,7 +266,41 @@ func (v *verifier) run(jr *Reader) error {
 	return nil
 }
 
-// open builds the detector of one stream.
+// slot returns the state in slot i.
+func (v *verifier) slot(i int32) *replayStream {
+	return &v.pages[i/streamPage][i%streamPage]
+}
+
+// each calls f on every open stream: stream 0, then the pages in slot
+// order.
+func (v *verifier) each(f func(*replayStream)) {
+	if v.zero.det != nil {
+		f(&v.zero)
+	}
+	for _, pg := range v.pages {
+		for i := range pg {
+			if st := &pg[i]; st.det != nil {
+				f(st)
+			}
+		}
+	}
+}
+
+// lookup returns the open stream id, or nil when it is not open.
+func (v *verifier) lookup(id uint64) *replayStream {
+	if id == 0 {
+		if v.zero.det != nil {
+			return &v.zero
+		}
+		return nil
+	}
+	if i := v.index.Lookup(id, streamindex.Mix(id)); i >= 0 {
+		return v.slot(i)
+	}
+	return nil
+}
+
+// open builds the detector of one stream and gives the stream a slot.
 func (v *verifier) open(id uint64, class string) (*replayStream, error) {
 	det, err := v.factory(class)
 	if err != nil {
@@ -253,16 +309,54 @@ func (v *verifier) open(id uint64, class string) (*replayStream, error) {
 	if det == nil {
 		return nil, fmt.Errorf("journal: replay factory returned a nil detector for stream %d (class %q)", id, class)
 	}
-	st := &replayStream{det: det}
-	v.streams[id] = st
+	st := &v.zero
+	if id != 0 {
+		var i int32
+		if n := len(v.free); n > 0 {
+			i, v.free = v.free[n-1], v.free[:n-1]
+		} else {
+			if int(v.next/streamPage) == len(v.pages) {
+				v.pages = append(v.pages, new([streamPage]replayStream))
+			}
+			i = v.next
+			v.next++
+		}
+		v.index.Insert(id, streamindex.Mix(id), i)
+		st = v.slot(i)
+	}
+	instr, _ := det.(core.Instrumented)
+	*st = replayStream{id: id, det: det, instr: instr}
 	return st, nil
+}
+
+// close drops the open stream id and recycles its slot.
+func (v *verifier) close(id uint64) {
+	if id == 0 {
+		v.zero = replayStream{}
+		return
+	}
+	i := v.index.Remove(id, streamindex.Mix(id))
+	*v.slot(i) = replayStream{}
+	v.free = append(v.free, i)
+}
+
+// closeAll drops every stream, as a replication start does, and hands
+// the slots out again from the first page.
+func (v *verifier) closeAll() {
+	v.each(func(st *replayStream) {
+		if st.id != 0 {
+			v.index.Remove(st.id, streamindex.Mix(st.id))
+		}
+		*st = replayStream{}
+	})
+	v.next, v.free = 0, v.free[:0]
 }
 
 // stream returns the open stream rec belongs to, opening stream 0 on
 // its first record. A nil stream with a nil error means rec addressed
 // an unopened stream and the mismatch is recorded.
 func (v *verifier) stream(rec *Record, what string) (*replayStream, error) {
-	if st, ok := v.streams[rec.Stream]; ok {
+	if st := v.lookup(rec.Stream); st != nil {
 		return st, nil
 	}
 	if rec.Stream == 0 {
@@ -280,33 +374,47 @@ func (v *verifier) compare(st *replayStream, rec *Record) {
 		return
 	}
 	st.waiting = false
-	// Suppression belongs to the cooldown layer, not the detector;
-	// encode both sides with the recorded flag so the byte comparison
-	// covers exactly the detector-owned fields.
 	d, in := recordDecision(rec)
+	if sameDecision(d, in, st.d, st.internals()) {
+		return
+	}
+	// Suppression belongs to the cooldown layer, not the detector;
+	// encode both sides with the recorded flag so the report shows
+	// exactly the detector-owned fields that differ.
 	v.recBuf = appendDecision(v.recBuf[:0], d, in, rec.Suppressed)
-	v.repBuf = appendDecision(v.repBuf[:0], st.d, st.in, rec.Suppressed)
-	if !bytes.Equal(v.recBuf, v.repBuf) {
-		v.report.Mismatch = &Mismatch{
-			Seq:      rec.Seq,
-			Time:     rec.Time,
-			Reason:   "decision payloads differ" + onStream(rec.Stream),
-			Recorded: hex.EncodeToString(v.recBuf),
-			Replayed: hex.EncodeToString(v.repBuf),
-		}
+	v.repBuf = appendDecision(v.repBuf[:0], st.d, st.internals(), rec.Suppressed)
+	v.report.Mismatch = &Mismatch{
+		Seq:      rec.Seq,
+		Time:     rec.Time,
+		Reason:   "decision payloads differ" + onStream(rec.Stream),
+		Recorded: hex.EncodeToString(v.recBuf),
+		Replayed: hex.EncodeToString(v.repBuf),
 	}
 }
 
+// sameDecision reports whether two decisions encode to the same
+// canonical payload (appendDecision) under one suppression flag: it
+// compares every field that payload carries, floats bitwise. The
+// encoding is injective on these fields — the ints travel as
+// uint64(int) varints — so this equals comparing the encoded bytes.
+func sameDecision(d1 core.Decision, in1 core.Internals, d2 core.Decision, in2 core.Internals) bool {
+	return d1.Evaluated == d2.Evaluated && d1.Triggered == d2.Triggered &&
+		sameF64Bits(d1.SampleMean, d2.SampleMean) && sameF64Bits(d1.Target, d2.Target) &&
+		d1.Level == d2.Level && d1.Fill == d2.Fill &&
+		in1.SampleSize == in2.SampleSize && in1.SampleFill == in2.SampleFill &&
+		sameF64Bits(in1.Statistic, in2.Statistic)
+}
+
 // waitingStream returns the lowest id of a stream whose replayed
-// decision awaits its recorded counterpart, so the diagnosis is stable
-// despite map iteration order.
+// decision awaits its recorded counterpart, so the diagnosis does not
+// depend on slot order.
 func (v *verifier) waitingStream() (uint64, bool) {
 	id, found := uint64(0), false
-	for sid, st := range v.streams {
-		if st.waiting && (!found || sid < id) {
-			id, found = sid, true
+	v.each(func(st *replayStream) {
+		if st.waiting && (!found || st.id < id) {
+			id, found = st.id, true
 		}
-	}
+	})
 	return id, found
 }
 

@@ -24,6 +24,7 @@ var deterministicScopes = []string{
 	"internal/fleet",
 	"internal/health",
 	"internal/sched",
+	"internal/streamindex",
 }
 
 // bannedImports are entropy or wall-clock sources that must never be

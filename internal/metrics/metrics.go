@@ -7,10 +7,11 @@
 // exposed in Prometheus text format or JSON (see expose.go).
 //
 // Hot paths are lock-free: counters and gauges are single atomic words,
-// histogram observation is a binary search plus two atomic adds, so
-// instruments can be updated from request handlers and simulation inner
-// loops without contention. Registration (Counter, Gauge, Histogram) is
-// idempotent and takes a mutex; do it once at setup, not per update.
+// histogram observation is a binary search, one atomic add and a
+// compare-and-swap on the sum, so instruments can be updated from
+// request handlers and simulation inner loops without contention.
+// Registration (Counter, Gauge, Histogram) is idempotent and takes a
+// mutex; do it once at setup, not per update.
 //
 // The package deliberately imports nothing beyond the standard library
 // (and only sync, sync/atomic, math, sort, strconv, strings, io,
@@ -85,8 +86,16 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+// Set stores v. A gauge that already holds v's exact bits is left
+// alone: the load is then the linearization point, as the store would
+// have been, and the gauges a monitor sets on every observation skip a
+// fenced store while their value stands still. Bits, not values, are
+// compared, so +0 over -0 and one NaN payload over another still store.
+func (g *Gauge) Set(v float64) {
+	if b := math.Float64bits(v); g.bits.Load() != b {
+		g.bits.Store(b)
+	}
+}
 
 // SetInt stores an integer value, a convenience for level/length gauges.
 func (g *Gauge) SetInt(v int) { g.Set(float64(v)) }
@@ -109,13 +118,13 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // bounds ("le" semantics): an observation lands in the first bucket
 // whose upper bound is >= the value, and above the last bound it lands
 // in the implicit +Inf bucket. Counts are cumulative only at exposition
-// time; internally each bucket counts its own range so observation is
-// two atomic adds.
+// time; internally each bucket counts its own range, so observation is
+// one atomic add plus the sum's compare-and-swap, and the total count is
+// the sum of the buckets.
 type Histogram struct {
 	upper   []float64 // sorted, strictly increasing, finite
 	counts  []atomic.Uint64
 	inf     atomic.Uint64
-	count   atomic.Uint64
 	sumBits atomic.Uint64
 }
 
@@ -151,7 +160,6 @@ func (h *Histogram) Observe(v float64) {
 	} else {
 		h.inf.Add(1)
 	}
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		cur := math.Float64frombits(old)
@@ -161,8 +169,17 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// Count returns the total number of observations: the sum of every
+// bucket's own count, +Inf included, so it always equals the +Inf
+// bucket's cumulative count. Read concurrently with observation it is
+// weakly consistent, like Buckets.
+func (h *Histogram) Count() uint64 {
+	n := h.inf.Load()
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -204,7 +221,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	total := h.count.Load()
+	total := h.Count()
 	if total == 0 {
 		return math.NaN()
 	}

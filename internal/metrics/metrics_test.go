@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -97,6 +98,107 @@ func TestConcurrentUpdates(t *testing.T) {
 	wantSum := float64(workers) * float64(perWorker) / 5 * 10
 	if got := h.Sum(); !num.Close(got, wantSum) {
 		t.Errorf("histogram sum = %v, want %v", got, wantSum)
+	}
+}
+
+// TestGaugeSetUnchangedBits pins what Set's skip of an unchanged value
+// compares: bits, not values. +0 over -0 and one NaN payload over
+// another must still store; and Set racing Add must leave a value some
+// interleaving of the two produces (under -race, also no data race).
+func TestGaugeSetUnchangedBits(t *testing.T) {
+	var g Gauge
+	bits := func() uint64 { return math.Float64bits(g.Value()) }
+	g.Set(0) // the zero gauge already holds +0
+	if bits() != 0 {
+		t.Fatalf("Set(+0) on a zero gauge: bits %#x", bits())
+	}
+	negZero := math.Copysign(0, -1)
+	g.Set(negZero)
+	if bits() != math.Float64bits(negZero) {
+		t.Fatalf("Set(-0) after +0: bits %#x, want %#x", bits(), math.Float64bits(negZero))
+	}
+	g.Set(0)
+	if bits() != 0 {
+		t.Fatalf("Set(+0) after -0: bits %#x, want 0", bits())
+	}
+	for _, b := range []uint64{0x7ff8_0000_0000_0001, 0x7ff8_0000_0000_0002, 0x7ff8_0000_0000_0002} {
+		g.Set(math.Float64frombits(b))
+		if bits() != b {
+			t.Fatalf("Set(NaN %#x): bits %#x", b, bits())
+		}
+	}
+
+	g.Set(0)
+	const n = 20000
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			g.Add(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			g.Set(0) // usually the bits differ, sometimes they match
+		}
+	}()
+	wg.Wait()
+	if v := g.Value(); v < 0 || v > n || !num.Same(v, math.Trunc(v)) {
+		t.Fatalf("after %d racing Adds of 1 and Sets of 0 the gauge reads %v", n, v)
+	}
+}
+
+// TestHistogramCountIsBucketSum checks that Count is the sum of the
+// buckets' own counts, +Inf included, so the exposition's _count always
+// equals its +Inf bucket, also while observers run concurrently.
+func TestHistogramCountIsBucketSum(t *testing.T) {
+	h, err := newHistogram([]float64{1, 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(want uint64) {
+		t.Helper()
+		buckets := h.Buckets()
+		sum := buckets[len(buckets)-1].CumulativeCount + h.inf.Load()
+		if got := h.Count(); got != sum || got != want {
+			t.Fatalf("Count() = %d, buckets plus +Inf = %d, want %d", got, sum, want)
+		}
+	}
+	check(0)
+	for _, v := range []float64{0.5, 1, 3, 4, 5, math.Inf(1), math.NaN(), -2} {
+		h.Observe(v)
+	}
+	check(7) // NaN is dropped
+
+	const workers, perWorker = 4, 5000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				h.Observe(float64(i % 6))
+			}
+		}()
+	}
+	wg.Wait()
+	check(7 + workers*perWorker)
+
+	r := NewRegistry()
+	rh := r.Histogram("lat", "", []float64{1, 2})
+	for _, v := range []float64{0.5, 1.5, 3, 9} {
+		rh.Observe(v)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"lat_bucket{le=\"+Inf\"} 4\n", "lat_count 4\n"} {
+		if !strings.Contains(b.String(), line) {
+			t.Errorf("exposition lacks %q:\n%s", line, b.String())
+		}
 	}
 }
 

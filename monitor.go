@@ -143,6 +143,9 @@ type Monitor struct {
 	// Observe can spot a commit the instant it happens.
 	reb     core.Rebaseliner
 	lastReb uint64 // guarded by mu
+	// instr is the detector's Instrumented view, nil when it exposes no
+	// internals; Observe snapshots it at most once per observation.
+	instr core.Instrumented
 }
 
 // NewMonitor validates the configuration and returns a monitor.
@@ -165,6 +168,7 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		dog:  core.NewWatchdog(cfg.MaxSilence),
 	}
 	m.reb, _ = cfg.Detector.(core.Rebaseliner)
+	m.instr, _ = cfg.Detector.(core.Instrumented)
 	return m, nil
 }
 
@@ -203,6 +207,7 @@ func (m *Monitor) Observe(x float64) {
 		m.cfg.Collector == nil && m.cfg.Trace == nil && m.cfg.Journal == nil {
 		return // the common un-instrumented fast path needs no clock
 	}
+	c, tl, jw := m.cfg.Collector, m.cfg.Trace, m.cfg.Journal
 	now := m.cfg.Now()
 	m.feedWatchdog(now)
 	inCool := m.cool.Active(now.UnixNano())
@@ -223,13 +228,23 @@ func (m *Monitor) Observe(x float64) {
 			inCool = m.cfg.Cooldown > 0
 		}
 	}
-	if c := m.cfg.Collector; c != nil {
-		c.observe(v, d, m.cfg.Detector, suppressed, inCool)
+	// One snapshot of the detector's internals serves every sink: the
+	// collector's gauges on each observation, the journal and the trace
+	// ring on each decision they record.
+	decided := d.Evaluated || d.Triggered
+	var in DetectorInternals
+	var snap *DetectorInternals
+	if m.instr != nil && (c != nil || (decided && (tl != nil || jw != nil))) {
+		in = m.instr.Internals()
+		snap = &in
+	}
+	if c != nil {
+		c.observe(v, d, snap, suppressed, inCool)
 		if intercepted {
 			c.rejected.Inc()
 		}
 	}
-	if tl, jw := m.cfg.Trace, m.cfg.Journal; tl != nil || jw != nil {
+	if tl != nil || jw != nil {
 		if m.epoch.IsZero() {
 			m.epoch = now
 		}
@@ -244,18 +259,14 @@ func (m *Monitor) Observe(x float64) {
 				jw.Rebaseline(t, 0, b.Mean, b.StdDev)
 			}
 		}
-		if d.Evaluated || d.Triggered {
-			var in DetectorInternals
-			if instr, ok := m.cfg.Detector.(Instrumented); ok {
-				in = instr.Internals()
-			}
+		if decided {
 			if jw != nil {
 				jw.Decision(t, 0, d, in, suppressed, tid)
 			}
 			if tl != nil {
 				r := journal.DecisionRecord(t, d, in, suppressed)
 				r.Seq, r.Value, r.TriggerID = m.stats.Observations, v, tid
-				tl.Record(r)
+				tl.record(&r)
 			}
 		}
 	}

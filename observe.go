@@ -153,9 +153,10 @@ func NewCollector(reg *Registry, labels ...Label) *Collector {
 // latency quantile digest to /fleetz snapshots.
 func (c *Collector) Observed() *MetricHistogram { return c.observed }
 
-// observe publishes one monitor decision. Called by Monitor.Observe
-// under the monitor lock.
-func (c *Collector) observe(x float64, d Decision, det Detector, suppressed, inCooldown bool) {
+// observe publishes one monitor decision. in is the monitor's snapshot
+// of the detector's internals after the decision, nil when the detector
+// is not Instrumented. Called by Monitor.Observe under the monitor lock.
+func (c *Collector) observe(x float64, d Decision, in *DetectorInternals, suppressed, inCooldown bool) {
 	c.observations.Inc()
 	c.observed.Observe(x)
 	if d.Evaluated {
@@ -175,13 +176,12 @@ func (c *Collector) observe(x float64, d Decision, det Detector, suppressed, inC
 	} else {
 		c.cooldown.Set(0)
 	}
-	if in, ok := det.(Instrumented); ok {
-		snap := in.Internals()
-		c.level.SetInt(snap.Level)
-		c.fill.SetInt(snap.Fill)
-		c.sampleSize.SetInt(snap.SampleSize)
-		c.sampleFill.SetInt(snap.SampleFill)
-		c.target.Set(snap.Target)
+	if in != nil {
+		c.level.SetInt(in.Level)
+		c.fill.SetInt(in.Fill)
+		c.sampleSize.SetInt(in.SampleSize)
+		c.sampleFill.SetInt(in.SampleFill)
+		c.target.Set(in.Target)
 	} else if d.Evaluated {
 		c.level.SetInt(d.Level)
 		c.fill.SetInt(d.Fill)

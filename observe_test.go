@@ -3,6 +3,7 @@ package rejuv_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -179,6 +180,96 @@ func TestTraceLogExplainsTrigger(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			t.Fatalf("unparseable trace line %q: %v", line, err)
 		}
+	}
+}
+
+// countingDetector wraps a detector and counts Internals calls.
+type countingDetector struct {
+	rejuv.Detector
+	calls int
+}
+
+func (c *countingDetector) Internals() rejuv.DetectorInternals {
+	c.calls++
+	return c.Detector.(rejuv.Instrumented).Internals()
+}
+
+// TestMonitorSnapshotsInternalsOnce pins the cost of the sinks in
+// detector snapshots: with a collector attached the monitor takes one
+// Internals snapshot per admitted observation and hands it to every
+// sink; with only a journal or a trace ring it takes one per decision
+// they record; with no sink it takes none.
+func TestMonitorSnapshotsInternalsOnce(t *testing.T) {
+	for _, sinks := range []string{"none", "collector", "journal", "trace", "all"} {
+		t.Run(sinks, func(t *testing.T) {
+			inner, err := rejuv.NewSRAA(rejuv.SRAAConfig{
+				SampleSize: 2, Buckets: 2, Depth: 1,
+				Baseline: rejuv.Baseline{Mean: 5, StdDev: 5},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			det := &countingDetector{Detector: inner}
+			cfg := rejuv.MonitorConfig{Detector: det, OnTrigger: func(rejuv.Trigger) {}}
+			var buf bytes.Buffer
+			var jw *rejuv.JournalWriter
+			if sinks == "collector" || sinks == "all" {
+				cfg.Collector = rejuv.NewCollector(rejuv.NewRegistry())
+			}
+			if sinks == "journal" || sinks == "all" {
+				jw = rejuv.NewJournalWriter(&buf, rejuv.JournalMeta{Detector: "SRAA"})
+				cfg.Journal = jw
+			}
+			if sinks == "trace" || sinks == "all" {
+				cfg.Trace = rejuv.NewTraceLog(8)
+			}
+			m, err := rejuv.NewMonitor(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 60
+			for i := 0; i < n; i++ {
+				v := 3.0 + float64(i%4)
+				if i%20 >= 5 {
+					v = 100
+				}
+				if i == 7 {
+					v = math.NaN() // rejected: no snapshot
+				}
+				m.Observe(v)
+			}
+			st := m.Stats()
+			if st.Triggers == 0 || st.Rejected != 1 {
+				t.Fatalf("stream must trigger and have one rejection: %+v", st)
+			}
+			want := 0
+			switch sinks {
+			case "collector", "all":
+				want = n - 1
+			case "journal":
+				jr, err := rejuv.NewJournalReader(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs, err := jr.ReadAll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range recs {
+					if r.Kind == rejuv.JournalKindDecision {
+						want++
+					}
+				}
+			case "trace":
+				want = int(cfg.Trace.Total())
+			}
+			if sinks != "none" && want == 0 {
+				t.Fatal("the sinks recorded nothing")
+			}
+			if det.calls != want {
+				t.Errorf("Internals called %d times, want %d", det.calls, want)
+			}
+		})
 	}
 }
 

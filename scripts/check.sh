@@ -44,13 +44,13 @@ go test -count=1 -run 'TestSchedLaw' -v ./internal/conformance | grep -E '^(--- 
     echo "scheduler-conformance pass FAILED"; exit 1;
 }
 
-echo "== flight-recorder replay determinism (all detectors, 3 seeds; fleet journals across shard counts; batched vs one-at-a-time fleet ingestion; fleet vs reference detectors; detector kernel vs pseudo-code oracle; writer byte pins; reused-record decode; replay allocation budget; closed engine collectable; RNG stream pin; trace ring vs journal decision records; DES lanes vs heap; model and kernel journal digests; every quick figure CSV; in-place rebaseline vs fresh detector and its allocation pin)"
-go test -run 'TestReplayDeterminism|TestReplayJournalIdenticalAcrossGOMAXPROCS|TestFleet(Shift)?JournalDeterministicAcrossShards|TestObserveBatchMatchesOneAtATime|TestFleetMatchesReferenceDetectors|TestFleetShiftMatchesRebaseReference|TestKernelMatchesPseudoCode|TestWriterBytesPinned|TestWriterOneWritePerRecord|TestReaderReuse|TestReplayAllocsPerRecord|TestClosedEngineIsCollectable|TestStreamPinned|TestTraceLogMatchesJournal|TestLanesMatchHeap|TestJournalPin|TestCmdFiguresQuickGolden|TestRebaseMatchesFreshDetector|TestRebaseRebaselineDoesNotAllocate' -count=1 -v . ./internal/journal ./internal/fleet ./internal/core ./internal/xrand ./internal/des ./internal/ecommerce | grep -E '^(=== RUN|--- (PASS|FAIL)|ok|FAIL)' || {
+echo "== flight-recorder replay determinism (all detectors, 3 seeds; fleet journals across shard counts; batched vs one-at-a-time fleet ingestion; fleet vs reference detectors; detector kernel vs pseudo-code oracle; writer byte pins; reused-record decode; replay allocation budget; closed engine collectable; RNG stream pin; trace ring vs journal decision records; DES lanes vs heap; model and kernel journal digests; every quick figure CSV; in-place rebaseline vs fresh detector and its allocation pin; in-place vs copying journal decode; one detector snapshot per observation; gauge bit-skip and histogram count; replay stream table lifecycle)"
+go test -run 'TestReplayDeterminism|TestReplayJournalIdenticalAcrossGOMAXPROCS|TestFleet(Shift)?JournalDeterministicAcrossShards|TestObserveBatchMatchesOneAtATime|TestFleetMatchesReferenceDetectors|TestFleetShiftMatchesRebaseReference|TestKernelMatchesPseudoCode|TestWriterBytesPinned|TestWriterOneWritePerRecord|TestReaderReuse|TestReplayAllocsPerRecord|TestClosedEngineIsCollectable|TestStreamPinned|TestTraceLogMatchesJournal|TestLanesMatchHeap|TestJournalPin|TestCmdFiguresQuickGolden|TestRebaseMatchesFreshDetector|TestRebaseRebaselineDoesNotAllocate|TestReaderInPlaceMatchesCopyingPath|TestMonitorSnapshotsInternalsOnce|TestGaugeSetUnchangedBits|TestHistogramCountIsBucketSum|TestReplayStreamLifecycle' -count=1 -v . ./internal/journal ./internal/fleet ./internal/core ./internal/xrand ./internal/des ./internal/ecommerce ./internal/metrics | grep -E '^(=== RUN|--- (PASS|FAIL)|ok|FAIL)' || {
     echo "replay determinism pass FAILED"; exit 1;
 }
 
 echo "== fuzz smoke (${FUZZTIME:-3s} per target)"
-for pkg in ./internal/core ./internal/stats ./internal/journal ./internal/faults ./internal/lint ./internal/sched ./internal/fleet ./internal/xrand ./internal/des; do
+for pkg in ./internal/core ./internal/stats ./internal/journal ./internal/faults ./internal/lint ./internal/sched ./internal/fleet ./internal/streamindex ./internal/xrand ./internal/des; do
     for target in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz'); do
         echo "-- fuzz $pkg $target"
         go test -run='^$' -fuzz="^${target}\$" -fuzztime="${FUZZTIME:-3s}" "$pkg"

@@ -47,12 +47,16 @@ func NewTraceLog(capacity int) *TraceLog {
 // Record appends one record, overwriting the oldest once the ring is
 // full. Monitors call it automatically; it is exported so replay and
 // analysis tooling can build logs from recorded data.
-func (l *TraceLog) Record(e JournalRecord) {
+func (l *TraceLog) Record(e JournalRecord) { l.record(&e) }
+
+// record is Record for a record the caller keeps: the monitor builds
+// each decision record once and it is copied only into the ring.
+func (l *TraceLog) record(e *JournalRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.total++
 	if len(l.entries) < cap(l.entries) {
-		l.entries = append(l.entries, e) //lint:allow hotpath the ring is preallocated at capacity; this append never grows
+		l.entries = append(l.entries, *e) //lint:allow hotpath the ring is preallocated at capacity; this append never grows
 		return
 	}
 	// Records carry 1-based ordinals; the one being overwritten is the
@@ -66,7 +70,7 @@ func (l *TraceLog) Record(e JournalRecord) {
 			l.droppedCtr.Inc()
 		}
 	}
-	l.entries[l.next] = e
+	l.entries[l.next] = *e
 	l.next++
 	if l.next == len(l.entries) {
 		l.next = 0
