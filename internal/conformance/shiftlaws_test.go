@@ -5,6 +5,7 @@ import (
 
 	"rejuv/internal/core"
 	"rejuv/internal/faults"
+	"rejuv/internal/xrand"
 )
 
 // Shift-conformance laws: behavioural guarantees of the adaptive-
@@ -326,5 +327,91 @@ func TestShiftFaultLawMatrix(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// alternatingTrace flips the mean between base.Mean and base.Mean+4σ
+// every period observations, with ±1 uniform jitter: a workload that
+// keeps moving between two tight regimes, so every relearned baseline
+// is narrow.
+func alternatingTrace(seed uint64, n, period int, base core.Baseline) []float64 {
+	r := xrand.NewStream(seed, traceStream)
+	xs := make([]float64, n)
+	for i := range xs {
+		mean := base.Mean
+		if (i/period)%2 == 1 {
+			mean += 4 * base.StdDev
+		}
+		xs[i] = mean + 2*r.Float64() - 1
+	}
+	return xs
+}
+
+// TestShiftLawAlternatingRegimesKeepRebaselining: on a workload that
+// alternates between two regimes to the end of the trace, a
+// Rebase-wrapped family must keep committing rebaselines to the end:
+// its last rebaseline falls within the last three regimes. An aging
+// classification latches the change-point layer until the wrapped
+// detector triggers; a downward change must release it too, or a
+// family that never fires at the current baseline stays latched for
+// the rest of the run and stops tracking the workload.
+//
+// The adaptive control keeps a small budget of stuck seeds. When the
+// run-length rule misreads an upward regime change as aging (the
+// upper statistic had stayed positive for more than MaxShiftRun
+// observations before the jump), the latch is set with the baseline
+// at the lower regime, so no downward crossing follows; every other
+// family then fires at the upper regime and releases the latch, but
+// the adaptive family judges against a baseline it learned over a
+// warmup that straddled the jump and never fires.
+func TestShiftLawAlternatingRegimesKeepRebaselining(t *testing.T) {
+	const (
+		n      = 4800
+		period = 200
+	)
+	seeds := uint64(200)
+	if testing.Short() {
+		seeds = 40
+	}
+	for _, fam := range Families(lawBase) {
+		t.Run(fam.Name, func(t *testing.T) {
+			budget := 0
+			if fam.Name == "Adaptive" {
+				budget = int(seeds / 20)
+			}
+			var stuck []uint64
+			for seed := uint64(1); seed <= seeds; seed++ {
+				det, err := RebasedFamily(fam, shiftLawConfig, lawBase).New()
+				if err != nil {
+					t.Fatal(err)
+				}
+				reb := det.(core.Rebaseliner)
+				last, seen := -1, uint64(0)
+				for i, x := range alternatingTrace(seed, n, period, lawBase) {
+					if det.Observe(x).Triggered {
+						det.Reset()
+					}
+					if k := reb.Rebaselines(); k != seen {
+						last, seen = i, k
+					}
+				}
+				if last < n-3*period {
+					stuck = append(stuck, seed)
+					t.Logf("seed %d: last rebaseline at observation %d of %d (%d in all)", seed, last, n, seen)
+				}
+			}
+			if len(stuck) > budget {
+				t.Errorf("%d of %d seeds stopped rebaselining before the last three regimes, want at most %d: %v",
+					len(stuck), seeds, budget, stuck)
+			}
+		})
+	}
+	// Every run of the law replays byte-identically through the journal.
+	for _, fam := range Families(lawBase) {
+		_, rep, err := RunJournaled(fam.Name, RebasedFamily(fam, shiftLawConfig, lawBase).New, alternatingTrace(1, n, period, lawBase))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustIdentical(t, fam.Name, rep)
 	}
 }

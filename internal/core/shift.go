@@ -36,11 +36,14 @@ import (
 // change by elimination.
 //
 // An aging classification latches: once the metric has drifted well
-// above baseline, any further change-point crossing would have a short
-// run (the statistic re-accumulates from an already-elevated z) and
-// would masquerade as a shift, so the change-point layer stands down
-// until the wrapped detector triggers — rejuvenation restores the
-// system to baseline and re-arms the layer (NoteTrigger).
+// above baseline, any further upward crossing would have a short run
+// (the statistic re-accumulates from an already-elevated z) and would
+// masquerade as a shift, so while latched an upward crossing only
+// restarts the statistic. The latch releases when the wrapped detector
+// triggers — rejuvenation restores the system to baseline
+// (NoteTrigger) — or on a downward crossing, which is a workload change
+// like any other: it takes the shift path, so a baseline never stops
+// tracking a workload that moves down.
 
 // ShiftDetector selects the change-point statistic of the shift layer.
 type ShiftDetector int
@@ -154,9 +157,9 @@ const (
 	// ShiftAging: the change-point statistic fired but the run length
 	// classified the change as software aging; the observation goes to
 	// the wrapped detector, which triggers as today. The classification
-	// latches until the wrapped detector triggers (NoteTrigger), so it
-	// is returned once per aging episode; subsequent observations of the
-	// episode report ShiftNone.
+	// latches until the wrapped detector triggers (NoteTrigger) or a
+	// downward change is detected, so it is returned once per aging
+	// episode; subsequent observations of the episode report ShiftNone.
 	ShiftAging
 )
 
@@ -184,8 +187,9 @@ type ShiftState struct {
 	// Base is the committed baseline the wrapped detector currently runs
 	// against.
 	Base Baseline
-	// Mom tracks the exponentially weighted moments of the admitted
-	// observations.
+	// Mom tracks the exponentially weighted moments of the relearn
+	// window; it is restarted when a shift is detected and folds only
+	// while RelearnLeft > 0.
 	Mom Moments
 	// CP and PH are the change-point statistics; only the one selected
 	// by ShiftConfig.Detector advances.
@@ -195,7 +199,8 @@ type ShiftState struct {
 	// 0 means no relearn is in progress.
 	RelearnLeft int32
 	// Aging latches an aging classification until the wrapped detector
-	// triggers; while set, the change-point layer stands down.
+	// triggers or the metric moves down; while set, an upward crossing
+	// only restarts the change-point statistic.
 	Aging bool
 	// Rebaselines counts committed rebaselines.
 	Rebaselines uint64
@@ -213,8 +218,8 @@ func NewShiftState(base Baseline) ShiftState {
 //
 //lint:hotpath
 func (s *ShiftState) Step(cfg ShiftConfig, x float64) ShiftOutcome {
-	s.Mom.Observe(cfg.Alpha, x)
 	if s.RelearnLeft > 0 {
+		s.Mom.Observe(cfg.Alpha, x)
 		s.RelearnLeft--
 		if s.RelearnLeft > 0 {
 			return ShiftRelearning
@@ -235,12 +240,6 @@ func (s *ShiftState) Step(cfg ShiftConfig, x float64) ShiftOutcome {
 		s.Rebaselines++
 		return ShiftRebaselined
 	}
-	if s.Aging {
-		// Latched on an aging episode: the metric sits far above
-		// baseline, so any crossing now would have a short run and read
-		// as a shift. Stand down until rejuvenation (NoteTrigger).
-		return ShiftNone
-	}
 	z := (x - s.Base.Mean) / s.Base.StdDev
 	var detected, up bool
 	var run int
@@ -255,17 +254,25 @@ func (s *ShiftState) Step(cfg ShiftConfig, x float64) ShiftOutcome {
 	if !detected {
 		return ShiftNone
 	}
-	if up && run > cfg.MaxShiftRun {
+	if up && (s.Aging || run > cfg.MaxShiftRun) {
 		// A long upward climb is slow drift: software aging. Latch, and
-		// let the wrapped detector condemn the system as today.
+		// let the wrapped detector condemn the system as today. While
+		// latched the metric sits far above baseline, so any upward
+		// crossing has a short run and would read as a shift: restart
+		// the statistic and stay latched.
 		s.CP.Reset()
 		s.PH.Reset()
+		if s.Aging {
+			return ShiftNone
+		}
 		s.Aging = true
 		return ShiftAging
 	}
-	// An abrupt change (or any downward one) is a workload shift:
-	// restart the moment tracker on the post-shift regime — seeded with
-	// the current observation — and relearn before committing.
+	// An abrupt change (or any downward one, which also releases the
+	// aging latch) is a workload shift: restart the moment tracker on
+	// the post-shift regime — seeded with the current observation — and
+	// relearn before committing.
+	s.Aging = false
 	s.Mom.Reset()
 	s.Mom.Observe(cfg.Alpha, x)
 	s.CP.Reset()
@@ -276,8 +283,10 @@ func (s *ShiftState) Step(cfg ShiftConfig, x float64) ShiftOutcome {
 
 // NoteTrigger tells the shift layer the wrapped detector triggered:
 // rejuvenation is about to restore the system to baseline, so the aging
-// latch releases and the moment tracker restarts on the
-// post-rejuvenation regime. The change-point statistics deliberately
+// latch releases. The moment tracker needs no restart: it folds only
+// inside a relearn window, which a detected shift starts afresh, and
+// the wrapped detector is paused while one runs, so it never triggers
+// inside one. The change-point statistics deliberately
 // keep their accumulation: if the trigger condemned genuine aging,
 // rejuvenation returns z to zero and they decay on their own; if the
 // wrapped detector out-raced the change-point layer on a workload shift
@@ -291,5 +300,4 @@ func (s *ShiftState) Step(cfg ShiftConfig, x float64) ShiftOutcome {
 //lint:hotpath
 func (s *ShiftState) NoteTrigger() {
 	s.Aging = false
-	s.Mom.Reset()
 }

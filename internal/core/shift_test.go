@@ -183,6 +183,38 @@ func TestShiftStateDownshiftRebaselines(t *testing.T) {
 	}
 }
 
+// TestShiftStateAgingLatchReleasesOnDownshift: while an aging
+// classification is latched, an upward crossing only restarts the
+// change-point statistic, and a downward crossing releases the latch
+// and rebaselines, so the layer keeps tracking a workload whose
+// wrapped detector never fires.
+func TestShiftStateAgingLatchReleasesOnDownshift(t *testing.T) {
+	for _, det := range []ShiftDetector{ShiftCUSUM, ShiftPageHinkley} {
+		cfg := ShiftConfig{Detector: det}.WithDefaults()
+		st := NewShiftState(shiftTestBase)
+		for i := 0; !st.Aging; i++ {
+			if i == 2000 {
+				t.Fatalf("%v: slow ramp never latched aging", det)
+			}
+			st.Step(cfg, 5+0.02*float64(i))
+		}
+		for i := 0; i < 200; i++ {
+			if out := st.Step(cfg, 45); out != ShiftNone || !st.Aging {
+				t.Fatalf("%v: latched observation %d classified %v (latched %v)", det, i, out, st.Aging)
+			}
+		}
+		for i := 0; i < 200 && st.Rebaselines == 0; i++ {
+			if out := st.Step(cfg, 1); out == ShiftAging {
+				t.Fatalf("%v: downward step classified as aging", det)
+			}
+		}
+		if st.Aging || st.Rebaselines != 1 || st.Base.Mean != 1 {
+			t.Fatalf("%v: after a downshift latched=%v, %d rebaselines at mean %v; want released, 1 at 1",
+				det, st.Aging, st.Rebaselines, st.Base.Mean)
+		}
+	}
+}
+
 // newRebaseSRAA builds the canonical wrapped detector of these tests:
 // SRAA (n=4, K=5, D=3) under the default shift layer.
 func newRebaseSRAA(t *testing.T, cfg ShiftConfig) *Rebase {

@@ -183,8 +183,8 @@ func (s *shard) drainLocked(classes []class, hygienePolicy core.Hygiene, nowNano
 		r.flags |= resEvaluated
 		if d.Triggered && c.shift {
 			// Rejuvenation restores capacity without moving the
-			// workload: a trigger releases the aging latch and restarts
-			// moment tracking, exactly as core.Rebase does.
+			// workload: a trigger releases the aging latch, exactly as
+			// core.Rebase does.
 			s.shift[i].NoteTrigger()
 		}
 		if d.Triggered {

@@ -295,8 +295,8 @@ type Record struct {
 	// (KindStreamOpen), a scheduler defer/coalesce reason or Kijima tier
 	// (KindSchedDefer, KindSchedCoalesce, KindSchedStart) or carries an
 	// error text (KindActAttempt, KindActGiveUp, KindSchedQuarantine).
-	// The binary codec caps it at MaxClassLen bytes; writers truncate
-	// longer strings.
+	// Both codecs cap it at MaxClassLen bytes: the writer clips longer
+	// strings and the binary decoder rejects them.
 	Class string `json:"class,omitempty"`
 
 	// Attempt is the 1-based attempt number (KindActAttempt), the total
@@ -320,10 +320,11 @@ type Record struct {
 	// the KindDecision record that fired and on every KindActStart/
 	// KindActAttempt/KindActGiveUp record of the actuation it provoked.
 	// 0 means "no trigger id" — a non-triggering decision, an actuation
-	// started outside a trigger, or a record written before ids existed. The binary codec appends it as an optional trailing
-	// field only when non-zero, so journals without ids decode unchanged
-	// and replay byte comparison (which covers the decision fields only)
-	// is unaffected.
+	// started outside a trigger, or a record written before ids existed.
+	// The binary codec appends it as an optional trailing field only
+	// when non-zero, so journals without ids decode unchanged and replay
+	// byte comparison (which covers the decision fields only) is
+	// unaffected.
 	TriggerID uint64 `json:"trigger_id,omitempty"`
 }
 

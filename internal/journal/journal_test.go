@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rejuv/internal/core"
@@ -316,46 +317,97 @@ func BenchmarkWriterDecision(b *testing.B) {
 	}
 }
 
-func TestWriterObserveDoesNotAllocate(t *testing.T) {
+// TestWriterEmittersDoNotAllocate pins the zero-allocation contract of
+// the binary codec for every record kind: each pinnedEmitters entry,
+// the scheduler kinds written through Record included, allocates
+// nothing once the scratch buffer has grown.
+func TestWriterEmittersDoNotAllocate(t *testing.T) {
 	jw := NewWriter(io.Discard, Meta{})
-	jw.Observe(0, 0, 1) // warm the scratch buffer
-	allocs := testing.AllocsPerRun(1000, func() {
-		jw.Observe(1, 0, 2)
-	})
-	if allocs != 0 {
-		t.Errorf("binary Observe allocates %.1f objects per record, want 0", allocs)
+	for _, emit := range pinnedEmitters {
+		emit(jw) // grow the scratch buffer
 	}
-}
-
-func TestWriterDecisionDoesNotAllocate(t *testing.T) {
-	jw := NewWriter(io.Discard, Meta{})
-	d := core.Decision{Evaluated: true, SampleMean: 7.5, Target: 10, Level: 1, Fill: 2}
-	in := core.Internals{SampleSize: 2}
-	jw.Decision(0, 0, d, in, false, 0)
-	allocs := testing.AllocsPerRun(1000, func() {
-		jw.Decision(1, 0, d, in, false, 0)
-	})
-	if allocs != 0 {
-		t.Errorf("binary Decision allocates %.1f objects per record, want 0", allocs)
-	}
-}
-
-func TestWriterStreamEmittersDoNotAllocate(t *testing.T) {
-	jw := NewWriter(io.Discard, Meta{})
-	jw.StreamOpen(0, 1, "sraa")
-	// Warm the scratch buffer.
-	jw.Observe(0, 1, 5)
-	d := core.Decision{Evaluated: true, SampleMean: 5, Target: 6, Level: 1, Fill: 1}
-	in := core.Internals{SampleSize: 2}
-	if avg := testing.AllocsPerRun(200, func() {
-		jw.Observe(1, 1, 5.5)
-		jw.Rebaseline(1, 1, 5.5, 1)
-		jw.Decision(1, 1, d, in, false, 0)
-	}); avg != 0 {
-		t.Errorf("stream-tagged emitters allocate %.1f times per observe+rebaseline+decision, want 0", avg)
+	for i, emit := range pinnedEmitters {
+		counts := jw.counts
+		if allocs := testing.AllocsPerRun(100, func() { emit(jw) }); allocs != 0 {
+			t.Errorf("record %d (%s): binary codec allocates %.1f objects per record, want 0",
+				i, emittedKind(counts, jw.counts), allocs)
+		}
 	}
 	if err := jw.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriterClipsClass checks that every class-carrying kind reads back
+// with its Class clipped to MaxClassLen on both codecs, whether it was
+// written through its typed emitter or through Writer.Record.
+func TestWriterClipsClass(t *testing.T) {
+	long := strings.Repeat("x", MaxClassLen-1) + strings.Repeat("y", 44)
+	classKinds := []struct {
+		kind  Kind
+		typed func(jw *Writer, class string)
+	}{
+		{KindFault, func(jw *Writer, c string) { jw.Fault(1, c, 2) }},
+		{KindActAttempt, func(jw *Writer, c string) { jw.ActAttempt(1, 1, false, 0, c, 0) }},
+		{KindActGiveUp, func(jw *Writer, c string) { jw.ActGiveUp(1, 1, c, 0) }},
+		{KindStreamOpen, func(jw *Writer, c string) { jw.StreamOpen(1, 1, c) }},
+		{KindSchedDefer, nil},
+		{KindSchedCoalesce, nil},
+		{KindSchedStart, nil},
+		{KindSchedQuarantine, nil},
+	}
+	readBack := func(t *testing.T, data []byte) Record {
+		t.Helper()
+		jr, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := jr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	codecs := []struct {
+		name      string
+		newWriter func(io.Writer, Meta) *Writer
+	}{{"binary", NewWriter}, {"jsonl", NewJSONWriter}}
+
+	// The table must name every kind the binary codec carries a class for.
+	listed := map[Kind]bool{}
+	for _, ck := range classKinds {
+		listed[ck.kind] = true
+	}
+	for k := KindRepStart; k <= maxKind; k++ {
+		var buf bytes.Buffer
+		NewWriter(&buf, Meta{}).Record(Record{Kind: k, Class: "c"})
+		if k.Valid() && readBack(t, buf.Bytes()).Class != "" && !listed[k] {
+			t.Errorf("%s carries a class but is missing from the table", k)
+		}
+	}
+
+	for _, ck := range classKinds {
+		for _, codec := range codecs {
+			paths := map[string]func(*Writer){
+				"Record": func(jw *Writer) { jw.Record(Record{Kind: ck.kind, Time: 1, Class: long}) },
+			}
+			if ck.typed != nil {
+				paths["typed"] = func(jw *Writer) { ck.typed(jw, long) }
+			}
+			for path, write := range paths {
+				t.Run(fmt.Sprintf("%s/%s/%s", ck.kind, codec.name, path), func(t *testing.T) {
+					var buf bytes.Buffer
+					jw := codec.newWriter(&buf, Meta{})
+					write(jw)
+					if err := jw.Err(); err != nil {
+						t.Fatal(err)
+					}
+					if got := readBack(t, buf.Bytes()).Class; got != long[:MaxClassLen] {
+						t.Errorf("class read back at %d bytes, want the first %d of %d", len(got), MaxClassLen, len(long))
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -381,8 +381,10 @@ func (v *verifier) compare(st *replayStream, rec *Record) {
 	// Suppression belongs to the cooldown layer, not the detector;
 	// encode both sides with the recorded flag so the report shows
 	// exactly the detector-owned fields that differ.
-	v.recBuf = appendDecision(v.recBuf[:0], d, in, rec.Suppressed)
-	v.repBuf = appendDecision(v.repBuf[:0], st.d, st.internals(), rec.Suppressed)
+	var rep Record
+	rep.setDecision(st.d, st.internals(), rec.Suppressed)
+	v.recBuf = appendDecision(v.recBuf[:0], rec)
+	v.repBuf = appendDecision(v.repBuf[:0], &rep)
 	v.report.Mismatch = &Mismatch{
 		Seq:      rec.Seq,
 		Time:     rec.Time,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"rejuv/internal/core"
 )
@@ -82,37 +83,17 @@ func (jw *Writer) Count(k Kind) uint64 {
 }
 
 // Record appends one fully populated record. The record's Seq is
-// overwritten with the writer's running sequence number. The typed
+// overwritten with the writer's running sequence number and a Class
+// longer than MaxClassLen is clipped, as for every emitter. The typed
 // emitters below serve the per-observation and simulator paths;
 // Record writes the rarer kinds (the scheduler's, via SchedRecord) and
 // lets analysis tooling rewrite journals.
-func (jw *Writer) Record(r Record) {
-	if jw.err != nil || !r.Kind.Valid() {
-		return
-	}
-	r.Seq = jw.nextSeq(r.Kind)
-	if jw.jsonl(r) {
-		return
-	}
-	b := jw.begin(r.Kind, r.Seq, r.Time)
-	b = appendPayload(b, &r)
-	jw.finish(b)
-}
+func (jw *Writer) Record(r Record) { jw.emit(&r) }
 
 // RepStart marks the beginning of replication rep with its seed/stream.
 func (jw *Writer) RepStart(t float64, rep int, seed, stream uint64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindRepStart)
-	if jw.jsonl(Record{Kind: KindRepStart, Seq: seq, Time: t, Rep: rep, Seed: seed, Stream: stream}) {
-		return
-	}
-	b := jw.begin(KindRepStart, seq, t)
-	b = binary.AppendUvarint(b, uint64(rep))
-	b = binary.AppendUvarint(b, seed)
-	b = binary.AppendUvarint(b, stream)
-	jw.finish(b)
+	r := Record{Kind: KindRepStart, Time: t, Rep: rep, Seed: seed, Stream: stream}
+	jw.emit(&r)
 }
 
 // Observe records one observation of the monitored metric on a
@@ -122,18 +103,8 @@ func (jw *Writer) RepStart(t float64, rep int, seed, stream uint64) {
 //
 //lint:hotpath
 func (jw *Writer) Observe(t float64, stream uint64, value float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindObserve)
-	if jw.format == FormatJSONL {
-		jw.observeJSONL(seq, t, stream, value)
-		return
-	}
-	b := jw.begin(KindObserve, seq, t)
-	b = binary.AppendUvarint(b, stream)
-	b = appendF64(b, value)
-	jw.finish(b)
+	r := Record{Kind: KindObserve, Time: t, Stream: stream, Value: value}
+	jw.emit(&r)
 }
 
 // Decision records one evaluated detector decision on a stream (0 for
@@ -145,112 +116,53 @@ func (jw *Writer) Observe(t float64, stream uint64, value float64) {
 //
 //lint:hotpath
 func (jw *Writer) Decision(t float64, stream uint64, d core.Decision, in core.Internals, suppressed bool, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindDecision)
-	if jw.format == FormatJSONL {
-		jw.decisionJSONL(seq, t, stream, d, in, suppressed, triggerID)
-		return
-	}
-	b := jw.begin(KindDecision, seq, t)
-	b = binary.AppendUvarint(b, stream)
-	b = appendDecision(b, d, in, suppressed)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// observeJSONL and decisionJSONL are the JSONL branches of the two
-// per-observation emitters. They live apart so the binary path never
-// builds a Record.
-func (jw *Writer) observeJSONL(seq uint64, t float64, stream uint64, value float64) {
-	jw.jsonl(Record{Kind: KindObserve, Seq: seq, Time: t, Stream: stream, Value: value})
-}
-
-func (jw *Writer) decisionJSONL(seq uint64, t float64, stream uint64, d core.Decision, in core.Internals, suppressed bool, triggerID uint64) {
-	r := DecisionRecord(t, d, in, suppressed)
-	r.Seq, r.Stream, r.TriggerID = seq, stream, triggerID
-	jw.jsonl(r)
+	r := Record{Kind: KindDecision, Time: t, Stream: stream, TriggerID: triggerID}
+	r.setDecision(d, in, suppressed)
+	jw.emit(&r)
 }
 
 // Reset records an externally initiated detector reset.
 func (jw *Writer) Reset(t float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindReset)
-	if jw.jsonl(Record{Kind: KindReset, Seq: seq, Time: t}) {
-		return
-	}
-	jw.finish(jw.begin(KindReset, seq, t))
+	r := Record{Kind: KindReset, Time: t}
+	jw.emit(&r)
 }
 
 // Rejuvenation records the control action: the system was rejuvenated,
 // killing the given number of in-flight transactions.
 func (jw *Writer) Rejuvenation(t float64, killed int) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindRejuvenation)
-	if jw.jsonl(Record{Kind: KindRejuvenation, Seq: seq, Time: t, Killed: killed}) {
-		return
-	}
-	b := jw.begin(KindRejuvenation, seq, t)
-	b = binary.AppendUvarint(b, uint64(killed))
-	jw.finish(b)
+	r := Record{Kind: KindRejuvenation, Time: t, Killed: killed}
+	jw.emit(&r)
 }
 
 // GCStart records the onset of a full GC stall at the given heap level.
-func (jw *Writer) GCStart(t, heapMB float64) { jw.gc(KindGCStart, t, heapMB) }
+func (jw *Writer) GCStart(t, heapMB float64) {
+	r := Record{Kind: KindGCStart, Time: t, HeapMB: heapMB}
+	jw.emit(&r)
+}
 
 // GCEnd records the end of a full GC stall at the given heap level.
-func (jw *Writer) GCEnd(t, heapMB float64) { jw.gc(KindGCEnd, t, heapMB) }
-
-// gc emits one GC boundary record.
-func (jw *Writer) gc(kind Kind, t, heapMB float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(kind)
-	if jw.jsonl(Record{Kind: kind, Seq: seq, Time: t, HeapMB: heapMB}) {
-		return
-	}
-	b := jw.begin(kind, seq, t)
-	b = appendF64(b, heapMB)
-	jw.finish(b)
+func (jw *Writer) GCEnd(t, heapMB float64) {
+	r := Record{Kind: KindGCEnd, Time: t, HeapMB: heapMB}
+	jw.emit(&r)
 }
 
 // SimScheduled records a kernel event pushed onto the queue, scheduled
 // to fire at virtual time at.
 func (jw *Writer) SimScheduled(t, at float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindSimScheduled)
-	if jw.jsonl(Record{Kind: KindSimScheduled, Seq: seq, Time: t, EventTime: at}) {
-		return
-	}
-	b := jw.begin(KindSimScheduled, seq, t)
-	b = appendF64(b, at)
-	jw.finish(b)
+	r := Record{Kind: KindSimScheduled, Time: t, EventTime: at}
+	jw.emit(&r)
 }
 
 // SimFired records a kernel event whose handler ran.
-func (jw *Writer) SimFired(t float64) { jw.simPlain(KindSimFired, t) }
+func (jw *Writer) SimFired(t float64) {
+	r := Record{Kind: KindSimFired, Time: t}
+	jw.emit(&r)
+}
 
 // SimCancelled records a kernel event removed before firing.
-func (jw *Writer) SimCancelled(t float64) { jw.simPlain(KindSimCancelled, t) }
-
-// simPlain emits a payload-free kernel event record.
-func (jw *Writer) simPlain(kind Kind, t float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(kind)
-	if jw.jsonl(Record{Kind: kind, Seq: seq, Time: t}) {
-		return
-	}
-	jw.finish(jw.begin(kind, seq, t))
+func (jw *Writer) SimCancelled(t float64) {
+	r := Record{Kind: KindSimCancelled, Time: t}
+	jw.emit(&r)
 }
 
 // Fault records one telemetry fault: an injected corruption, a value
@@ -258,34 +170,16 @@ func (jw *Writer) simPlain(kind Kind, t float64) {
 // (truncated to MaxClassLen) and value carries the observation involved
 // (NaN when no value applies, e.g. a stall).
 func (jw *Writer) Fault(t float64, class string, value float64) {
-	if jw.err != nil {
-		return
-	}
-	class = clipClass(class)
-	seq := jw.nextSeq(KindFault)
-	if jw.jsonl(Record{Kind: KindFault, Seq: seq, Time: t, Class: class, Value: value}) {
-		return
-	}
-	b := jw.begin(KindFault, seq, t)
-	b = appendString(b, class)
-	b = appendF64(b, value)
-	jw.finish(b)
+	r := Record{Kind: KindFault, Time: t, Class: class, Value: value}
+	jw.emit(&r)
 }
 
 // ActStart records the start of one rejuvenation action execution.
 // triggerID carries the identity of the trigger that provoked it, or 0
 // for executions started outside a trigger.
 func (jw *Writer) ActStart(t float64, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindActStart)
-	if jw.jsonl(Record{Kind: KindActStart, Seq: seq, Time: t, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindActStart, seq, t)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
+	r := Record{Kind: KindActStart, Time: t, TriggerID: triggerID}
+	jw.emit(&r)
 }
 
 // ActAttempt records one attempt of a rejuvenation action: its 1-based
@@ -293,76 +187,29 @@ func (jw *Writer) ActStart(t float64, triggerID uint64) {
 // attempt (0 when none follows), the error text on failure, and the
 // trigger id the execution belongs to (0 when none).
 func (jw *Writer) ActAttempt(t float64, attempt int, ok bool, backoff float64, errText string, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	errText = clipClass(errText)
-	seq := jw.nextSeq(KindActAttempt)
-	if jw.jsonl(Record{Kind: KindActAttempt, Seq: seq, Time: t,
-		Attempt: attempt, OK: ok, Backoff: backoff, Class: errText, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindActAttempt, seq, t)
-	if ok {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = binary.AppendUvarint(b, uint64(attempt))
-	b = appendF64(b, backoff)
-	b = appendString(b, errText)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
+	r := Record{Kind: KindActAttempt, Time: t, Attempt: attempt, OK: ok, Backoff: backoff, Class: errText, TriggerID: triggerID}
+	jw.emit(&r)
 }
 
 // ActGiveUp records the terminal escalation: the action failed for good
 // after the given total number of attempts, with the last error text
 // and the trigger id the execution belongs to (0 when none).
 func (jw *Writer) ActGiveUp(t float64, attempts int, errText string, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	errText = clipClass(errText)
-	seq := jw.nextSeq(KindActGiveUp)
-	if jw.jsonl(Record{Kind: KindActGiveUp, Seq: seq, Time: t, Attempt: attempts, Class: errText, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindActGiveUp, seq, t)
-	b = binary.AppendUvarint(b, uint64(attempts))
-	b = appendString(b, errText)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
+	r := Record{Kind: KindActGiveUp, Time: t, Attempt: attempts, Class: errText, TriggerID: triggerID}
+	jw.emit(&r)
 }
 
 // StreamOpen records a fleet stream coming under monitoring with the
 // named detector class.
 func (jw *Writer) StreamOpen(t float64, stream uint64, class string) {
-	if jw.err != nil {
-		return
-	}
-	class = clipClass(class)
-	seq := jw.nextSeq(KindStreamOpen)
-	if jw.jsonl(Record{Kind: KindStreamOpen, Seq: seq, Time: t, Stream: stream, Class: class}) {
-		return
-	}
-	b := jw.begin(KindStreamOpen, seq, t)
-	b = binary.AppendUvarint(b, stream)
-	b = appendString(b, class)
-	jw.finish(b)
+	r := Record{Kind: KindStreamOpen, Time: t, Stream: stream, Class: class}
+	jw.emit(&r)
 }
 
 // StreamClose records a fleet stream leaving monitoring.
 func (jw *Writer) StreamClose(t float64, stream uint64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindStreamClose)
-	if jw.jsonl(Record{Kind: KindStreamClose, Seq: seq, Time: t, Stream: stream}) {
-		return
-	}
-	b := jw.begin(KindStreamClose, seq, t)
-	b = binary.AppendUvarint(b, stream)
-	jw.finish(b)
+	r := Record{Kind: KindStreamClose, Time: t, Stream: stream}
+	jw.emit(&r)
 }
 
 // Rebaseline records a committed workload-shift rebaseline on a stream
@@ -373,49 +220,41 @@ func (jw *Writer) StreamClose(t float64, stream uint64) {
 //
 //lint:hotpath
 func (jw *Writer) Rebaseline(t float64, stream uint64, mean, sd float64) {
-	if jw.err != nil {
+	r := Record{Kind: KindRebaseline, Time: t, Stream: stream, BaseMean: mean, BaseStdDev: sd}
+	jw.emit(&r)
+}
+
+// emit is the one write path of every record: it drops the record once
+// an error has latched or when its kind is invalid, clips Class to
+// MaxClassLen, stamps Seq, counts the kind and encodes r in the
+// writer's codec. The emitters pass a pointer to their local record
+// so the binary path never copies it; r does not escape.
+func (jw *Writer) emit(r *Record) {
+	if jw.err != nil || !r.Kind.Valid() {
 		return
 	}
-	seq := jw.nextSeq(KindRebaseline)
-	if jw.jsonl(Record{Kind: KindRebaseline, Seq: seq, Time: t, Stream: stream, BaseMean: mean, BaseStdDev: sd}) {
+	if len(r.Class) > MaxClassLen {
+		r.Class = r.Class[:MaxClassLen]
+	}
+	r.Seq = jw.seq
+	jw.seq++
+	jw.counts[r.Kind]++
+	if jw.format == FormatJSONL {
+		jw.jsonl(r)
 		return
 	}
-	b := jw.begin(KindRebaseline, seq, t)
-	b = binary.AppendUvarint(b, stream)
-	b = appendF64(b, mean)
-	b = appendF64(b, sd)
+	b := jw.begin(r.Kind, r.Seq, r.Time)
+	b = appendPayload(b, r)
 	jw.finish(b)
 }
 
-// jsonl encodes r on the JSONL debug codec and reports whether the
-// record was consumed there. The binary emitters call it first and fall
-// through to the allocation-free scratch-buffer path when it declines.
-// Encoding boxes the record and allocates; that is the price of the
-// debug codec, paid in exactly one place.
+// jsonl encodes r on the JSONL debug codec. Encoding boxes a copy of
+// the record and allocates; that is the price of the debug codec, paid
+// in exactly one place and never on the binary path.
 //
 //lint:allow hotpath the JSONL debug codec boxes one record per line by design
-func (jw *Writer) jsonl(r Record) bool {
-	if jw.format != FormatJSONL {
-		return false
-	}
-	jw.err = jw.enc.Encode(r)
-	return true
-}
-
-// clipClass truncates a class/error string to the codec bound.
-func clipClass(s string) string {
-	if len(s) > MaxClassLen {
-		return s[:MaxClassLen]
-	}
-	return s
-}
-
-// nextSeq hands out the next sequence number and counts the record.
-func (jw *Writer) nextSeq(k Kind) uint64 {
-	seq := jw.seq
-	jw.seq++
-	jw.counts[k]++
-	return seq
+func (jw *Writer) jsonl(r *Record) {
+	jw.err = jw.enc.Encode(*r)
 }
 
 // prefixRoom is the headroom begin reserves at the head of the scratch
@@ -426,7 +265,7 @@ const prefixRoom = binary.MaxVarintLen64
 // begin starts a binary record in the reused scratch buffer: prefixRoom
 // bytes of headroom, then the kind byte, uvarint seq and float64 time.
 //
-//lint:allow hotpath appends into the reused scratch buffer; growth amortizes to zero (pinned by TestWriterObserveDoesNotAllocate)
+//lint:allow hotpath appends into the reused scratch buffer; growth amortizes to zero (pinned by TestWriterEmittersDoNotAllocate)
 func (jw *Writer) begin(kind Kind, seq uint64, t float64) []byte {
 	b := jw.buf[:prefixRoom]
 	b = append(b, byte(kind))
@@ -436,14 +275,14 @@ func (jw *Writer) begin(kind Kind, seq uint64, t float64) []byte {
 }
 
 // finish writes the record begun by begin in a single Write: the
-// uvarint length prefix goes into the headroom, right-aligned against
-// the payload. The (possibly grown) scratch buffer is kept for the next
+// uvarint length prefix is encoded straight into the headroom,
+// right-aligned against the payload (a uvarint carries 7 bits per
+// byte). The (possibly grown) scratch buffer is kept for the next
 // record.
 func (jw *Writer) finish(b []byte) {
-	var prefix [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(prefix[:], uint64(len(b)-prefixRoom))
-	start := prefixRoom - n
-	copy(b[start:prefixRoom], prefix[:n])
+	n := uint64(len(b) - prefixRoom)
+	start := prefixRoom - (bits.Len64(n|1)+6)/7
+	binary.PutUvarint(b[start:], n)
 	jw.write(b[start:])
 	jw.buf = b[:0]
 }
@@ -460,20 +299,18 @@ func (jw *Writer) write(p []byte) {
 // decision; recordDecision splits a record back into the decision and
 // internals.
 func DecisionRecord(t float64, d core.Decision, in core.Internals, suppressed bool) Record {
-	return Record{
-		Kind:       KindDecision,
-		Time:       t,
-		Evaluated:  d.Evaluated,
-		Triggered:  d.Triggered,
-		Suppressed: suppressed,
-		SampleMean: d.SampleMean,
-		Target:     d.Target,
-		Level:      d.Level,
-		Fill:       d.Fill,
-		SampleSize: in.SampleSize,
-		SampleFill: in.SampleFill,
-		Statistic:  in.Statistic,
-	}
+	r := Record{Kind: KindDecision, Time: t}
+	r.setDecision(d, in, suppressed)
+	return r
+}
+
+// setDecision fills r's decision fields from one evaluated decision
+// and the internals snapshot taken after it, in place: the record is
+// too large to copy on the per-observation paths.
+func (r *Record) setDecision(d core.Decision, in core.Internals, suppressed bool) {
+	r.Evaluated, r.Triggered, r.Suppressed = d.Evaluated, d.Triggered, suppressed
+	r.SampleMean, r.Target, r.Level, r.Fill = d.SampleMean, d.Target, d.Level, d.Fill
+	r.SampleSize, r.SampleFill, r.Statistic = in.SampleSize, in.SampleFill, in.Statistic
 }
 
 // Decision flag bits of the binary codec.
@@ -484,7 +321,7 @@ const (
 )
 
 // recordDecision splits a decision record into the detector decision
-// and internals it was written from, the arguments of appendDecision.
+// and internals it was written from, the arguments of setDecision.
 // Only the fields the decision payload carries are set.
 func recordDecision(r *Record) (core.Decision, core.Internals) {
 	return core.Decision{
@@ -509,30 +346,30 @@ func recordDecision(r *Record) (core.Decision, core.Internals) {
 // the determinism contract (DESIGN §10).
 //
 //lint:allow hotpath appends into the caller's reused scratch buffer; growth amortizes to zero
-func appendDecision(b []byte, d core.Decision, in core.Internals, suppressed bool) []byte {
+func appendDecision(b []byte, r *Record) []byte {
 	var flags byte
-	if d.Evaluated {
+	if r.Evaluated {
 		flags |= flagEvaluated
 	}
-	if d.Triggered {
+	if r.Triggered {
 		flags |= flagTriggered
 	}
-	if suppressed {
+	if r.Suppressed {
 		flags |= flagSuppressed
 	}
 	b = append(b, flags)
-	b = appendF64(b, d.SampleMean)
-	b = appendF64(b, d.Target)
-	b = binary.AppendUvarint(b, uint64(d.Level))
-	b = binary.AppendUvarint(b, uint64(d.Fill))
-	b = binary.AppendUvarint(b, uint64(in.SampleSize))
-	b = binary.AppendUvarint(b, uint64(in.SampleFill))
-	b = appendF64(b, in.Statistic)
+	b = appendF64(b, r.SampleMean)
+	b = appendF64(b, r.Target)
+	b = binary.AppendUvarint(b, uint64(r.Level))
+	b = binary.AppendUvarint(b, uint64(r.Fill))
+	b = binary.AppendUvarint(b, uint64(r.SampleSize))
+	b = binary.AppendUvarint(b, uint64(r.SampleFill))
+	b = appendF64(b, r.Statistic)
 	return b
 }
 
-// appendPayload encodes the kind-specific payload of r; the common
-// prefix (kind, seq, time) is already in b.
+// appendPayload is the one encoder of every kind's payload; the common
+// prefix (kind, seq, time) is already in b and emit has clipped Class.
 //
 //lint:allow hotpath appends into the caller's reused scratch buffer; growth amortizes to zero
 func appendPayload(b []byte, r *Record) []byte {
@@ -545,9 +382,8 @@ func appendPayload(b []byte, r *Record) []byte {
 		b = binary.AppendUvarint(b, r.Stream)
 		b = appendF64(b, r.Value)
 	case KindDecision:
-		d, in := recordDecision(r)
 		b = binary.AppendUvarint(b, r.Stream)
-		b = appendDecision(b, d, in, r.Suppressed)
+		b = appendDecision(b, r)
 		b = appendTriggerID(b, r.TriggerID)
 	case KindReset, KindSimFired, KindSimCancelled:
 		// no payload
@@ -558,7 +394,7 @@ func appendPayload(b []byte, r *Record) []byte {
 	case KindSimScheduled:
 		b = appendF64(b, r.EventTime)
 	case KindFault:
-		b = appendString(b, clipClass(r.Class))
+		b = appendString(b, r.Class)
 		b = appendF64(b, r.Value)
 	case KindActStart:
 		b = appendTriggerID(b, r.TriggerID)
@@ -570,15 +406,15 @@ func appendPayload(b []byte, r *Record) []byte {
 		}
 		b = binary.AppendUvarint(b, uint64(r.Attempt))
 		b = appendF64(b, r.Backoff)
-		b = appendString(b, clipClass(r.Class))
+		b = appendString(b, r.Class)
 		b = appendTriggerID(b, r.TriggerID)
 	case KindActGiveUp:
 		b = binary.AppendUvarint(b, uint64(r.Attempt))
-		b = appendString(b, clipClass(r.Class))
+		b = appendString(b, r.Class)
 		b = appendTriggerID(b, r.TriggerID)
 	case KindStreamOpen:
 		b = binary.AppendUvarint(b, r.Stream)
-		b = appendString(b, clipClass(r.Class))
+		b = appendString(b, r.Class)
 	case KindStreamClose:
 		b = binary.AppendUvarint(b, r.Stream)
 	case KindRebaseline:
@@ -594,14 +430,14 @@ func appendPayload(b []byte, r *Record) []byte {
 		b = appendTriggerID(b, r.TriggerID)
 	case KindSchedDefer:
 		b = binary.AppendUvarint(b, r.Stream)
-		b = appendString(b, clipClass(r.Class))
+		b = appendString(b, r.Class)
 		b = binary.AppendUvarint(b, uint64(r.Level))
 		b = binary.AppendUvarint(b, uint64(r.Fill))
 		b = binary.AppendUvarint(b, uint64(r.Attempt))
 		b = appendTriggerID(b, r.TriggerID)
 	case KindSchedCoalesce:
 		b = binary.AppendUvarint(b, r.Stream)
-		b = appendString(b, clipClass(r.Class))
+		b = appendString(b, r.Class)
 		b = binary.AppendUvarint(b, uint64(r.Level))
 		b = binary.AppendUvarint(b, uint64(r.Fill))
 		b = binary.AppendUvarint(b, uint64(r.Attempt))
@@ -610,7 +446,7 @@ func appendPayload(b []byte, r *Record) []byte {
 		b = appendTriggerID(b, r.TriggerID)
 	case KindSchedStart:
 		b = binary.AppendUvarint(b, r.Stream)
-		b = appendString(b, clipClass(r.Class))
+		b = appendString(b, r.Class)
 		b = appendF64(b, r.Value)
 		b = appendF64(b, r.Backoff)
 		b = appendTriggerID(b, r.TriggerID)
@@ -624,7 +460,7 @@ func appendPayload(b []byte, r *Record) []byte {
 		b = appendTriggerID(b, r.TriggerID)
 	case KindSchedQuarantine:
 		b = binary.AppendUvarint(b, r.Stream)
-		b = appendString(b, clipClass(r.Class))
+		b = appendString(b, r.Class)
 		b = appendTriggerID(b, r.TriggerID)
 	case KindSchedReadmit:
 		b = binary.AppendUvarint(b, r.Stream)

@@ -112,18 +112,23 @@ func pinnedJournal(t *testing.T, newWriter func(*bytes.Buffer, Meta) *Writer, bi
 			}
 			break
 		}
-		kind := Kind(0)
-		for k := range jw.counts {
-			if jw.counts[k] != counts[k] {
-				kind = Kind(k)
-			}
-		}
-		line(kind.String(), buf.Bytes()[start:])
+		line(emittedKind(counts, jw.counts).String(), buf.Bytes()[start:])
 	}
 	if !binary && jw.Err() == nil {
 		t.Fatal("JSONL writer accepted a NaN record")
 	}
 	return out.String()
+}
+
+// emittedKind names the kind whose count differs between two snapshots
+// of a writer's per-kind counts taken around one record.
+func emittedKind(before, after [maxKind + 1]uint64) Kind {
+	for k := range after {
+		if after[k] != before[k] {
+			return Kind(k)
+		}
+	}
+	return 0
 }
 
 // assertPinned compares got with testdata/<name>, or rewrites the file
