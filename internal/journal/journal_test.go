@@ -317,6 +317,49 @@ func BenchmarkWriterDecision(b *testing.B) {
 	}
 }
 
+func TestWriterObserveDoesNotAllocate(t *testing.T) {
+	jw := NewWriter(io.Discard, Meta{})
+	jw.Observe(0, 0, 1) // warm the scratch buffer
+	allocs := testing.AllocsPerRun(1000, func() {
+		jw.Observe(1, 0, 2)
+	})
+	if allocs != 0 {
+		t.Errorf("binary Observe allocates %.1f objects per record, want 0", allocs)
+	}
+}
+
+func TestWriterDecisionDoesNotAllocate(t *testing.T) {
+	jw := NewWriter(io.Discard, Meta{})
+	d := core.Decision{Evaluated: true, SampleMean: 7.5, Target: 10, Level: 1, Fill: 2}
+	in := core.Internals{SampleSize: 2}
+	jw.Decision(0, 0, d, in, false, 0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		jw.Decision(1, 0, d, in, false, 0)
+	})
+	if allocs != 0 {
+		t.Errorf("binary Decision allocates %.1f objects per record, want 0", allocs)
+	}
+}
+
+func TestWriterStreamEmittersDoNotAllocate(t *testing.T) {
+	jw := NewWriter(io.Discard, Meta{})
+	jw.StreamOpen(0, 1, "sraa")
+	// Warm the scratch buffer.
+	jw.Observe(0, 1, 5)
+	d := core.Decision{Evaluated: true, SampleMean: 5, Target: 6, Level: 1, Fill: 1}
+	in := core.Internals{SampleSize: 2}
+	if avg := testing.AllocsPerRun(200, func() {
+		jw.Observe(1, 1, 5.5)
+		jw.Rebaseline(1, 1, 5.5, 1)
+		jw.Decision(1, 1, d, in, false, 0)
+	}); avg != 0 {
+		t.Errorf("stream-tagged emitters allocate %.1f times per observe+rebaseline+decision, want 0", avg)
+	}
+	if err := jw.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWriterEmittersDoNotAllocate pins the zero-allocation contract of
 // the binary codec for every record kind: each pinnedEmitters entry,
 // the scheduler kinds written through Record included, allocates
