@@ -3,6 +3,7 @@ package rejuv_test
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -299,50 +300,69 @@ func TestMonitorSurvivesTriggerPanic(t *testing.T) {
 // TestMonitorRejectedJournalsFault pins the journal contract for
 // rejected observations: the poison becomes a KindFault record, never
 // an Observe record, so replay stays byte-identical to a clean run.
+// Fault records are written from the first observation on, timed
+// against an epoch anchored there, even when no value has been
+// admitted yet.
 func TestMonitorRejectedJournalsFault(t *testing.T) {
-	now := time.Unix(0, 0)
-	var buf bytes.Buffer
-	jw := rejuv.NewJournalWriter(&buf, rejuv.JournalMeta{CreatedBy: "harden_test"})
-	m, err := rejuv.NewMonitor(rejuv.MonitorConfig{
-		Detector:  testDetector(t),
-		OnTrigger: func(rejuv.Trigger) {},
-		Now:       func() time.Time { return now },
-		Journal:   jw,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Observe(5)
-	now = now.Add(time.Second)
-	m.Observe(math.NaN())
-	now = now.Add(time.Second)
-	m.Observe(math.Inf(-1))
-	if err := jw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	jr, err := rejuv.NewJournalReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := jr.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var observes, faults int
-	var classes []string
-	for _, r := range recs {
-		switch r.Kind {
-		case rejuv.JournalKindObserve:
-			observes++
-		case rejuv.JournalKindFault:
-			faults++
-			classes = append(classes, r.Class)
-		}
-	}
-	if observes != 1 {
-		t.Errorf("journal has %d observe records, want 1 (poison must not be journaled as observations)", observes)
-	}
-	if faults != 2 || classes[0] != "nan" || classes[1] != "-inf" {
-		t.Errorf("fault records = %d %v, want [nan -inf]", faults, classes)
+	nan, pinf, ninf := math.NaN(), math.Inf(1), math.Inf(-1)
+	for _, tc := range []struct {
+		name       string
+		in         []float64 // observed one second apart
+		classes    []string
+		faultTimes []float64
+	}{
+		{"after-admitted", []float64{5, nan, ninf}, []string{"nan", "-inf"}, []float64{1, 2}},
+		{"leading", []float64{nan, pinf, 5, nan}, []string{"nan", "+inf", "nan"}, []float64{0, 1, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			now := time.Unix(0, 0)
+			var buf bytes.Buffer
+			jw := rejuv.NewJournalWriter(&buf, rejuv.JournalMeta{CreatedBy: "harden_test"})
+			m, err := rejuv.NewMonitor(rejuv.MonitorConfig{
+				Detector:  testDetector(t),
+				OnTrigger: func(rejuv.Trigger) {},
+				Now:       func() time.Time { return now },
+				Journal:   jw,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range tc.in {
+				m.Observe(x)
+				now = now.Add(time.Second)
+			}
+			if err := jw.Err(); err != nil {
+				t.Fatal(err)
+			}
+			jr, err := rejuv.NewJournalReader(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := jr.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var observes int
+			var classes []string
+			var times []float64
+			for _, r := range recs {
+				switch r.Kind {
+				case rejuv.JournalKindObserve:
+					observes++
+				case rejuv.JournalKindFault:
+					classes = append(classes, r.Class)
+					times = append(times, r.Time)
+				}
+			}
+			if observes != 1 {
+				t.Errorf("journal has %d observe records, want 1 (poison must not be journaled as observations)", observes)
+			}
+			if !slices.Equal(classes, tc.classes) || !slices.Equal(times, tc.faultTimes) {
+				t.Errorf("fault records: classes %v at %v, want %v at %v", classes, times, tc.classes, tc.faultTimes)
+			}
+			if got := m.Stats().Rejected; got != uint64(len(tc.classes)) {
+				t.Errorf("Stats().Rejected = %d, want %d, one per fault record", got, len(tc.classes))
+			}
+		})
 	}
 }

@@ -66,7 +66,3 @@ func Alpha() (float64, error) {
 	}
 	return FamilyAlpha / StatTestBudget, nil
 }
-
-// StatTestsUsed returns how many statistical tests have drawn an alpha
-// so far in this process.
-func StatTestsUsed() int64 { return statTestsUsed.Load() }

@@ -10,13 +10,14 @@ import (
 	"rejuv/internal/journal"
 )
 
-// Fault-injection harness for the conformance laws: the counterpart of
-// RunJournaled for observation streams that pass through a deterministic
-// fault injector and a hygiene gate before reaching the detector. The
-// pipeline mirrors the hardened production path (Monitor hygiene,
-// internal/ecommerce feedDetector): injected corruptions are journaled
-// as fault records, intercepted values never reach the detector or the
-// journal's observe stream, and the journal replays byte-identically.
+// Fault-injection harness for the conformance laws: observation
+// streams pass through a deterministic fault injector and a hygiene
+// gate before reaching the detector. The detector step is the
+// production one (core.Feed, journaled by journal.(*Writer).Step, as
+// in the Monitor and internal/ecommerce): injected corruptions are
+// journaled as fault records, intercepted values never reach the
+// detector or the journal's observe stream, and the journal replays
+// byte-identically.
 
 // faultLawStream is the xrand stream id reserved for fault-law
 // injectors, distinct from traceStream so faulting a trace never
@@ -76,12 +77,11 @@ type FaultedResult struct {
 // (seed-pinned on stream faultLawStream) and a hygiene gate into a
 // fresh detector from factory, journaling the run into an in-memory
 // binary journal, then replays the journal through a second detector
-// from the same factory. The journaling protocol mirrors
-// internal/ecommerce: fault records for injections and hygiene
-// interceptions (with non-finite values sanitized to 0 — the class
-// names the poison), observe records only for admitted values, decision
-// records when the step evaluated or triggered, detector Reset plus a
-// journal reset record after every trigger.
+// from the same factory. Each observation the injector emits is one
+// core.Feed step journaled by journal.(*Writer).Step, the Monitor's
+// and the simulation model's step; injections are journaled as fault
+// records, and every trigger is followed by a detector Reset plus a
+// journal reset record, as the model rejuvenates.
 func RunFaulted(name string, factory func() (core.Detector, error), trace []float64, spec faults.Spec, hygiene core.Hygiene, seed uint64) (FaultedResult, error) {
 	det, err := factory()
 	if err != nil {
@@ -96,48 +96,28 @@ func RunFaulted(name string, factory func() (core.Detector, error), trace []floa
 	inj := faults.NewInjector(spec, seed, faultLawStream)
 	inj.OnFault = func(class faults.Class, value float64) {
 		res.Injected++
-		if math.IsNaN(value) || math.IsInf(value, 0) {
-			value = 0
-		}
-		jw.Fault(now, string(class), value)
+		jw.Injected(now, string(class), value)
 	}
 
-	reb, _ := det.(core.Rebaseliner)
-	var lastReb uint64
-	var last float64
-	var haveLast bool
+	f := core.NewFeed(det)
 	feed := func(x float64) {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			v, ok := hygiene.Admit(x, last, haveLast)
-			if hygiene != core.HygieneOff {
-				res.Rejected++
-				jw.Fault(now, nonFiniteClass(x), 0)
-			}
-			if !ok {
-				return
-			}
-			x = v
+		s := f.Observe(hygiene, x)
+		if s.Intercepted {
+			res.Rejected++
 		}
-		last, haveLast = x, true
-		jw.Observe(now, 0, x)
-		d := det.Observe(x)
-		res.Decisions = append(res.Decisions, d)
-		if reb != nil {
-			if n := reb.Rebaselines(); n != lastReb {
-				lastReb = n
-				res.Rebaselines++
-				b := reb.CurrentBaseline()
-				jw.Rebaseline(now, 0, b.Mean, b.StdDev)
-			}
+		if s.Rebased {
+			res.Rebaselines++
 		}
-		if d.Evaluated || d.Triggered {
-			var in core.Internals
-			if instr, ok := det.(core.Instrumented); ok {
-				in = instr.Internals()
-			}
-			jw.Decision(now, 0, d, in, false, 0)
+		var in core.Internals
+		if s.Decision.Evaluated || s.Decision.Triggered {
+			in, _ = f.Internals()
 		}
-		if d.Triggered {
+		jw.Step(now, 0, x, s, in, false, 0)
+		if !s.Admitted {
+			return
+		}
+		res.Decisions = append(res.Decisions, s.Decision)
+		if s.Decision.Triggered {
 			res.Triggers++
 			det.Reset()
 			jw.Reset(now)
@@ -167,19 +147,6 @@ func RunFaulted(name string, factory func() (core.Detector, error), trace []floa
 	}
 	res.Replay = rep
 	return res, nil
-}
-
-// nonFiniteClass names the fault class of a non-finite observation for
-// the journal's fault record.
-func nonFiniteClass(x float64) string {
-	switch {
-	case math.IsNaN(x):
-		return "nan"
-	case math.IsInf(x, 1):
-		return "+inf"
-	default:
-		return "-inf"
-	}
 }
 
 // FiniteInternals reports whether the detector's internal-state

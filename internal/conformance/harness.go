@@ -1,11 +1,10 @@
 package conformance
 
 import (
-	"bytes"
-	"fmt"
 	"math"
 
 	"rejuv/internal/core"
+	"rejuv/internal/faults"
 	"rejuv/internal/journal"
 )
 
@@ -175,79 +174,20 @@ func RebasedFamily(fam Family, cfg core.ShiftConfig, base core.Baseline) Family 
 	return out
 }
 
-// RunTrace feeds the trace through the detector and returns the full
-// decision stream, one Decision per observation. Triggers reset the
-// detector, mirroring how the simulation model rejuvenates on trigger.
-func RunTrace(det core.Detector, trace []float64) []core.Decision {
-	ds := make([]core.Decision, len(trace))
-	for i, x := range trace {
-		ds[i] = det.Observe(x)
-		if ds[i].Triggered {
-			det.Reset()
-		}
-	}
-	return ds
-}
-
 // RunJournaled feeds the trace through a detector built by factory
 // while journaling it as one replication into an in-memory binary
 // flight-recorder journal, then replays the journal through a second
-// detector from the same factory. It returns the live decision stream
-// and the replay report; rep.Identical() is the determinism proof the
-// laws assert on every run. The journaling protocol mirrors
-// internal/ecommerce: Observe before the step, Decision only when the
-// step evaluated or triggered, detector Reset plus a journal Reset
-// record after every trigger. Detectors that re-estimate their baseline
-// (core.Rebaseliner) additionally journal every committed rebaseline,
-// which the replay verifies bit for bit against its own detector's
-// committed baseline.
+// detector from the same factory. It returns the live decision stream,
+// one Decision per observation, and the replay report; rep.Identical()
+// is the determinism proof the laws assert on every run. It is
+// RunFaulted without faults and with HygieneOff, so every value reaches
+// the detector through the production step: committed rebaselines
+// (core.Rebaseliner) are journaled and verified bit for bit against the
+// replaying detector's, and every trigger is followed by a detector
+// Reset plus a journal reset record.
 func RunJournaled(name string, factory func() (core.Detector, error), trace []float64) ([]core.Decision, journal.ReplayReport, error) {
-	det, err := factory()
-	if err != nil {
-		return nil, journal.ReplayReport{}, fmt.Errorf("conformance: factory: %w", err)
-	}
-	reb, _ := det.(core.Rebaseliner)
-	var lastReb uint64
-	var buf bytes.Buffer
-	jw := journal.NewWriter(&buf, journal.Meta{CreatedBy: "conformance", Detector: name})
-	jw.RepStart(0, 0, 0, 0)
-	ds := make([]core.Decision, len(trace))
-	for i, x := range trace {
-		t := float64(i)
-		jw.Observe(t, 0, x)
-		d := det.Observe(x)
-		ds[i] = d
-		if reb != nil {
-			if n := reb.Rebaselines(); n != lastReb {
-				lastReb = n
-				b := reb.CurrentBaseline()
-				jw.Rebaseline(t, 0, b.Mean, b.StdDev)
-			}
-		}
-		if d.Evaluated || d.Triggered {
-			var in core.Internals
-			if instr, ok := det.(core.Instrumented); ok {
-				in = instr.Internals()
-			}
-			jw.Decision(t, 0, d, in, false, 0)
-		}
-		if d.Triggered {
-			det.Reset()
-			jw.Reset(t)
-		}
-	}
-	if err := jw.Err(); err != nil {
-		return nil, journal.ReplayReport{}, fmt.Errorf("conformance: journal writer: %w", err)
-	}
-	jr, err := journal.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return nil, journal.ReplayReport{}, fmt.Errorf("conformance: journal reader: %w", err)
-	}
-	rep, err := journal.Replay(jr, func(string) (core.Detector, error) { return factory() })
-	if err != nil {
-		return nil, journal.ReplayReport{}, fmt.Errorf("conformance: replay: %w", err)
-	}
-	return ds, rep, nil
+	res, err := RunFaulted(name, factory, trace, faults.Spec{}, core.HygieneOff, 0)
+	return res.Decisions, res.Replay, err
 }
 
 // SameDecisions compares two decision streams on their discrete fields

@@ -13,7 +13,9 @@ import (
 // plain value slices, and the Monitor embeds one of each. All three
 // are pure state machines over caller-supplied clocks (nanosecond
 // readings), never touching the wall clock themselves, which keeps
-// them usable from deterministic simulations.
+// them usable from deterministic simulations. Feed, the single-detector
+// step, is the one path by which the Monitor, the simulation model and
+// the conformance harness drive a detector.
 
 // Cooldown suppresses triggers that fire too soon after a delivered
 // one, giving a rejuvenated system time to return to normal before it
@@ -139,4 +141,87 @@ func (s *HygieneState) Admit(p Hygiene, x float64) (v float64, ok, intercepted b
 		s.last, s.have = v, true
 	}
 	return v, ok, intercepted
+}
+
+// Feed is the single-detector step: one detector behind its hygiene
+// memory, with the rebaseline watermark that spots a committed
+// workload-shift rebaseline the instant it happens and the detector's
+// Instrumented view. The Monitor, the simulation model and the
+// conformance harness all step their detector through a Feed, and
+// journal.(*Writer).Step records each Step as the record group
+// journal.Replay reads, so the replay guarantee covers the production
+// path itself.
+type Feed struct {
+	det     Detector
+	hyg     HygieneState
+	reb     Rebaseliner  // nil when the detector keeps a fixed baseline
+	lastReb uint64       // reb's rebaseline count after the previous step
+	instr   Instrumented // nil when the detector exposes no internals
+	step    Step         // the outcome of the latest Observe
+}
+
+// NewFeed returns the step for det. A nil det yields a Feed that must
+// not be observed through.
+func NewFeed(det Detector) Feed {
+	f := Feed{det: det}
+	f.reb, _ = det.(Rebaseliner)
+	f.instr, _ = det.(Instrumented)
+	return f
+}
+
+// Step is the outcome of one Feed.Observe.
+type Step struct {
+	// Value is the value the detector saw; meaningful only when
+	// Admitted.
+	Value float64
+	// Decision is the detector's decision, the zero Decision when the
+	// observation was not admitted.
+	Decision Decision
+	// Admitted reports that Value reached the detector.
+	Admitted bool
+	// Intercepted reports that the raw observation was non-finite and
+	// the hygiene policy dropped or substituted it.
+	Intercepted bool
+	// Rebased reports that the detector committed a workload-shift
+	// rebaseline on this step.
+	Rebased bool
+	// Baseline is the baseline committed on this step; meaningful only
+	// when Rebased.
+	Baseline Baseline
+}
+
+// Observe applies hygiene policy p to x, feeds the admitted value to
+// the detector and returns the outcome. The Step belongs to the Feed
+// and is overwritten by the next Observe, so the per-observation paths
+// never copy it.
+//
+//lint:hotpath
+func (f *Feed) Observe(p Hygiene, x float64) *Step {
+	s := &f.step
+	// Field by field: assigning a Step literal builds it on the stack
+	// and copies it over, a measurable share of the step.
+	v, admitted, intercepted := f.hyg.Admit(p, x)
+	s.Value, s.Admitted, s.Intercepted, s.Rebased = v, admitted, intercepted, false
+	if !admitted {
+		s.Decision = Decision{}
+		return s
+	}
+	s.Decision = f.det.Observe(v)
+	if f.reb != nil {
+		if n := f.reb.Rebaselines(); n != f.lastReb {
+			f.lastReb = n
+			s.Rebased = true
+			s.Baseline = f.reb.CurrentBaseline()
+		}
+	}
+	return s
+}
+
+// Internals snapshots the detector's internals; ok is false, and in
+// the zero value, when the detector exposes none.
+func (f *Feed) Internals() (in Internals, ok bool) {
+	if f.instr == nil {
+		return Internals{}, false
+	}
+	return f.instr.Internals(), true
 }

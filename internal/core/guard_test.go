@@ -138,3 +138,50 @@ func TestBucketStepMatchesState(t *testing.T) {
 		}
 	}
 }
+
+// stubRebaser triggers on observations above 10 and commits a
+// rebaseline, to a baseline at the observed value, on each 7.
+type stubRebaser struct {
+	n    uint64
+	base Baseline
+}
+
+func (d *stubRebaser) Observe(x float64) Decision {
+	if x == 7 {
+		d.n++
+		d.base = Baseline{Mean: x, StdDev: 1}
+	}
+	return Decision{Evaluated: true, Triggered: x > 10, SampleMean: x}
+}
+func (d *stubRebaser) Reset()                    {}
+func (d *stubRebaser) Rebaselines() uint64       { return d.n }
+func (d *stubRebaser) CurrentBaseline() Baseline { return d.base }
+
+// TestFeedStepCarriesNothingOver pins that the Step a Feed reuses
+// describes the latest observation alone: a rejected observation after
+// a trigger reports no decision, and a rebaseline is reported on the
+// step that committed it only.
+func TestFeedStepCarriesNothingOver(t *testing.T) {
+	f := NewFeed(&stubRebaser{})
+	for i, tc := range []struct {
+		x                            float64
+		admitted, triggered, rebased bool
+	}{
+		{20, true, true, false},
+		{math.NaN(), false, false, false},
+		{7, true, false, true},
+		{5, true, false, false},
+	} {
+		s := f.Observe(HygieneReject, tc.x)
+		if s.Admitted != tc.admitted || s.Decision.Triggered != tc.triggered || s.Rebased != tc.rebased {
+			t.Errorf("step %d (x=%v): admitted=%v triggered=%v rebased=%v, want %v %v %v",
+				i, tc.x, s.Admitted, s.Decision.Triggered, s.Rebased, tc.admitted, tc.triggered, tc.rebased)
+		}
+		if !tc.admitted && s.Decision != (Decision{}) {
+			t.Errorf("step %d: rejected observation carries decision %+v", i, s.Decision)
+		}
+		if tc.rebased && s.Baseline != (Baseline{Mean: 7, StdDev: 1}) {
+			t.Errorf("step %d: committed baseline %+v, want {7 1}", i, s.Baseline)
+		}
+	}
+}

@@ -1,11 +1,6 @@
 package ecommerce
 
-import (
-	"math"
-
-	"rejuv/internal/core"
-	"rejuv/internal/faults"
-)
+import "rejuv/internal/faults"
 
 // This file wires the deterministic fault-injection layer into the
 // simulation: the injector sits between the completed-transaction
@@ -38,7 +33,7 @@ func (m *Model) InjectFaults(spec faults.Spec) {
 	inj.OnFault = func(class faults.Class, value float64) {
 		m.res.Injected++
 		if m.jw != nil {
-			m.jw.Fault(m.sim.Now(), string(class), sanitizeValue(value))
+			m.jw.Injected(m.sim.Now(), string(class), value)
 		}
 	}
 	m.inj = inj
@@ -51,67 +46,4 @@ func (m *Model) FaultCounts() []faults.Count {
 		return nil
 	}
 	return m.inj.Counts()
-}
-
-// sanitizeValue makes a fault value journal-safe: the JSONL codec
-// cannot carry non-finite floats, and the fault class already names the
-// poison.
-func sanitizeValue(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
-}
-
-// feedDetector routes one (possibly fault-injected) observation through
-// the hygiene policy into the detector, mirroring the production
-// Monitor: intercepted values are counted and journaled as faults but
-// never reach the detector, so the journal's replayed decision stream
-// stays byte-identical.
-func (m *Model) feedDetector(x float64) {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		v, ok := m.cfg.Hygiene.Admit(x, m.lastAdmitted, m.haveAdmitted)
-		if m.cfg.Hygiene != core.HygieneOff {
-			m.res.Rejected++
-			if m.jw != nil {
-				m.jw.Fault(m.sim.Now(), hygieneClass(x), 0)
-			}
-		}
-		if !ok {
-			return
-		}
-		x = v
-	}
-	m.lastAdmitted, m.haveAdmitted = x, true
-	if m.jw != nil {
-		m.jw.Observe(m.sim.Now(), 0, x)
-	}
-	d := m.detector.Observe(x)
-	if m.reb != nil {
-		if n := m.reb.Rebaselines(); n != m.lastReb {
-			m.lastReb = n
-			m.res.Rebaselines++
-			if m.jw != nil {
-				b := m.reb.CurrentBaseline()
-				m.jw.Rebaseline(m.sim.Now(), 0, b.Mean, b.StdDev)
-			}
-		}
-	}
-	m.journalDecision(d)
-	m.publishDetector()
-	if d.Triggered {
-		m.rejuvenate()
-	}
-}
-
-// hygieneClass names the fault class of a non-finite observation.
-func hygieneClass(x float64) string {
-	switch {
-	case math.IsNaN(x):
-		return "nan"
-	case math.IsInf(x, 1):
-		return "+inf"
-	default:
-		return "-inf"
-	}
 }

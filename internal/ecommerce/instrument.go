@@ -107,20 +107,23 @@ func (m *Model) Instrument(reg *metrics.Registry) {
 	m.publishDetector()
 }
 
-// publishDetector refreshes the detector gauges from its internals.
+// publishDetector refreshes the detector gauges from a fresh snapshot
+// of its internals.
 func (m *Model) publishDetector() {
 	if m.met == nil {
 		return
 	}
-	in, ok := m.detector.(core.Instrumented)
-	if !ok {
-		return
+	if in, ok := m.feed.Internals(); ok {
+		m.met.setDetector(in)
 	}
-	snap := in.Internals()
-	m.met.bucketLevel.SetInt(snap.Level)
-	m.met.bucketFill.SetInt(snap.Fill)
-	m.met.sampleSize.SetInt(snap.SampleSize)
-	m.met.target.Set(snap.Target)
+}
+
+// setDetector sets the detector gauges from one internals snapshot.
+func (mm *modelMetrics) setDetector(in core.Internals) {
+	mm.bucketLevel.SetInt(in.Level)
+	mm.bucketFill.SetInt(in.Fill)
+	mm.sampleSize.SetInt(in.SampleSize)
+	mm.target.Set(in.Target)
 }
 
 // Tick arranges for fn to run every interval seconds of virtual time

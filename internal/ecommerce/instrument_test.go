@@ -1,9 +1,11 @@
 package ecommerce
 
 import (
+	"io"
 	"testing"
 
 	"rejuv/internal/core"
+	"rejuv/internal/journal"
 	"rejuv/internal/metrics"
 	"rejuv/internal/num"
 )
@@ -18,6 +20,51 @@ func snapValue(t *testing.T, reg *metrics.Registry, name string) metrics.SeriesS
 	}
 	t.Fatalf("series %s not registered", name)
 	return metrics.SeriesSnapshot{}
+}
+
+// countingDetector wraps a detector and counts Internals calls.
+type countingDetector struct {
+	core.Detector
+	calls int
+}
+
+func (c *countingDetector) Internals() core.Internals {
+	c.calls++
+	return c.Detector.(core.Instrumented).Internals()
+}
+
+// TestModelSnapshotsInternalsOnce pins the cost of the model's sinks
+// in detector snapshots: with both the registry and a journal attached,
+// the model takes one Internals snapshot per observation and hands it
+// to the detector gauges and the decision record alike, plus one when
+// Instrument attaches and one after each rejuvenation's reset.
+func TestModelSnapshotsInternalsOnce(t *testing.T) {
+	inner, err := core.NewSRAA(core.SRAAConfig{
+		SampleSize: 2, Buckets: 5, Depth: 3,
+		Baseline: core.Baseline{Mean: 5, StdDev: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := &countingDetector{Detector: inner}
+	m, err := New(Config{ArrivalRate: 1.8, Transactions: 5_000, Seed: 61, Stream: 1}, det)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Instrument(metrics.NewRegistry())
+	jw := journal.NewWriter(io.Discard, journal.Meta{Detector: "SRAA"})
+	m.Journal(jw)
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rejuvenations == 0 || jw.Count(journal.KindDecision) == 0 {
+		t.Fatalf("the run must decide and rejuvenate: %+v", res)
+	}
+	if want := int(1 + res.Completed + res.Rejuvenations); det.calls != want {
+		t.Errorf("Internals called %d times, want %d (1 + %d observations + %d rejuvenations)",
+			det.calls, want, res.Completed, res.Rejuvenations)
+	}
 }
 
 // TestInstrumentedRunMatchesResult runs a degrading replication with the

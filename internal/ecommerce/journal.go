@@ -1,9 +1,6 @@
 package ecommerce
 
-import (
-	"rejuv/internal/core"
-	"rejuv/internal/journal"
-)
+import "rejuv/internal/journal"
 
 // Journal attaches a flight-recorder writer to the model. Every
 // detector observation (one per completed transaction), every
@@ -25,18 +22,3 @@ func (m *Model) Journal(jw *journal.Writer) {
 // transaction replication emits several hundred thousand kernel
 // records, so this is a separate opt-in on top of Journal.
 func (m *Model) JournalKernel(jw *journal.Writer) { m.sim.Journal(jw) }
-
-// journalDecision writes the decision record for one evaluated (or
-// triggering) detector decision. The model layer has no trigger
-// cooldown — every trigger rejuvenates — so the suppressed flag is
-// always false here; only the Monitor layer suppresses.
-func (m *Model) journalDecision(d core.Decision) {
-	if m.jw == nil || (!d.Evaluated && !d.Triggered) {
-		return
-	}
-	var in core.Internals
-	if instr, ok := m.detector.(core.Instrumented); ok {
-		in = instr.Internals()
-	}
-	m.jw.Decision(m.sim.Now(), 0, d, in, false, 0)
-}

@@ -232,6 +232,7 @@ type Model struct {
 	sim      *des.Simulator
 	rng      *xrand.Rand
 	detector core.Detector // nil disables rejuvenation
+	feed     core.Feed     // steps detector behind the hygiene policy
 	jobs     *jobSlab
 	st       *station
 
@@ -252,10 +253,6 @@ type Model struct {
 	// shape); wlIdx is the active phase index.
 	wlFactor float64
 	wlIdx    int
-	// reb is non-nil when the detector re-estimates its baseline; lastReb
-	// detects newly committed rebaselines after each observation.
-	reb     core.Rebaseliner
-	lastReb uint64
 
 	res Result
 	ran bool
@@ -268,11 +265,8 @@ type Model struct {
 	// jw is nil unless Journal was called.
 	jw *journal.Writer
 
-	// inj is nil unless InjectFaults was called; lastAdmitted backs the
-	// HygieneClamp substitution, mirroring the production Monitor.
-	inj          *faults.Injector
-	lastAdmitted float64
-	haveAdmitted bool
+	// inj is nil unless InjectFaults was called.
+	inj *faults.Injector
 
 	// OnComplete, when non-nil, receives the response time of every
 	// completed transaction; the autocorrelation study uses it to
@@ -295,12 +289,12 @@ func New(cfg Config, detector core.Detector) (*Model, error) {
 		cfg:      cfg,
 		rng:      xrand.NewStream(cfg.Seed, cfg.Stream),
 		detector: detector,
+		feed:     core.NewFeed(detector),
 		jobs:     newJobSlab(),
 		wlFactor: 1,
 	}
 	// At most one arrival is pending, so it waits in a lane, not the heap.
 	m.sim = des.NewLaned(m.dispatch, evArrival)
-	m.reb, _ = detector.(core.Rebaseliner)
 	m.st = newStation(cfg, m.sim, m.rng, m.jobs, 0)
 	return m, nil
 }
@@ -451,6 +445,38 @@ func (m *Model) complete(rt float64) {
 	}
 	if m.res.Completed+m.res.Lost >= m.cfg.Transactions {
 		m.sim.Stop()
+	}
+}
+
+// feedDetector routes one (possibly fault-injected) observation through
+// the hygiene policy into the detector, as the production Monitor does:
+// intercepted values are counted and journaled as faults but never
+// reach the detector, so the journal's replayed decision stream stays
+// byte-identical.
+func (m *Model) feedDetector(x float64) {
+	s := m.feed.Observe(m.cfg.Hygiene, x)
+	if s.Intercepted {
+		m.res.Rejected++
+	}
+	if s.Rebased {
+		m.res.Rebaselines++
+	}
+	// One snapshot of the detector's internals serves both the gauges
+	// and the decision record. The model has no trigger cooldown — every
+	// trigger rejuvenates — so no decision is ever suppressed.
+	var in core.Internals
+	instrumented := false
+	if s.Admitted && (m.met != nil || (m.jw != nil && (s.Decision.Evaluated || s.Decision.Triggered))) {
+		in, instrumented = m.feed.Internals()
+	}
+	if m.jw != nil {
+		m.jw.Step(m.sim.Now(), 0, x, s, in, false, 0)
+	}
+	if m.met != nil && instrumented {
+		m.met.setDetector(in)
+	}
+	if s.Decision.Triggered {
+		m.rejuvenate()
 	}
 }
 

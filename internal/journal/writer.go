@@ -224,6 +224,63 @@ func (jw *Writer) Rebaseline(t float64, stream uint64, mean, sd float64) {
 	jw.emit(&r)
 }
 
+// Step records one single-detector step (core.Feed.Observe) on a
+// stream (0 for a single-detector journal) as the record group Replay
+// reads: a fault record when the hygiene policy intercepted the raw
+// observation, the observe record of the admitted value (the
+// substitute, under HygieneClamp), the rebaseline record of a committed
+// baseline, and the decision record of an evaluated or triggering
+// decision with the internals snapshot taken after the step.
+// suppressed and triggerID are as for Decision. The fault record's
+// value is a placeholder 0: its class names the poison, and the JSONL
+// codec cannot carry the non-finite original.
+//
+//lint:hotpath
+func (jw *Writer) Step(t float64, stream uint64, raw float64, s *core.Step, in core.Internals, suppressed bool, triggerID uint64) {
+	if s.Intercepted {
+		jw.Fault(t, nonFiniteClass(raw), 0)
+	}
+	if !s.Admitted {
+		return
+	}
+	// One record serves the observe and the decision record, saving a
+	// second zeroing of the large Record: emit rewrites only Seq, and
+	// the decision sets every field the observe record set but Value.
+	r := Record{Kind: KindObserve, Time: t, Stream: stream, Value: s.Value}
+	jw.emit(&r)
+	if s.Rebased {
+		jw.Rebaseline(t, stream, s.Baseline.Mean, s.Baseline.StdDev)
+	}
+	if s.Decision.Evaluated || s.Decision.Triggered {
+		r.Kind, r.Value, r.TriggerID = KindDecision, 0, triggerID
+		r.setDecision(s.Decision, in, suppressed)
+		jw.emit(&r)
+	}
+}
+
+// nonFiniteClass names the fault class of a non-finite observation.
+func nonFiniteClass(x float64) string {
+	switch {
+	case math.IsNaN(x):
+		return "nan"
+	case math.IsInf(x, 1):
+		return "+inf"
+	default:
+		return "-inf"
+	}
+}
+
+// Injected records a fault that a fault injector put into an
+// observation stream. class names the fault; a non-finite value is
+// journaled as 0, since the class already names the poison and the
+// JSONL codec cannot carry it.
+func (jw *Writer) Injected(t float64, class string, value float64) {
+	if math.IsNaN(value) || math.IsInf(value, 0) {
+		value = 0
+	}
+	jw.Fault(t, class, value)
+}
+
 // emit is the one write path of every record: it drops the record once
 // an error has latched or when its kind is invalid, clips Class to
 // MaxClassLen, stamps Seq, counts the kind and encodes r in the

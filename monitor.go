@@ -2,7 +2,6 @@ package rejuv
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -120,32 +119,26 @@ type MonitorStats struct {
 // The guard layer — cooldown gate, staleness watchdog, hygiene memory —
 // is the shared core machinery (internal/core Cooldown, Watchdog,
 // HygieneState) that the fleet engine applies per stream; the Monitor
-// is the one-stream instantiation of the same state machines.
+// is the one-stream instantiation of the same state machines. Its
+// detector step is core.Feed, journaled by journal.(*Writer).Step: the
+// same step the simulation model and the conformance laws run.
 type Monitor struct {
 	cfg MonitorConfig
 
 	mu    sync.Mutex
 	stats MonitorStats // guarded by mu
 	// epoch anchors journal and trace timestamps at the first
-	// observation; the zero value means none was recorded yet.
+	// observation either records; the zero value means none was
+	// recorded yet.
 	epoch time.Time // guarded by mu
-	// hygiene remembers the last admitted value, the substitute
-	// HygieneClamp falls back to.
-	hygiene core.HygieneState // guarded by mu
+	// feed steps the detector behind the hygiene policy.
+	feed core.Feed // guarded by mu
 	// cool suppresses triggers inside the cooldown window of the last
 	// delivered one.
 	cool core.Cooldown // guarded by mu
 	// dog is the staleness watchdog; arrival of any value, even a
 	// rejected one, proves the stream is alive.
 	dog core.Watchdog // guarded by mu
-	// reb is non-nil when the detector re-estimates its baseline online;
-	// lastReb is its rebaseline count after the previous observation, so
-	// Observe can spot a commit the instant it happens.
-	reb     core.Rebaseliner
-	lastReb uint64 // guarded by mu
-	// instr is the detector's Instrumented view, nil when it exposes no
-	// internals; Observe snapshots it at most once per observation.
-	instr core.Instrumented
 }
 
 // NewMonitor validates the configuration and returns a monitor.
@@ -164,11 +157,10 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	}
 	m := &Monitor{
 		cfg:  cfg,
+		feed: core.NewFeed(cfg.Detector),
 		cool: core.NewCooldown(cfg.Cooldown),
 		dog:  core.NewWatchdog(cfg.MaxSilence),
 	}
-	m.reb, _ = cfg.Detector.(core.Rebaseliner)
-	m.instr, _ = cfg.Detector.(core.Instrumented)
 	return m, nil
 }
 
@@ -185,25 +177,19 @@ func (m *Monitor) Observe(x float64) {
 	defer m.mu.Unlock()
 	m.stats.Observations++
 
-	v, admitted, intercepted := m.hygiene.Admit(m.cfg.Hygiene, x)
-	if intercepted {
+	s := m.feed.Observe(m.cfg.Hygiene, x)
+	if s.Intercepted {
 		m.stats.Rejected++
 	}
-	if !admitted {
-		m.observeRejected(x)
+	if !s.Admitted {
+		m.observeRejected(x, s)
 		return
 	}
-
-	d := m.cfg.Detector.Observe(v)
-	rebased := false
-	if m.reb != nil {
-		if n := m.reb.Rebaselines(); n != m.lastReb {
-			m.lastReb = n
-			m.stats.Rebaselines++
-			rebased = true
-		}
+	if s.Rebased {
+		m.stats.Rebaselines++
 	}
-	if !d.Triggered && !rebased && !intercepted && !m.dog.Enabled() &&
+	d := s.Decision
+	if !d.Triggered && !s.Rebased && !s.Intercepted && !m.dog.Enabled() &&
 		m.cfg.Collector == nil && m.cfg.Trace == nil && m.cfg.Journal == nil {
 		return // the common un-instrumented fast path needs no clock
 	}
@@ -234,40 +220,27 @@ func (m *Monitor) Observe(x float64) {
 	decided := d.Evaluated || d.Triggered
 	var in DetectorInternals
 	var snap *DetectorInternals
-	if m.instr != nil && (c != nil || (decided && (tl != nil || jw != nil))) {
-		in = m.instr.Internals()
-		snap = &in
+	if c != nil || (decided && (tl != nil || jw != nil)) {
+		var ok bool
+		if in, ok = m.feed.Internals(); ok {
+			snap = &in
+		}
 	}
 	if c != nil {
-		c.observe(v, d, snap, suppressed, inCool)
-		if intercepted {
+		c.observe(s.Value, d, snap, suppressed, inCool)
+		if s.Intercepted {
 			c.rejected.Inc()
 		}
 	}
 	if tl != nil || jw != nil {
-		if m.epoch.IsZero() {
-			m.epoch = now
-		}
-		t := now.Sub(m.epoch).Seconds()
+		t := m.since(now)
 		if jw != nil {
-			if intercepted {
-				jw.Fault(t, hygieneClass(x), 0)
-			}
-			jw.Observe(t, 0, v)
-			if rebased {
-				b := m.reb.CurrentBaseline()
-				jw.Rebaseline(t, 0, b.Mean, b.StdDev)
-			}
+			jw.Step(t, 0, x, s, in, suppressed, tid)
 		}
-		if decided {
-			if jw != nil {
-				jw.Decision(t, 0, d, in, suppressed, tid)
-			}
-			if tl != nil {
-				r := journal.DecisionRecord(t, d, in, suppressed)
-				r.Seq, r.Value, r.TriggerID = m.stats.Observations, v, tid
-				tl.record(&r)
-			}
+		if decided && tl != nil {
+			r := journal.DecisionRecord(t, d, in, suppressed)
+			r.Seq, r.Value, r.TriggerID = m.stats.Observations, s.Value, tid
+			tl.record(&r)
 		}
 	}
 	if d.Triggered && !suppressed {
@@ -275,13 +248,14 @@ func (m *Monitor) Observe(x float64) {
 	}
 }
 
-// observeRejected handles an observation dropped by the hygiene policy:
-// it is counted and journaled as a fault but never reaches the
-// detector, so the decision stream stays byte-identical to a clean run.
-// Callers hold m.mu and have already counted the rejection.
+// observeRejected handles step s, an observation x dropped by the
+// hygiene policy: it is counted and journaled as a fault but never
+// reaches the detector, so the decision stream stays byte-identical to
+// a clean run. Callers hold m.mu and have already counted the
+// rejection.
 //
 //lint:holds mu
-func (m *Monitor) observeRejected(x float64) {
+func (m *Monitor) observeRejected(x float64, s *core.Step) {
 	if !m.dog.Enabled() && m.cfg.Collector == nil && m.cfg.Journal == nil {
 		return
 	}
@@ -290,24 +264,20 @@ func (m *Monitor) observeRejected(x float64) {
 	if c := m.cfg.Collector; c != nil {
 		c.rejected.Inc()
 	}
-	if jw := m.cfg.Journal; jw != nil && !m.epoch.IsZero() {
-		// The journal value is a placeholder: the class names the fault,
-		// and the JSONL codec cannot carry the non-finite original.
-		jw.Fault(now.Sub(m.epoch).Seconds(), hygieneClass(x), 0)
+	if jw := m.cfg.Journal; jw != nil {
+		jw.Step(m.since(now), 0, x, s, DetectorInternals{}, false, 0)
 	}
 }
 
-// hygieneClass names the fault class of a non-finite observation for
-// the journal.
-func hygieneClass(x float64) string {
-	switch {
-	case math.IsNaN(x):
-		return "nan"
-	case math.IsInf(x, 1):
-		return "+inf"
-	default:
-		return "-inf"
+// since returns now in seconds after the epoch, anchoring the epoch at
+// now when nothing was journaled or traced before. Callers hold m.mu.
+//
+//lint:holds mu
+func (m *Monitor) since(now time.Time) float64 {
+	if m.epoch.IsZero() {
+		m.epoch = now
 	}
+	return now.Sub(m.epoch).Seconds()
 }
 
 // deliver invokes OnTrigger with panic isolation: a panicking callback

@@ -44,11 +44,11 @@ go test -count=1 -run 'TestSchedLaw' -v ./internal/conformance | grep -E '^(--- 
     echo "scheduler-conformance pass FAILED"; exit 1;
 }
 
-echo "== flight-recorder replay determinism (all detectors, 3 seeds; fleet journals across shard counts; batched vs one-at-a-time fleet ingestion; fleet vs reference detectors; detector kernel vs pseudo-code oracle; writer byte pins, allocation pins and class clipping; reused-record decode; replay allocation budget; closed engine collectable; RNG stream pin; trace ring vs journal decision records; DES lanes vs heap; model and kernel journal digests; every quick figure CSV; in-place rebaseline vs fresh detector and its allocation pin; in-place vs copying journal decode; one detector snapshot per observation; gauge bit-skip and histogram count; replay stream table lifecycle)"
+echo "== flight-recorder replay determinism (all detectors, 3 seeds; fleet journals across shard counts; batched vs one-at-a-time fleet ingestion; fleet vs reference detectors; detector kernel vs pseudo-code oracle; writer byte pins, allocation pins and class clipping; reused-record decode; replay allocation budget; closed engine collectable; RNG stream pin; trace ring vs journal decision records; DES lanes vs heap; model and kernel journal digests; every quick figure CSV; in-place rebaseline vs fresh detector and its allocation pin; in-place vs copying journal decode; one detector snapshot per observation in the monitor and the model; gauge bit-skip and histogram count; replay stream table lifecycle; the Writer.Step record group per hygiene policy, its emitter equivalence and its allocation pin)"
 # The -run list names tests by pattern; a pattern that matches nothing
 # (a renamed or deleted test) would pass silently, so every alternative
 # must run at least one top-level test.
-replay_tests='TestReplayDeterminism|TestReplayJournalIdenticalAcrossGOMAXPROCS|TestFleet(Shift)?JournalDeterministicAcrossShards|TestObserveBatchMatchesOneAtATime|TestFleetMatchesReferenceDetectors|TestFleetShiftMatchesRebaseReference|TestKernelMatchesPseudoCode|TestWriterBytesPinned|TestWriterOneWritePerRecord|TestWriterEmittersDoNotAllocate|TestWriterClipsClass|TestReaderReuse|TestReplayAllocsPerRecord|TestClosedEngineIsCollectable|TestStreamPinned|TestTraceLogMatchesJournal|TestLanesMatchHeap|TestJournalPin|TestCmdFiguresQuickGolden|TestRebaseMatchesFreshDetector|TestRebaseRebaselineDoesNotAllocate|TestReaderInPlaceMatchesCopyingPath|TestMonitorSnapshotsInternalsOnce|TestGaugeSetUnchangedBits|TestHistogramCountIsBucketSum|TestReplayStreamLifecycle'
+replay_tests='TestReplayDeterminism|TestReplayJournalIdenticalAcrossGOMAXPROCS|TestFleet(Shift)?JournalDeterministicAcrossShards|TestObserveBatchMatchesOneAtATime|TestFleetMatchesReferenceDetectors|TestFleetShiftMatchesRebaseReference|TestKernelMatchesPseudoCode|TestWriterBytesPinned|TestWriterOneWritePerRecord|TestWriterEmittersDoNotAllocate|TestWriterClipsClass|TestReaderReuse|TestReplayAllocsPerRecord|TestClosedEngineIsCollectable|TestStreamPinned|TestTraceLogMatchesJournal|TestLanesMatchHeap|TestJournalPin|TestCmdFiguresQuickGolden|TestRebaseMatchesFreshDetector|TestRebaseRebaselineDoesNotAllocate|TestReaderInPlaceMatchesCopyingPath|TestMonitorSnapshotsInternalsOnce|TestGaugeSetUnchangedBits|TestHistogramCountIsBucketSum|TestReplayStreamLifecycle|TestWriterStepRecordGroup|TestWriterStepMatchesEmitters|TestWriterStepDoesNotAllocate|TestModelSnapshotsInternalsOnce'
 replay_ok=1
 replay_out=$(go test -run "$replay_tests" -count=1 -v . ./internal/journal ./internal/fleet ./internal/core ./internal/xrand ./internal/des ./internal/ecommerce ./internal/metrics 2>&1) || replay_ok=0
 grep -E '^(=== RUN|--- (PASS|FAIL)|ok|FAIL)' <<<"$replay_out" || true
