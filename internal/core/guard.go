@@ -50,9 +50,6 @@ func (c *Cooldown) Open(now int64) {
 	c.armed = true
 }
 
-// Window returns the configured suppression window.
-func (c *Cooldown) Window() time.Duration { return time.Duration(c.window) }
-
 // Reset forgets the last trigger, as after an external restart.
 func (c *Cooldown) Reset() { c.armed = false }
 

@@ -18,13 +18,11 @@ type StreamObs struct {
 }
 
 // result is the per-item outcome drainLocked hands to the fan-in pass,
-// parallel to the batch.
+// parallel to the batch: the item's detector step, in the form
+// journal.(*Writer).Step records, plus what the fleet adds around it.
 type result struct {
-	d          core.Decision
-	obs        uint64  // the stream's observation count after this item
-	value      float64 // admitted (post-hygiene) value
-	baseMean   float64 // committed baseline mean (resRebaselined)
-	baseSD     float64 // committed baseline deviation (resRebaselined)
+	step       core.Step
+	obs        uint64 // the stream's observation count after this item
 	classIdx   int32
 	sampleSize int32 // sample size in effect after the step
 	flags      uint8
@@ -32,21 +30,10 @@ type result struct {
 
 // result flags.
 const (
-	// resAdmitted: the value passed hygiene and reached detector state.
-	resAdmitted uint8 = 1 << iota
-	// resIntercepted: the raw value was non-finite and handled by the
-	// hygiene policy.
-	resIntercepted
-	// resEvaluated: the item completed a sample and stepped the detector.
-	resEvaluated
 	// resSuppressed: the step triggered inside the cooldown window.
-	resSuppressed
+	resSuppressed uint8 = 1 << iota
 	// resUnknown: the stream is not open; the item was dropped.
 	resUnknown
-	// resRebaselined: the item committed a workload-shift rebaseline on
-	// its stream (shift classes only; the item itself is consumed by the
-	// shift layer and steps no detector state).
-	resRebaselined
 )
 
 // scratch is the reusable working memory of one ObserveBatch call,
@@ -189,53 +176,47 @@ func (e *Engine) fanIn(now time.Time, batch []StreamObs, sc *scratch) {
 		}
 		cc := &sc.cc[r.classIdx]
 		cc.obs++
-		if r.flags&resIntercepted != 0 {
+		s := &r.step
+		if s.Intercepted {
 			cc.rej++
 		}
-		if r.flags&resRebaselined != 0 {
+		if s.Rebased {
 			cc.reb++
-			e.lastBase[r.classIdx] = baseline{mean: r.baseMean, sd: r.baseSD}
-		}
-		if r.flags&resAdmitted == 0 {
-			continue
+			e.lastBase[r.classIdx] = s.Baseline
 		}
 		// The trigger id is minted at decision time from inputs that are
 		// deterministic across shard counts (stream id, per-stream
 		// observation ordinal), so the same workload always yields the
 		// same ids regardless of Config.Shards.
 		var tid uint64
-		if r.d.Triggered {
+		if s.Decision.Triggered {
 			tid = core.TriggerID(uint64(batch[i].Stream), r.obs)
 		}
+		suppressed := r.flags&resSuppressed != 0
 		if jw != nil {
-			jw.Observe(t, uint64(batch[i].Stream), r.value)
-			if r.flags&resRebaselined != 0 {
-				jw.Rebaseline(t, uint64(batch[i].Stream), r.baseMean, r.baseSD)
-			}
-			if r.flags&resEvaluated != 0 {
-				in := core.Internals{SampleSize: int(r.sampleSize)}
-				jw.Decision(t, uint64(batch[i].Stream), r.d, in, r.flags&resSuppressed != 0, tid)
-			}
+			in := core.Internals{SampleSize: int(r.sampleSize)}
+			jw.Step(t, uint64(batch[i].Stream), batch[i].Value, s, in, suppressed, tid)
 		}
-		if r.d.Triggered {
-			if r.flags&resSuppressed != 0 {
-				cc.supp++
-				continue
-			}
-			cc.trig++
-			tr := Trigger{
-				ID:           tid,
-				Stream:       batch[i].Stream,
-				Class:        e.classes[r.classIdx].cfg.Name,
-				Time:         now,
-				Decision:     r.d,
-				Observations: r.obs,
-			}
-			select {
-			case e.trigs <- tr:
-			default:
-				dropped++
-			}
+		if !s.Decision.Triggered {
+			continue
+		}
+		if suppressed {
+			cc.supp++
+			continue
+		}
+		cc.trig++
+		tr := Trigger{
+			ID:           tid,
+			Stream:       batch[i].Stream,
+			Class:        e.classes[r.classIdx].cfg.Name,
+			Time:         now,
+			Decision:     s.Decision,
+			Observations: r.obs,
+		}
+		select {
+		case e.trigs <- tr:
+		default:
+			dropped++
 		}
 	}
 	e.outMu.Unlock()

@@ -109,12 +109,14 @@ type Config struct {
 	// the public wrapper defaults it to time.Now, and deterministic
 	// harnesses inject a fake.
 	Now func() time.Time
-	// Journal, when non-nil, records stream lifecycle, every admitted
-	// observation and every evaluated decision as stream-tagged records,
-	// in batch order. The engine serializes access; the caller owns the
-	// writer and its flushing. Hygiene rejections are counted in metrics
-	// but not journaled: replay feeds admitted values only, so the
-	// decision stream is unaffected.
+	// Journal, when non-nil, records stream lifecycle and every item's
+	// detector step as stream-tagged records, in batch order: the record
+	// group journal.(*Writer).Step writes for the Monitor, so a
+	// non-finite value intercepted by hygiene is journaled as a fault
+	// record carrying its stream. Replay feeds admitted values only and
+	// skips fault records, so the decision stream is unaffected. The
+	// engine serializes access; the caller owns the writer and its
+	// flushing.
 	Journal *journal.Writer
 	// Registry receives the engine's metrics (class- and shard-labeled;
 	// see package doc for the cardinality policy). Nil means a private
@@ -163,12 +165,6 @@ type Stats struct {
 	OpenStreams int
 }
 
-// baseline is one committed workload-shift baseline: the (µ, σ) pair a
-// class's thresholds are currently derived from.
-type baseline struct {
-	mean, sd float64
-}
-
 // Engine is the fleet monitoring engine. All methods are safe for
 // concurrent use; the journal determinism guarantee (byte-identical
 // journals for any shard count and GOMAXPROCS) holds when one goroutine
@@ -193,7 +189,7 @@ type Engine struct {
 	// recent workload-shift rebaseline — surfaced in health snapshots
 	// so an operator can see what baseline a class currently answers
 	// to. Guarded by outMu, like the journal order it mirrors.
-	lastBase []baseline
+	lastBase []core.Baseline
 
 	trigs chan Trigger
 	quit  chan struct{}
@@ -309,7 +305,7 @@ func (e *Engine) register() {
 	e.suppTotal = make([]*metrics.Counter, n)
 	e.rejTotal = make([]*metrics.Counter, n)
 	e.rebTotal = make([]*metrics.Counter, n)
-	e.lastBase = make([]baseline, n)
+	e.lastBase = make([]core.Baseline, n)
 	for i, c := range e.classes {
 		l := metrics.Label{Name: "class", Value: c.cfg.Name}
 		e.obsTotal[i] = reg.Counter("fleet_observations_total", "observations ingested per stream class", l)

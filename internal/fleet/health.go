@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"rejuv/internal/core"
 	"rejuv/internal/health"
 	"rejuv/internal/streamindex"
 )
@@ -27,7 +28,7 @@ func (e *Engine) HealthSnapshot() health.Snapshot {
 	// The committed-baseline pairs live on the ordered output side, so
 	// borrow outMu briefly; the counters themselves are atomic.
 	e.outMu.Lock()
-	base := append([]baseline(nil), e.lastBase...)
+	base := append([]core.Baseline(nil), e.lastBase...)
 	e.outMu.Unlock()
 
 	snap.Classes = make([]health.ClassHealth, len(e.classes))
@@ -39,8 +40,8 @@ func (e *Engine) HealthSnapshot() health.Snapshot {
 			Suppressed:   e.suppTotal[i].Value(),
 			Rejected:     e.rejTotal[i].Value(),
 			Rebaselined:  e.rebTotal[i].Value(),
-			BaselineMean: base[i].mean,
-			BaselineSD:   base[i].sd,
+			BaselineMean: base[i].Mean,
+			BaselineSD:   base[i].StdDev,
 		}
 	}
 

@@ -141,15 +141,14 @@ func (s *shard) drainLocked(classes []class, hygienePolicy core.Hygiene, nowNano
 		r.classIdx = s.cls[i]
 		r.obs = s.obs[i]
 		s.dog[i].Feed(nowNanos)
+		// The step is filled field by field, as core.Feed fills its own,
+		// and stays zero where the item stops short of it.
+		step := &r.step
 		v, admitted, intercepted := s.hyg[i].Admit(hygienePolicy, o.Value)
-		if intercepted {
-			r.flags |= resIntercepted
-		}
+		step.Value, step.Admitted, step.Intercepted = v, admitted, intercepted
 		if !admitted {
 			continue
 		}
-		r.flags |= resAdmitted
-		r.value = v
 
 		c := &classes[s.cls[i]]
 		st := &s.det[i]
@@ -165,9 +164,7 @@ func (s *shard) drainLocked(classes []class, hygienePolicy core.Hygiene, nowNano
 				continue
 			case core.ShiftRebaselined:
 				*st = c.plan.Start()
-				b := s.shift[i].Base
-				r.baseMean, r.baseSD = b.Mean, b.StdDev
-				r.flags |= resRebaselined
+				step.Rebased, step.Baseline = true, s.shift[i].Base
 				continue
 			}
 			base = s.shift[i].Base
@@ -177,10 +174,9 @@ func (s *shard) drainLocked(classes []class, hygienePolicy core.Hygiene, nowNano
 		if !done {
 			continue
 		}
-		c.plan.Decide(st, base, mean, &r.d)
-		d := &r.d
+		d := &step.Decision
+		c.plan.Decide(st, base, mean, d)
 		r.sampleSize = int32(st.SampleSize())
-		r.flags |= resEvaluated
 		if d.Triggered && c.shift {
 			// Rejuvenation restores capacity without moving the
 			// workload: a trigger releases the aging latch, exactly as

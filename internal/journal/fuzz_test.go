@@ -34,6 +34,14 @@ func fuzzSeedFleet(f *testing.F) []byte {
 	return buf.Bytes()
 }
 
+// fuzzSeedFaultStream builds a valid binary journal whose fault
+// records carry the optional trailing stream id, for the fuzz corpus.
+func fuzzSeedFaultStream() []byte {
+	var buf bytes.Buffer
+	writeFaultStreams(NewWriter(&buf, sampleMeta))
+	return buf.Bytes()
+}
+
 // FuzzReader throws arbitrary bytes at the decoder: it must never
 // panic, never loop forever, and on records it does accept, re-encoding
 // must reproduce the accepted payload (decode/encode idempotence).
@@ -45,6 +53,7 @@ func FuzzReader(f *testing.F) {
 	f.Add(fuzzSeed())
 	f.Add(fuzzSeedJSONL())
 	f.Add(fuzzSeedFleet(f))
+	f.Add(fuzzSeedFaultStream())
 	f.Add([]byte{})
 	f.Add(magic[:])
 	f.Add(append(append([]byte{}, magic[:]...), Version, 0x02, '{', '}'))

@@ -84,7 +84,8 @@ const (
 	// KindFault is an injected or detected telemetry fault: a corrupted
 	// observation rejected by hygiene, a value altered by the fault
 	// injector, a dropped or duplicated sample, a detected probe stall.
-	// Class names the fault; Value carries the observation involved.
+	// Class names the fault; Value carries the observation involved,
+	// and Stream the stream a hygiene interception happened on.
 	KindFault
 	// KindActStart marks the start of one rejuvenation action execution
 	// by an Actuator.
@@ -254,8 +255,11 @@ type Record struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Stream is the replication's random stream (KindRepStart), the
 	// detector stream id (KindObserve, KindDecision, KindRebaseline,
-	// KindStreamOpen, KindStreamClose; 0 is the single-detector stream)
-	// or the scheduler replica id (the KindSched* kinds).
+	// KindFault, KindStreamOpen, KindStreamClose; 0 is the
+	// single-detector stream, and the stream of a fault not tied to one)
+	// or the scheduler replica id (the KindSched* kinds). The binary
+	// codec writes a fault record's stream as an optional trailing
+	// field, only when non-zero.
 	Stream uint64 `json:"stream,omitempty"`
 
 	// Value is the observed metric (KindObserve).

@@ -288,6 +288,51 @@ func TestSpecialFloatsRoundTrip(t *testing.T) {
 	}
 }
 
+// writeFaultStreams writes the hygiene fault records of a fleet stream
+// and of the single-detector stream, as Writer.Step writes them.
+func writeFaultStreams(jw *Writer) {
+	s := core.Step{Intercepted: true}
+	jw.Step(1.5, 9001, math.NaN(), &s, core.Internals{}, false, 0)
+	jw.Step(2, 0, math.Inf(-1), &s, core.Internals{}, false, 0)
+}
+
+// TestFaultStreamRoundTrip checks that a fault record's stream id, the
+// optional trailing field of the binary codec, round-trips through both
+// codecs, and that a stream-0 fault record keeps the layout it had
+// before the field existed.
+func TestFaultStreamRoundTrip(t *testing.T) {
+	want := []Record{
+		{Kind: KindFault, Seq: 0, Time: 1.5, Stream: 9001, Class: "nan"},
+		{Kind: KindFault, Seq: 1, Time: 2, Class: "-inf"},
+	}
+	for _, codec := range []struct {
+		name string
+		new  func(io.Writer, Meta) *Writer
+	}{{"binary", NewWriter}, {"jsonl", NewJSONWriter}} {
+		var buf bytes.Buffer
+		writeFaultStreams(codec.new(&buf, Meta{}))
+		jr, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", codec.name, err)
+		}
+		got, err := jr.ReadAll()
+		if err != nil {
+			t.Fatalf("%s: %v", codec.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded\n%+v\nwant\n%+v", codec.name, got, want)
+		}
+	}
+	var tagged, legacy bytes.Buffer
+	writeFaultStreams(NewWriter(&tagged, Meta{}))
+	lw := NewWriter(&legacy, Meta{})
+	lw.Fault(1.5, "nan", 0)
+	lw.Fault(2, "-inf", 0)
+	if grown := tagged.Len() - legacy.Len(); grown != 2 {
+		t.Errorf("binary: the stream tag of 9001 adds %d bytes, want 2 (one uvarint, stream 0 none)", grown)
+	}
+}
+
 // BenchmarkWriterObserve pins the zero-allocation contract of the
 // binary encode path: journaling must never perturb what it measures.
 func BenchmarkWriterObserve(b *testing.B) {

@@ -310,7 +310,7 @@ func decodeBinary(payload []byte, r *Record) error {
 	case KindDecision:
 		r.Stream = c.uvarint()
 		decodeDecisionFields(&c, r)
-		decodeTriggerID(&c, r)
+		r.TriggerID = c.trailing()
 	case KindReset, KindSimFired, KindSimCancelled:
 		// no payload
 	case KindRejuvenation:
@@ -322,18 +322,19 @@ func decodeBinary(payload []byte, r *Record) error {
 	case KindFault:
 		r.Class = c.str()
 		r.Value = c.f64()
+		r.Stream = c.trailing()
 	case KindActStart:
-		decodeTriggerID(&c, r)
+		r.TriggerID = c.trailing()
 	case KindActAttempt:
 		r.OK = c.u8() != 0
 		r.Attempt = int(c.uvarint())
 		r.Backoff = c.f64()
 		r.Class = c.str()
-		decodeTriggerID(&c, r)
+		r.TriggerID = c.trailing()
 	case KindActGiveUp:
 		r.Attempt = int(c.uvarint())
 		r.Class = c.str()
-		decodeTriggerID(&c, r)
+		r.TriggerID = c.trailing()
 	case KindStreamOpen:
 		r.Stream = c.uvarint()
 		r.Class = c.str()
@@ -349,14 +350,14 @@ func decodeBinary(payload []byte, r *Record) error {
 		r.Fill = int(c.uvarint())
 		r.EventTime = c.f64()
 		r.Value = c.f64()
-		decodeTriggerID(&c, r)
+		r.TriggerID = c.trailing()
 	case KindSchedDefer:
 		r.Stream = c.uvarint()
 		r.Class = c.str()
 		r.Level = int(c.uvarint())
 		r.Fill = int(c.uvarint())
 		r.Attempt = int(c.uvarint())
-		decodeTriggerID(&c, r)
+		r.TriggerID = c.trailing()
 	case KindSchedCoalesce:
 		r.Stream = c.uvarint()
 		r.Class = c.str()
@@ -365,24 +366,24 @@ func decodeBinary(payload []byte, r *Record) error {
 		r.Attempt = int(c.uvarint())
 		r.EventTime = c.f64()
 		r.Value = c.f64()
-		decodeTriggerID(&c, r)
+		r.TriggerID = c.trailing()
 	case KindSchedStart:
 		r.Stream = c.uvarint()
 		r.Class = c.str()
 		r.Value = c.f64()
 		r.Backoff = c.f64()
-		decodeTriggerID(&c, r)
+		r.TriggerID = c.trailing()
 	case KindSchedComplete:
 		r.Stream = c.uvarint()
 		r.OK = c.u8() != 0
-		decodeTriggerID(&c, r)
+		r.TriggerID = c.trailing()
 	case KindSchedQuarantine:
 		r.Stream = c.uvarint()
 		r.Class = c.str()
-		decodeTriggerID(&c, r)
+		r.TriggerID = c.trailing()
 	case KindSchedReadmit:
 		r.Stream = c.uvarint()
-		decodeTriggerID(&c, r)
+		r.TriggerID = c.trailing()
 	}
 	if c.err != nil {
 		return fmt.Errorf("journal: %s record: %w", r.Kind, c.err)
@@ -393,15 +394,16 @@ func decodeBinary(payload []byte, r *Record) error {
 	return nil
 }
 
-// decodeTriggerID parses the optional trailing trigger-id field: it is
-// present exactly when payload bytes remain after the kind's fixed
-// fields, so journals written before trigger ids existed (and records
-// with id 0, which the writer omits) decode unchanged with TriggerID 0.
-func decodeTriggerID(c *cursor, r *Record) {
+// trailing parses an optional trailing field written by appendTrailing
+// (a trigger id, or a fault record's stream id): it is present exactly
+// when payload bytes remain after the kind's fixed fields, so journals
+// written before the field existed (and records whose value is 0, which
+// the writer omits) decode unchanged with 0.
+func (c *cursor) trailing() uint64 {
 	if c.err != nil || c.off >= len(c.b) {
-		return
+		return 0
 	}
-	r.TriggerID = c.uvarint()
+	return c.uvarint()
 }
 
 // decodeDecisionFields parses the canonical decision payload written by

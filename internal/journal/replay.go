@@ -382,7 +382,7 @@ func (v *verifier) compare(st *replayStream, rec *Record) {
 	// encode both sides with the recorded flag so the report shows
 	// exactly the detector-owned fields that differ.
 	var rep Record
-	rep.setDecision(st.d, st.internals(), rec.Suppressed)
+	rep.SetDecision(st.d, st.internals(), rec.Suppressed)
 	v.recBuf = appendDecision(v.recBuf[:0], rec)
 	v.repBuf = appendDecision(v.repBuf[:0], &rep)
 	v.report.Mismatch = &Mismatch{

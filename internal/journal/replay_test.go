@@ -365,7 +365,9 @@ func TestReplayFleetRejectsMalformedStreams(t *testing.T) {
 			jw.Observe(float64(i), 2, v)
 			d = det.Observe(v)
 		}
-		return journal.DecisionRecord(1, d, det.(core.Instrumented).Internals(), false)
+		r := journal.Record{Kind: journal.KindDecision, Time: 1}
+		r.SetDecision(d, det.(core.Instrumented).Internals(), false)
+		return r
 	}
 	cases := []struct {
 		name   string

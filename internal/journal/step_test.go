@@ -66,7 +66,7 @@ func TestWriterStepRecordGroup(t *testing.T) {
 			}
 			var got []string
 			for _, r := range recs {
-				if r.Time != 1.5 || (r.Kind != KindFault && r.Stream != stream) {
+				if r.Time != 1.5 || r.Stream != stream {
 					t.Errorf("%s: %v record at time %v on stream %d, want time 1.5 on stream %d", name, r.Kind, r.Time, r.Stream, stream)
 				}
 				switch r.Kind {
@@ -98,7 +98,9 @@ func TestWriterStepRecordGroup(t *testing.T) {
 
 // TestWriterStepMatchesEmitters checks on both codecs that a Step
 // writes the very bytes of its records written one by one through the
-// typed emitters, although it reuses one record for two of them.
+// typed emitters (the stream-tagged fault record through Record, as no
+// typed emitter tags a fault with its stream), although it reuses one
+// record for two of them.
 func TestWriterStepMatchesEmitters(t *testing.T) {
 	d := core.Decision{Evaluated: true, Triggered: true, SampleMean: 9.5, Target: 8, Level: 2, Fill: 1}
 	in := core.Internals{SampleSize: 2, SampleFill: 1, Statistic: 0.5}
@@ -118,7 +120,7 @@ func TestWriterStepMatchesEmitters(t *testing.T) {
 			s := &steps[i]
 			gw.Step(2, 7, math.Inf(1), s, in, true, 11)
 			if s.Intercepted {
-				ww.Fault(2, "+inf", 0)
+				ww.Record(Record{Kind: KindFault, Time: 2, Stream: 7, Class: "+inf"})
 			}
 			if s.Admitted {
 				ww.Observe(2, 7, s.Value)

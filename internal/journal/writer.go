@@ -97,9 +97,10 @@ func (jw *Writer) RepStart(t float64, rep int, seed, stream uint64) {
 }
 
 // Observe records one observation of the monitored metric on a
-// stream (0 for a single-detector journal). It sits on the monitor's
-// and the fleet's per-observation paths and must stay allocation-free
-// on the binary codec.
+// stream (0 for a single-detector journal). The detector paths journal
+// their observations through Step; Observe serves callers that write
+// the record group by hand, such as journal fixtures. It stays
+// allocation-free on the binary codec, like every emitter.
 //
 //lint:hotpath
 func (jw *Writer) Observe(t float64, stream uint64, value float64) {
@@ -111,13 +112,13 @@ func (jw *Writer) Observe(t float64, stream uint64, value float64) {
 // a single-detector journal) together with the internals snapshot taken
 // immediately after the step. triggerID is the deterministic trigger
 // identity minted for a triggering decision (core.TriggerID); pass 0
-// for non-triggering decisions. Like Observe it is on the
-// per-observation paths.
+// for non-triggering decisions. Like Observe, it is the hand-written
+// form of what Step journals for the detector paths.
 //
 //lint:hotpath
 func (jw *Writer) Decision(t float64, stream uint64, d core.Decision, in core.Internals, suppressed bool, triggerID uint64) {
 	r := Record{Kind: KindDecision, Time: t, Stream: stream, TriggerID: triggerID}
-	r.setDecision(d, in, suppressed)
+	r.SetDecision(d, in, suppressed)
 	jw.emit(&r)
 }
 
@@ -214,9 +215,9 @@ func (jw *Writer) StreamClose(t float64, stream uint64) {
 
 // Rebaseline records a committed workload-shift rebaseline on a stream
 // (0 for a single-detector journal): the shift layer re-estimated the
-// baseline and the wrapped detector restarted at mean/sd. It sits
-// on the per-observation paths (a rebaseline is decided inside an
-// observation) and must stay allocation-free on the binary codec.
+// baseline and the wrapped detector restarted at mean/sd. Like
+// Observe, it is the hand-written form of what Step journals for the
+// detector paths.
 //
 //lint:hotpath
 func (jw *Writer) Rebaseline(t float64, stream uint64, mean, sd float64) {
@@ -224,21 +225,24 @@ func (jw *Writer) Rebaseline(t float64, stream uint64, mean, sd float64) {
 	jw.emit(&r)
 }
 
-// Step records one single-detector step (core.Feed.Observe) on a
-// stream (0 for a single-detector journal) as the record group Replay
-// reads: a fault record when the hygiene policy intercepted the raw
-// observation, the observe record of the admitted value (the
-// substitute, under HygieneClamp), the rebaseline record of a committed
-// baseline, and the decision record of an evaluated or triggering
-// decision with the internals snapshot taken after the step.
-// suppressed and triggerID are as for Decision. The fault record's
-// value is a placeholder 0: its class names the poison, and the JSONL
+// Step records one detector step on a stream (0 for a single-detector
+// journal) as the record group Replay reads: a fault record when the
+// hygiene policy intercepted the raw observation, the observe record of
+// the admitted value (the substitute, under HygieneClamp), the
+// rebaseline record of a committed baseline, and the decision record of
+// an evaluated or triggering decision with the internals snapshot taken
+// after the step. suppressed and triggerID are as for Decision. It is
+// the one per-observation emitter: the Monitor, the simulation model
+// and the conformance laws journal each core.Feed step through it, and
+// the fleet each drained item. The fault record carries the stream and
+// a placeholder value 0: its class names the poison, and the JSONL
 // codec cannot carry the non-finite original.
 //
 //lint:hotpath
 func (jw *Writer) Step(t float64, stream uint64, raw float64, s *core.Step, in core.Internals, suppressed bool, triggerID uint64) {
 	if s.Intercepted {
-		jw.Fault(t, nonFiniteClass(raw), 0)
+		f := Record{Kind: KindFault, Time: t, Stream: stream, Class: nonFiniteClass(raw)}
+		jw.emit(&f)
 	}
 	if !s.Admitted {
 		return
@@ -253,7 +257,7 @@ func (jw *Writer) Step(t float64, stream uint64, raw float64, s *core.Step, in c
 	}
 	if s.Decision.Evaluated || s.Decision.Triggered {
 		r.Kind, r.Value, r.TriggerID = KindDecision, 0, triggerID
-		r.setDecision(s.Decision, in, suppressed)
+		r.SetDecision(s.Decision, in, suppressed)
 		jw.emit(&r)
 	}
 }
@@ -352,19 +356,11 @@ func (jw *Writer) write(p []byte) {
 	_, jw.err = jw.w.Write(p)
 }
 
-// DecisionRecord assembles the decision record for one evaluated
-// decision; recordDecision splits a record back into the decision and
-// internals.
-func DecisionRecord(t float64, d core.Decision, in core.Internals, suppressed bool) Record {
-	r := Record{Kind: KindDecision, Time: t}
-	r.setDecision(d, in, suppressed)
-	return r
-}
-
-// setDecision fills r's decision fields from one evaluated decision
+// SetDecision fills r's decision fields from one evaluated decision
 // and the internals snapshot taken after it, in place: the record is
-// too large to copy on the per-observation paths.
-func (r *Record) setDecision(d core.Decision, in core.Internals, suppressed bool) {
+// too large to copy on the per-observation paths. recordDecision
+// splits a record back into the decision and internals.
+func (r *Record) SetDecision(d core.Decision, in core.Internals, suppressed bool) {
 	r.Evaluated, r.Triggered, r.Suppressed = d.Evaluated, d.Triggered, suppressed
 	r.SampleMean, r.Target, r.Level, r.Fill = d.SampleMean, d.Target, d.Level, d.Fill
 	r.SampleSize, r.SampleFill, r.Statistic = in.SampleSize, in.SampleFill, in.Statistic
@@ -378,7 +374,7 @@ const (
 )
 
 // recordDecision splits a decision record into the detector decision
-// and internals it was written from, the arguments of setDecision.
+// and internals it was written from, the arguments of SetDecision.
 // Only the fields the decision payload carries are set.
 func recordDecision(r *Record) (core.Decision, core.Internals) {
 	return core.Decision{
@@ -441,7 +437,7 @@ func appendPayload(b []byte, r *Record) []byte {
 	case KindDecision:
 		b = binary.AppendUvarint(b, r.Stream)
 		b = appendDecision(b, r)
-		b = appendTriggerID(b, r.TriggerID)
+		b = appendTrailing(b, r.TriggerID)
 	case KindReset, KindSimFired, KindSimCancelled:
 		// no payload
 	case KindRejuvenation:
@@ -453,8 +449,9 @@ func appendPayload(b []byte, r *Record) []byte {
 	case KindFault:
 		b = appendString(b, r.Class)
 		b = appendF64(b, r.Value)
+		b = appendTrailing(b, r.Stream)
 	case KindActStart:
-		b = appendTriggerID(b, r.TriggerID)
+		b = appendTrailing(b, r.TriggerID)
 	case KindActAttempt:
 		if r.OK {
 			b = append(b, 1)
@@ -464,11 +461,11 @@ func appendPayload(b []byte, r *Record) []byte {
 		b = binary.AppendUvarint(b, uint64(r.Attempt))
 		b = appendF64(b, r.Backoff)
 		b = appendString(b, r.Class)
-		b = appendTriggerID(b, r.TriggerID)
+		b = appendTrailing(b, r.TriggerID)
 	case KindActGiveUp:
 		b = binary.AppendUvarint(b, uint64(r.Attempt))
 		b = appendString(b, r.Class)
-		b = appendTriggerID(b, r.TriggerID)
+		b = appendTrailing(b, r.TriggerID)
 	case KindStreamOpen:
 		b = binary.AppendUvarint(b, r.Stream)
 		b = appendString(b, r.Class)
@@ -484,14 +481,14 @@ func appendPayload(b []byte, r *Record) []byte {
 		b = binary.AppendUvarint(b, uint64(r.Fill))
 		b = appendF64(b, r.EventTime)
 		b = appendF64(b, r.Value)
-		b = appendTriggerID(b, r.TriggerID)
+		b = appendTrailing(b, r.TriggerID)
 	case KindSchedDefer:
 		b = binary.AppendUvarint(b, r.Stream)
 		b = appendString(b, r.Class)
 		b = binary.AppendUvarint(b, uint64(r.Level))
 		b = binary.AppendUvarint(b, uint64(r.Fill))
 		b = binary.AppendUvarint(b, uint64(r.Attempt))
-		b = appendTriggerID(b, r.TriggerID)
+		b = appendTrailing(b, r.TriggerID)
 	case KindSchedCoalesce:
 		b = binary.AppendUvarint(b, r.Stream)
 		b = appendString(b, r.Class)
@@ -500,13 +497,13 @@ func appendPayload(b []byte, r *Record) []byte {
 		b = binary.AppendUvarint(b, uint64(r.Attempt))
 		b = appendF64(b, r.EventTime)
 		b = appendF64(b, r.Value)
-		b = appendTriggerID(b, r.TriggerID)
+		b = appendTrailing(b, r.TriggerID)
 	case KindSchedStart:
 		b = binary.AppendUvarint(b, r.Stream)
 		b = appendString(b, r.Class)
 		b = appendF64(b, r.Value)
 		b = appendF64(b, r.Backoff)
-		b = appendTriggerID(b, r.TriggerID)
+		b = appendTrailing(b, r.TriggerID)
 	case KindSchedComplete:
 		b = binary.AppendUvarint(b, r.Stream)
 		if r.OK {
@@ -514,28 +511,29 @@ func appendPayload(b []byte, r *Record) []byte {
 		} else {
 			b = append(b, 0)
 		}
-		b = appendTriggerID(b, r.TriggerID)
+		b = appendTrailing(b, r.TriggerID)
 	case KindSchedQuarantine:
 		b = binary.AppendUvarint(b, r.Stream)
 		b = appendString(b, r.Class)
-		b = appendTriggerID(b, r.TriggerID)
+		b = appendTrailing(b, r.TriggerID)
 	case KindSchedReadmit:
 		b = binary.AppendUvarint(b, r.Stream)
-		b = appendTriggerID(b, r.TriggerID)
+		b = appendTrailing(b, r.TriggerID)
 	}
 	return b
 }
 
-// appendTriggerID appends the optional trailing trigger-id field: a
-// non-zero id is encoded as one trailing uvarint, a zero id as nothing
-// at all, so records without ids keep the exact byte layout journals
-// had before trigger ids existed. The decoder mirrors this: a trailing
+// appendTrailing appends an optional trailing field — a record's
+// trigger id, or a fault record's stream id: a non-zero value is
+// encoded as one trailing uvarint, zero as nothing at all, so records
+// without one keep the exact byte layout journals had before the field
+// existed. The decoder mirrors this (cursor.trailing): a trailing
 // uvarint is read only when bytes remain after the fixed payload.
-func appendTriggerID(b []byte, id uint64) []byte {
-	if id == 0 {
+func appendTrailing(b []byte, v uint64) []byte {
+	if v == 0 {
 		return b
 	}
-	return binary.AppendUvarint(b, id)
+	return binary.AppendUvarint(b, v)
 }
 
 // appendString appends a length-prefixed string.

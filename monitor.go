@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rejuv/internal/core"
-	"rejuv/internal/journal"
 )
 
 // Trigger describes one rejuvenation trigger raised by a Monitor.
@@ -238,9 +237,7 @@ func (m *Monitor) Observe(x float64) {
 			jw.Step(t, 0, x, s, in, suppressed, tid)
 		}
 		if decided && tl != nil {
-			r := journal.DecisionRecord(t, d, in, suppressed)
-			r.Seq, r.Value, r.TriggerID = m.stats.Observations, s.Value, tid
-			tl.record(&r)
+			tl.step(t, m.stats.Observations, s, in, suppressed, tid)
 		}
 	}
 	if d.Triggered && !suppressed {

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+
+	"rejuv/internal/core"
+	"rejuv/internal/journal"
 )
 
 // DefaultTraceCapacity is the ring size NewTraceLog uses when given a
@@ -45,19 +48,35 @@ func NewTraceLog(capacity int) *TraceLog {
 }
 
 // Record appends one record, overwriting the oldest once the ring is
-// full. Monitors call it automatically; it is exported so replay and
-// analysis tooling can build logs from recorded data.
-func (l *TraceLog) Record(e JournalRecord) { l.record(&e) }
-
-// record is Record for a record the caller keeps: the monitor builds
-// each decision record once and it is copied only into the ring.
-func (l *TraceLog) record(e *JournalRecord) {
+// full. Monitors fill their slots in place instead; Record is exported
+// so replay and analysis tooling can build logs from recorded data.
+func (l *TraceLog) Record(e JournalRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	*l.nextSlotLocked() = e
+}
+
+// step fills the next slot in place with the decision record of one
+// monitor step s, the record the monitor hands its journal with Seq
+// set to the observation ordinal and Value to the admitted value.
+func (l *TraceLog) step(t float64, ordinal uint64, s *core.Step, in core.Internals, suppressed bool, triggerID uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	r := l.nextSlotLocked()
+	*r = JournalRecord{Kind: journal.KindDecision, Seq: ordinal, Time: t, Value: s.Value, TriggerID: triggerID}
+	r.SetDecision(s.Decision, in, suppressed)
+}
+
+// nextSlotLocked counts one more record and returns the slot it goes
+// in: the next free one while the ring fills, then the oldest. l.mu is
+// held.
+//
+//lint:holds mu
+func (l *TraceLog) nextSlotLocked() *JournalRecord {
 	l.total++
-	if len(l.entries) < cap(l.entries) {
-		l.entries = append(l.entries, *e) //lint:allow hotpath the ring is preallocated at capacity; this append never grows
-		return
+	if n := len(l.entries); n < cap(l.entries) {
+		l.entries = l.entries[:n+1]
+		return &l.entries[n]
 	}
 	// Records carry 1-based ordinals; the one being overwritten is the
 	// oldest retained, ordinal total - capacity. If no snapshot ever
@@ -70,11 +89,12 @@ func (l *TraceLog) record(e *JournalRecord) {
 			l.droppedCtr.Inc()
 		}
 	}
-	l.entries[l.next] = *e
+	r := &l.entries[l.next]
 	l.next++
 	if l.next == len(l.entries) {
 		l.next = 0
 	}
+	return r
 }
 
 // Dropped returns the number of records that were overwritten before
