@@ -114,10 +114,10 @@ func runClusterDemo(opts clusterOpts) {
 }
 
 // runClusterPolicy runs one cluster simulation under the given policy.
-// With a journal writer the full flight record is captured — per-host
-// observations, decisions, GCs and every scheduler transition. It
-// returns the result, the defaulted policy actually in effect, and the
-// observed down high-water mark.
+// With a journal writer the cluster journals every scheduler
+// transition, rejuvenation and GC stall (not the per-host observations
+// or decisions). It returns the result, the defaulted policy actually
+// in effect, and the observed down high-water mark.
 func runClusterPolicy(opts clusterOpts, policy sched.Config, scheduled bool, jw *journal.Writer, onTr func(sched.Transition)) (ecommerce.ClusterResult, sched.Config, int) {
 	factory := func(int) (core.Detector, error) { return opts.spec.NewDetector() }
 	cfg := ecommerce.ClusterConfig{

@@ -83,6 +83,17 @@ func main() {
 	hygiene, err := parseHygiene(*hygieneP)
 	fatalIf(err)
 
+	// The demo modes run their own pipelines, which inject no faults:
+	// refuse a fault spec there instead of running clean.
+	for _, m := range []struct {
+		flag string
+		on   bool
+	}{{"-shift", *shiftP != ""}, {"-cluster", *clusterN > 0}, {"-fleet", *fleetN > 0}} {
+		if m.on && !faultSpec.Empty() {
+			fatalIf(fmt.Errorf("-faults is not supported in %s mode", m.flag))
+		}
+	}
+
 	if *shiftP != "" {
 		runShiftDemo(shiftOpts{
 			shape: *shiftP, factor: *shiftF,
@@ -119,19 +130,9 @@ func main() {
 		return
 	}
 
-	// Actuator faults map onto the model's rejuvenation pause: a slow
-	// action stretches every outage by its delay. Flaky/dead actions have
-	// no DES equivalent (the simulated restart cannot fail), so they are
-	// reported and otherwise ignored here; exercise them with the real
-	// Actuator (see examples/httpserver).
-	if af := faultSpec.ActionFaults(); af.Active() {
-		if af.Delay > 0 {
-			*pause += af.Delay
-		}
-		if af.Fails > 0 || af.Dead {
-			fmt.Fprintln(os.Stderr, "rejuvsim: note: flaky-act/dead-act have no effect in the simulation; use the Actuator API")
-		}
-	}
+	// A slow-act fault maps onto the model's rejuvenation pause: a slow
+	// action stretches every outage by its delay.
+	*pause += faultSpec.ActionDelay()
 
 	var dump *json.Encoder
 	var dumpFile *os.File

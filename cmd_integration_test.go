@@ -5,7 +5,11 @@ package rejuv_test
 // output. These protect the CLI surface the documentation promises.
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"flag"
 	"net/http/httptest"
@@ -18,6 +22,7 @@ import (
 	"time"
 
 	"rejuv"
+	"rejuv/internal/experiment"
 	"rejuv/internal/journal"
 )
 
@@ -603,6 +608,91 @@ func TestCmdRejuvsimShift(t *testing.T) {
 	for _, want := range []string{"rebaselines verified: 1", "byte-identical under replay"} {
 		if !strings.Contains(verify, want) {
 			t.Errorf("rejuvtrace -verify missing %q:\n%s", want, verify)
+		}
+	}
+}
+
+// TestCmdRejuvtraceVerifiesPreShiftDetectorJournal keeps journals
+// written while ShiftConfig still had a Detector field verifiable. It
+// rebuilds the journal an older rejuvsim -shift wrote — the same
+// records under a header whose Spec carries "Detector":0 — pins its
+// bytes to that journal's digest, and checks the spec still decodes
+// and the journal replays identically through rejuvtrace -verify.
+func TestCmdRejuvtraceVerifiesPreShiftDetectorJournal(t *testing.T) {
+	const (
+		oldSpec = `{"Algorithm":"CLTA","N":25,"K":0,"D":0,"Quantile":1.96,"Weight":0,` +
+			`"Baseline":{"Mean":5,"StdDev":5},` +
+			`"Shift":{"Detector":0,"Alpha":0,"Slack":0.75,"Threshold":8,"MaxShiftRun":80,"Relearn":64}}`
+		oldDigest = "3e74a6ac7c4bece98e266ea6cdf09ab5853790674ed7e00c12e3a8b1d880d124"
+	)
+	var spec experiment.Spec
+	if err := json.Unmarshal([]byte(oldSpec), &spec); err != nil {
+		t.Fatalf("pre-change spec no longer decodes: %v", err)
+	}
+	if spec.Shift == nil || spec.Shift.Slack != 0.75 || spec.Shift.MaxShiftRun != 80 || spec.Shift.Relearn != 64 {
+		t.Fatalf("pre-change spec decoded to shift config %+v", spec.Shift)
+	}
+
+	dir := t.TempDir()
+	fresh := filepath.Join(dir, "fresh.rjnl")
+	runCmd(t, "rejuvsim", "", "-shift", "flash", "-txns", "3000", "-journal", fresh)
+	data, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, err := journal.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := jr.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := jr.Meta()
+	meta.Spec = oldSpec
+	var buf bytes.Buffer
+	jw := journal.NewWriter(&buf, meta)
+	for _, r := range recs {
+		jw.Record(r)
+	}
+	if err := jw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != oldDigest {
+		t.Fatalf("rebuilt pre-change journal digest %s, want %s", got, oldDigest)
+	}
+	old := filepath.Join(dir, "old.rjnl")
+	if err := os.WriteFile(old, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	verify := runCmd(t, "rejuvtrace", "", "-verify", old)
+	for _, want := range []string{"rebaselines verified: 1", "byte-identical under replay"} {
+		if !strings.Contains(verify, want) {
+			t.Errorf("rejuvtrace -verify of the pre-change journal missing %q:\n%s", want, verify)
+		}
+	}
+}
+
+// TestCmdRejuvsimRejectsFaults pins that -faults fails loudly where it
+// cannot act: in the demo modes, which inject no faults, and for a
+// class the grammar does not know.
+func TestCmdRejuvsimRejectsFaults(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shift", "flash", "-faults", "nan:p=0.1"}, "-shift mode"},
+		{[]string{"-cluster", "4", "-faults", "nan:p=0.1"}, "-cluster mode"},
+		{[]string{"-fleet", "8", "-faults", "nan:p=0.1"}, "-fleet mode"},
+		{[]string{"-faults", "skew:rate=2"}, `unknown fault class "skew"`},
+	} {
+		out, err := exec.Command(cmdPath(t, "rejuvsim"), c.args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("rejuvsim %v exited 0:\n%s", c.args, out)
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("rejuvsim %v output missing %q:\n%s", c.args, c.want, out)
 		}
 	}
 }

@@ -114,11 +114,11 @@
 // queue length, heap, GC stalls, detector bucket occupancy and
 // rejuvenation counts.
 //
-// The internal/faults package injects telemetry and actuator failure
-// modes deterministically from a seed (NaN and infinite readings,
-// frozen gauges, dropped/duplicated/reordered/stalled observations,
-// clock skew, slow or failing rejuvenation actions); cmd/rejuvsim
-// -faults applies a fault spec to a simulation run, and the
+// The internal/faults package injects telemetry failure modes
+// deterministically from a seed (NaN and infinite readings, frozen
+// gauges, dropped/duplicated/reordered/stalled observations) plus a
+// slow rejuvenation action; cmd/rejuvsim -faults applies a fault spec
+// to a simulation run, and the
 // conformance suite pins every detector family's behaviour under each
 // fault class.
 package rejuv

@@ -1,18 +1,17 @@
 package core
 
-// Change-point statistics for the workload-shift layer (shift.go): a
-// two-sided CUSUM and a two-sided Page–Hinkley detector over
-// standardized observations z = (x - µ)/σ. Both are plain value types
-// with allocation-free steps, so the fleet engine can hold one per
-// stream in struct-of-arrays storage, and both track the run length of
-// their active side — the number of consecutive steps the statistic has
-// stayed positive — because run length at detection time is what
-// separates an abrupt workload shift (short run, large per-step drift)
+// The change-point statistic of the workload-shift layer (shift.go): a
+// two-sided CUSUM over standardized observations z = (x - µ)/σ. It is a
+// plain value type with an allocation-free step, so the fleet engine
+// can hold one per stream in struct-of-arrays storage, and it tracks
+// the run length of its active side — the number of consecutive steps
+// the statistic has stayed positive — because run length at detection
+// time is what separates an abrupt workload shift (short run, large per-step drift)
 // from slow software aging (long run, small per-step drift).
 //
-// These are distinct from the CUSUM *detector* in control.go: that one
-// is a trigger comparator ablated against the paper's algorithms; these
-// watch for changes in the baseline itself.
+// It is distinct from the CUSUM *detector* in control.go: that one is a
+// trigger comparator ablated against the paper's algorithms; this one
+// watches for changes in the baseline itself.
 
 // CUSUMChange is a two-sided cumulative-sum change-point statistic. The
 // upper side accumulates max(0, S + z - slack), the lower side
@@ -66,64 +65,3 @@ func (c *CUSUMChange) Run(up bool) int {
 
 // Reset clears both sides.
 func (c *CUSUMChange) Reset() { *c = CUSUMChange{} }
-
-// PageHinkleyChange is a two-sided Page–Hinkley change-point statistic
-// in its bounded-gap form: it maintains the running mean of its inputs
-// and accumulates max(0, G + (z - mean - delta)) upward and
-// max(0, G + (mean - z - delta)) downward, which is algebraically the
-// classic "cumulative deviation minus its running minimum" test but
-// with O(1) bounded state. delta is the drift allowance, lambda the
-// detection threshold.
-type PageHinkleyChange struct {
-	// N and Mean are the running count and mean of the inputs.
-	N    uint64
-	Mean float64
-	// Up and Down are the bounded gap statistics of the two sides.
-	Up, Down float64
-	// UpRun and DownRun count consecutive steps the respective gap has
-	// been positive.
-	UpRun, DownRun int32
-}
-
-// Step folds one standardized observation z and reports whether either
-// side crossed lambda, and which (up true means the metric moved
-// upward). The running mean is updated before the gaps, the textbook
-// ordering.
-//
-//lint:hotpath
-func (p *PageHinkleyChange) Step(z, delta, lambda float64) (detected, up bool) {
-	p.N++
-	p.Mean += (z - p.Mean) / float64(p.N)
-	p.Up += z - p.Mean - delta
-	if p.Up > 0 {
-		p.UpRun++
-	} else {
-		p.Up = 0
-		p.UpRun = 0
-	}
-	p.Down += p.Mean - z - delta
-	if p.Down > 0 {
-		p.DownRun++
-	} else {
-		p.Down = 0
-		p.DownRun = 0
-	}
-	if p.Up > lambda {
-		return true, true
-	}
-	if p.Down > lambda {
-		return true, false
-	}
-	return false, false
-}
-
-// Run returns the current run length of the indicated side.
-func (p *PageHinkleyChange) Run(up bool) int {
-	if up {
-		return int(p.UpRun)
-	}
-	return int(p.DownRun)
-}
-
-// Reset clears both sides and the running mean.
-func (p *PageHinkleyChange) Reset() { *p = PageHinkleyChange{} }

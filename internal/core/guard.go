@@ -50,9 +50,6 @@ func (c *Cooldown) Open(now int64) {
 	c.armed = true
 }
 
-// Reset forgets the last trigger, as after an external restart.
-func (c *Cooldown) Reset() { c.armed = false }
-
 // Watchdog detects a stalled observation stream: silence longer than
 // the configured maximum. A silent stream looks exactly like a healthy
 // one to a threshold detector — no observations means no exceedances —

@@ -45,15 +45,8 @@ func (m *Moments) Observe(alpha, x float64) {
 // before the first observation).
 func (m *Moments) Mean() float64 { return m.mean }
 
-// Variance returns the current exponentially weighted variance estimate.
-func (m *Moments) Variance() float64 { return m.varc }
-
 // StdDev returns the square root of the variance estimate.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.varc) }
-
-// Count returns how many observations have been folded in since the
-// last Reset.
-func (m *Moments) Count() uint64 { return m.n }
 
 // Reset discards the estimate.
 func (m *Moments) Reset() { *m = Moments{} }

@@ -8,10 +8,10 @@ import (
 )
 
 // This file is the workload-shift decision layer: online baseline
-// re-estimation (Moments) plus change-point detection (CUSUMChange,
-// PageHinkleyChange) plus the rule that distinguishes "the workload
-// shifted" — rebaseline and resume — from "the software aged" — let the
-// wrapped detector trigger as today. The state machine is a plain value
+// re-estimation (Moments) plus change-point detection (CUSUMChange)
+// plus the rule that distinguishes "the workload shifted" — rebaseline
+// and resume — from "the software aged" — let the wrapped detector
+// trigger as today. The state machine is a plain value
 // (ShiftState) with one shared transition (Step), used verbatim by both
 // the pointer-based Rebase wrapper (rebase.go) and the fleet engine's
 // drain loop, just as both run the detector kernel (kernel.go). On a
@@ -45,38 +45,14 @@ import (
 // like any other: it takes the shift path, so a baseline never stops
 // tracking a workload that moves down.
 
-// ShiftDetector selects the change-point statistic of the shift layer.
-type ShiftDetector int
-
-// Change-point statistics for ShiftConfig.Detector.
-const (
-	// ShiftCUSUM is the two-sided cumulative-sum statistic (the default).
-	ShiftCUSUM ShiftDetector = iota
-	// ShiftPageHinkley is the two-sided Page–Hinkley statistic.
-	ShiftPageHinkley
-)
-
-// String returns the detector's spec spelling.
-func (d ShiftDetector) String() string {
-	switch d {
-	case ShiftCUSUM:
-		return "cusum"
-	case ShiftPageHinkley:
-		return "page-hinkley"
-	}
-	return fmt.Sprintf("ShiftDetector(%d)", int(d))
-}
-
 // ShiftConfig tunes the workload-shift layer. The zero value selects
 // the defaults below, so opting in never requires picking constants.
 type ShiftConfig struct {
-	// Detector selects the change-point statistic. Default ShiftCUSUM.
-	Detector ShiftDetector
 	// Alpha is the smoothing factor of the EWMA moment tracker, in
 	// (0, 1]. 0 means 0.05 (an effective window of ~40 observations).
 	Alpha float64
-	// Slack is the per-observation drift allowance of the change-point
-	// statistic, in σ units (the CUSUM slack, the Page–Hinkley delta).
+	// Slack is the per-observation drift allowance of the CUSUM
+	// change-point statistic, in σ units.
 	// 0 means 0.5. Negative is invalid; use math.SmallestNonzeroFloat64
 	// for an effectively zero slack.
 	Slack float64
@@ -118,9 +94,6 @@ func (c ShiftConfig) WithDefaults() ShiftConfig {
 
 // Validate reports whether the (defaults-applied) config is usable.
 func (c ShiftConfig) Validate() error {
-	if c.Detector != ShiftCUSUM && c.Detector != ShiftPageHinkley {
-		return fmt.Errorf("core: unknown shift detector %d", int(c.Detector))
-	}
 	if !(c.Alpha > 0 && c.Alpha <= 1) {
 		return fmt.Errorf("core: shift alpha %v must be in (0, 1]", c.Alpha)
 	}
@@ -180,7 +153,7 @@ func (o ShiftOutcome) String() string {
 
 // ShiftState is the per-stream state of the workload-shift layer: the
 // committed baseline, the moment tracker and the change-point
-// statistics. It is a plain value so the fleet engine can store one per
+// statistic. It is a plain value so the fleet engine can store one per
 // stream slot; all behaviour lives in Step, which
 // the Rebase wrapper shares verbatim.
 type ShiftState struct {
@@ -191,10 +164,8 @@ type ShiftState struct {
 	// window; it is restarted when a shift is detected and folds only
 	// while RelearnLeft > 0.
 	Mom Moments
-	// CP and PH are the change-point statistics; only the one selected
-	// by ShiftConfig.Detector advances.
+	// CP is the change-point statistic.
 	CP CUSUMChange
-	PH PageHinkleyChange
 	// RelearnLeft counts observations remaining in the relearn window;
 	// 0 means no relearn is in progress.
 	RelearnLeft int32
@@ -236,32 +207,21 @@ func (s *ShiftState) Step(cfg ShiftConfig, x float64) ShiftOutcome {
 		}
 		s.Base = Baseline{Mean: mean, StdDev: sd}
 		s.CP.Reset()
-		s.PH.Reset()
 		s.Rebaselines++
 		return ShiftRebaselined
 	}
 	z := (x - s.Base.Mean) / s.Base.StdDev
-	var detected, up bool
-	var run int
-	switch cfg.Detector {
-	case ShiftPageHinkley:
-		detected, up = s.PH.Step(z, cfg.Slack, cfg.Threshold)
-		run = s.PH.Run(up)
-	default:
-		detected, up = s.CP.Step(z, cfg.Slack, cfg.Threshold)
-		run = s.CP.Run(up)
-	}
+	detected, up := s.CP.Step(z, cfg.Slack, cfg.Threshold)
 	if !detected {
 		return ShiftNone
 	}
-	if up && (s.Aging || run > cfg.MaxShiftRun) {
+	if up && (s.Aging || s.CP.Run(up) > cfg.MaxShiftRun) {
 		// A long upward climb is slow drift: software aging. Latch, and
 		// let the wrapped detector condemn the system as today. While
 		// latched the metric sits far above baseline, so any upward
 		// crossing has a short run and would read as a shift: restart
 		// the statistic and stay latched.
 		s.CP.Reset()
-		s.PH.Reset()
 		if s.Aging {
 			return ShiftNone
 		}
@@ -276,7 +236,6 @@ func (s *ShiftState) Step(cfg ShiftConfig, x float64) ShiftOutcome {
 	s.Mom.Reset()
 	s.Mom.Observe(cfg.Alpha, x)
 	s.CP.Reset()
-	s.PH.Reset()
 	s.RelearnLeft = int32(cfg.Relearn)
 	return ShiftRelearning
 }
@@ -286,9 +245,9 @@ func (s *ShiftState) Step(cfg ShiftConfig, x float64) ShiftOutcome {
 // latch releases. The moment tracker needs no restart: it folds only
 // inside a relearn window, which a detected shift starts afresh, and
 // the wrapped detector is paused while one runs, so it never triggers
-// inside one. The change-point statistics deliberately
-// keep their accumulation: if the trigger condemned genuine aging,
-// rejuvenation returns z to zero and they decay on their own; if the
+// inside one. The change-point statistic deliberately keeps its
+// accumulation: if the trigger condemned genuine aging,
+// rejuvenation returns z to zero and it decays on its own; if the
 // wrapped detector out-raced the change-point layer on a workload shift
 // (a detector more sensitive than the shift threshold fires first),
 // z stays elevated, the statistic keeps climbing across the trigger,

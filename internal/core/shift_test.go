@@ -25,11 +25,11 @@ func TestMomentsTracksMeanAndSpread(t *testing.T) {
 	if math.Abs(m.StdDev()-1) > 0.1 {
 		t.Fatalf("EW stddev %v, want ~1", m.StdDev())
 	}
-	if m.Count() != 4000 {
-		t.Fatalf("count %d, want 4000", m.Count())
+	if m.n != 4000 {
+		t.Fatalf("count %d, want 4000", m.n)
 	}
 	m.Reset()
-	if m.Count() != 0 || m.Mean() != 0 || m.Variance() != 0 {
+	if m.n != 0 || m.Mean() != 0 || m.varc != 0 {
 		t.Fatalf("reset left state %+v", m)
 	}
 }
@@ -37,8 +37,8 @@ func TestMomentsTracksMeanAndSpread(t *testing.T) {
 func TestMomentsFirstObservationSeedsExactly(t *testing.T) {
 	var m Moments
 	m.Observe(0.05, 42.5)
-	if m.Mean() != 42.5 || m.Variance() != 0 {
-		t.Fatalf("after first observation mean=%v var=%v, want 42.5, 0", m.Mean(), m.Variance())
+	if m.Mean() != 42.5 || m.varc != 0 {
+		t.Fatalf("after first observation mean=%v var=%v, want 42.5, 0", m.Mean(), m.varc)
 	}
 }
 
@@ -78,7 +78,6 @@ func TestShiftConfigDefaultsAndValidate(t *testing.T) {
 		t.Fatalf("defaults must validate: %v", err)
 	}
 	bad := []ShiftConfig{
-		{Detector: ShiftDetector(7), Alpha: 0.05, Slack: 0.5, Threshold: 8, MaxShiftRun: 20, Relearn: 32},
 		{Alpha: -1, Slack: 0.5, Threshold: 8, MaxShiftRun: 20, Relearn: 32},
 		{Alpha: 1.5, Slack: 0.5, Threshold: 8, MaxShiftRun: 20, Relearn: 32},
 		{Alpha: 0.05, Slack: -0.5, Threshold: 8, MaxShiftRun: 20, Relearn: 32},
@@ -98,41 +97,39 @@ func TestShiftConfigDefaultsAndValidate(t *testing.T) {
 // rebaseline near the new level with the old spread retained (the step
 // is noiseless, so the relearned variance is degenerate).
 func TestShiftStateClassifiesStepAsShift(t *testing.T) {
-	for _, det := range []ShiftDetector{ShiftCUSUM, ShiftPageHinkley} {
-		cfg := ShiftConfig{Detector: det}.WithDefaults()
-		st := NewShiftState(shiftTestBase)
-		for i := 0; i < 50; i++ {
-			if out := st.Step(cfg, 5); out != ShiftNone {
-				t.Fatalf("%v: steady observation %d classified %v", det, i, out)
-			}
+	cfg := ShiftConfig{}.WithDefaults()
+	st := NewShiftState(shiftTestBase)
+	for i := 0; i < 50; i++ {
+		if out := st.Step(cfg, 5); out != ShiftNone {
+			t.Fatalf("steady observation %d classified %v", i, out)
 		}
-		sawRelearn, sawRebaseline := false, false
-		for i := 0; i < 100 && !sawRebaseline; i++ {
-			switch st.Step(cfg, 25) {
-			case ShiftRelearning:
-				sawRelearn = true
-			case ShiftRebaselined:
-				sawRebaseline = true
-			case ShiftAging:
-				t.Fatalf("%v: abrupt step classified as aging", det)
-			}
+	}
+	sawRelearn, sawRebaseline := false, false
+	for i := 0; i < 100 && !sawRebaseline; i++ {
+		switch st.Step(cfg, 25) {
+		case ShiftRelearning:
+			sawRelearn = true
+		case ShiftRebaselined:
+			sawRebaseline = true
+		case ShiftAging:
+			t.Fatal("abrupt step classified as aging")
 		}
-		if !sawRelearn || !sawRebaseline {
-			t.Fatalf("%v: step not rebaselined (relearn=%v rebaseline=%v)", det, sawRelearn, sawRebaseline)
-		}
-		if st.Rebaselines != 1 {
-			t.Fatalf("%v: %d rebaselines, want 1", det, st.Rebaselines)
-		}
-		if st.Base.Mean != 25 {
-			t.Fatalf("%v: committed mean %v, want 25", det, st.Base.Mean)
-		}
-		if st.Base.StdDev != shiftTestBase.StdDev {
-			t.Fatalf("%v: degenerate relearn committed stddev %v, want old %v kept", det, st.Base.StdDev, shiftTestBase.StdDev)
-		}
-		// At the new level the stream is normal again.
-		if out := st.Step(cfg, 25); out != ShiftNone {
-			t.Fatalf("%v: post-rebaseline observation classified %v", det, out)
-		}
+	}
+	if !sawRelearn || !sawRebaseline {
+		t.Fatalf("step not rebaselined (relearn=%v rebaseline=%v)", sawRelearn, sawRebaseline)
+	}
+	if st.Rebaselines != 1 {
+		t.Fatalf("%d rebaselines, want 1", st.Rebaselines)
+	}
+	if st.Base.Mean != 25 {
+		t.Fatalf("committed mean %v, want 25", st.Base.Mean)
+	}
+	if st.Base.StdDev != shiftTestBase.StdDev {
+		t.Fatalf("degenerate relearn committed stddev %v, want old %v kept", st.Base.StdDev, shiftTestBase.StdDev)
+	}
+	// At the new level the stream is normal again.
+	if out := st.Step(cfg, 25); out != ShiftNone {
+		t.Fatalf("post-rebaseline observation classified %v", out)
 	}
 }
 
@@ -140,25 +137,23 @@ func TestShiftStateClassifiesStepAsShift(t *testing.T) {
 // to the wrapped detector — the change-point fires with a long run and
 // is classified as aging; no rebaseline is ever committed.
 func TestShiftStateClassifiesRampAsAging(t *testing.T) {
-	for _, det := range []ShiftDetector{ShiftCUSUM, ShiftPageHinkley} {
-		cfg := ShiftConfig{Detector: det}.WithDefaults()
-		st := NewShiftState(shiftTestBase)
-		sawAging := false
-		for i := 0; i < 2000; i++ {
-			x := 5 + 0.02*float64(i) // 0.004σ per observation
-			switch st.Step(cfg, x) {
-			case ShiftAging:
-				sawAging = true
-			case ShiftRelearning, ShiftRebaselined:
-				t.Fatalf("%v: slow ramp rebaselined at observation %d", det, i)
-			}
+	cfg := ShiftConfig{}.WithDefaults()
+	st := NewShiftState(shiftTestBase)
+	sawAging := false
+	for i := 0; i < 2000; i++ {
+		x := 5 + 0.02*float64(i) // 0.004σ per observation
+		switch st.Step(cfg, x) {
+		case ShiftAging:
+			sawAging = true
+		case ShiftRelearning, ShiftRebaselined:
+			t.Fatalf("slow ramp rebaselined at observation %d", i)
 		}
-		if !sawAging {
-			t.Fatalf("%v: slow ramp never classified as aging", det)
-		}
-		if st.Rebaselines != 0 {
-			t.Fatalf("%v: %d rebaselines on a pure ramp, want 0", det, st.Rebaselines)
-		}
+	}
+	if !sawAging {
+		t.Fatalf("slow ramp never classified as aging")
+	}
+	if st.Rebaselines != 0 {
+		t.Fatalf("%d rebaselines on a pure ramp, want 0", st.Rebaselines)
 	}
 }
 
@@ -189,29 +184,27 @@ func TestShiftStateDownshiftRebaselines(t *testing.T) {
 // and rebaselines, so the layer keeps tracking a workload whose
 // wrapped detector never fires.
 func TestShiftStateAgingLatchReleasesOnDownshift(t *testing.T) {
-	for _, det := range []ShiftDetector{ShiftCUSUM, ShiftPageHinkley} {
-		cfg := ShiftConfig{Detector: det}.WithDefaults()
-		st := NewShiftState(shiftTestBase)
-		for i := 0; !st.Aging; i++ {
-			if i == 2000 {
-				t.Fatalf("%v: slow ramp never latched aging", det)
-			}
-			st.Step(cfg, 5+0.02*float64(i))
+	cfg := ShiftConfig{}.WithDefaults()
+	st := NewShiftState(shiftTestBase)
+	for i := 0; !st.Aging; i++ {
+		if i == 2000 {
+			t.Fatalf("slow ramp never latched aging")
 		}
-		for i := 0; i < 200; i++ {
-			if out := st.Step(cfg, 45); out != ShiftNone || !st.Aging {
-				t.Fatalf("%v: latched observation %d classified %v (latched %v)", det, i, out, st.Aging)
-			}
+		st.Step(cfg, 5+0.02*float64(i))
+	}
+	for i := 0; i < 200; i++ {
+		if out := st.Step(cfg, 45); out != ShiftNone || !st.Aging {
+			t.Fatalf("latched observation %d classified %v (latched %v)", i, out, st.Aging)
 		}
-		for i := 0; i < 200 && st.Rebaselines == 0; i++ {
-			if out := st.Step(cfg, 1); out == ShiftAging {
-				t.Fatalf("%v: downward step classified as aging", det)
-			}
+	}
+	for i := 0; i < 200 && st.Rebaselines == 0; i++ {
+		if out := st.Step(cfg, 1); out == ShiftAging {
+			t.Fatal("downward step classified as aging")
 		}
-		if st.Aging || st.Rebaselines != 1 || st.Base.Mean != 1 {
-			t.Fatalf("%v: after a downshift latched=%v, %d rebaselines at mean %v; want released, 1 at 1",
-				det, st.Aging, st.Rebaselines, st.Base.Mean)
-		}
+	}
+	if st.Aging || st.Rebaselines != 1 || st.Base.Mean != 1 {
+		t.Fatalf("after a downshift latched=%v, %d rebaselines at mean %v; want released, 1 at 1",
+			st.Aging, st.Rebaselines, st.Base.Mean)
 	}
 }
 

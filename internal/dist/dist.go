@@ -1,8 +1,9 @@
 // Package dist defines the continuous probability distributions used by
 // the queueing analytics and the simulators: exponential, Erlang,
-// hypoexponential, hyperexponential, deterministic, and finite mixtures.
+// hypoexponential, hyperexponential, and finite mixtures.
 //
-// Each distribution exposes moments, density, CDF, and sampling. The
+// Each distribution exposes moments, CDF, and sampling; Erlang and
+// hypoexponential also expose their density. The
 // hypo-/hyperexponential forms are exactly the building blocks of the
 // paper's phase-type representation of the M/M/c response time (Fig. 2).
 package dist
@@ -20,8 +21,6 @@ type Dist interface {
 	Mean() float64
 	// Var returns the variance.
 	Var() float64
-	// PDF returns the density at x.
-	PDF(x float64) float64
 	// CDF returns P(X <= x).
 	CDF(x float64) float64
 	// Sample draws one value using the given generator.
@@ -33,28 +32,11 @@ type Exponential struct {
 	Rate float64
 }
 
-// NewExponential returns an exponential distribution; it errors on a
-// non-positive rate.
-func NewExponential(rate float64) (Exponential, error) {
-	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		return Exponential{}, fmt.Errorf("dist: exponential rate must be positive and finite, got %v", rate)
-	}
-	return Exponential{Rate: rate}, nil
-}
-
 // Mean returns 1/rate.
 func (e Exponential) Mean() float64 { return 1 / e.Rate }
 
 // Var returns 1/rate^2.
 func (e Exponential) Var() float64 { return 1 / (e.Rate * e.Rate) }
-
-// PDF returns the density at x (0 for x < 0).
-func (e Exponential) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return e.Rate * math.Exp(-e.Rate*x)
-}
 
 // CDF returns 1 - exp(-rate*x) for x >= 0.
 func (e Exponential) CDF(x float64) float64 {
@@ -75,34 +57,8 @@ func (e Exponential) Quantile(p float64) float64 {
 	return -math.Log1p(-p) / e.Rate
 }
 
-// Deterministic is the degenerate distribution at Value.
-type Deterministic struct {
-	Value float64
-}
-
-// Mean returns the constant value.
-func (d Deterministic) Mean() float64 { return d.Value }
-
-// Var returns 0.
-func (d Deterministic) Var() float64 { return 0 }
-
-// PDF returns 0 everywhere; the distribution has no density.
-func (d Deterministic) PDF(x float64) float64 { return 0 }
-
-// CDF is the step function at Value.
-func (d Deterministic) CDF(x float64) float64 {
-	if x < d.Value {
-		return 0
-	}
-	return 1
-}
-
-// Sample returns the constant value.
-func (d Deterministic) Sample(*xrand.Rand) float64 { return d.Value }
-
 var (
 	_ Dist = Exponential{}
-	_ Dist = Deterministic{}
 	_ Dist = Erlang{}
 	_ Dist = HypoExp{}
 	_ Dist = HyperExp{}

@@ -308,18 +308,6 @@ func (h HyperExp) Var() float64 {
 	return m2 - m*m
 }
 
-// PDF returns the mixture density at x.
-func (h HyperExp) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	s := 0.0
-	for i, p := range h.Probs {
-		s += p * h.Rates[i] * math.Exp(-h.Rates[i]*x)
-	}
-	return s
-}
-
 // CDF returns the mixture CDF at x.
 func (h HyperExp) CDF(x float64) float64 {
 	if x <= 0 {
@@ -392,15 +380,6 @@ func (m Mixture) Var() float64 {
 		s += p * (m.Components[i].Var() + mi*mi)
 	}
 	return s - mean*mean
-}
-
-// PDF returns the weighted component densities.
-func (m Mixture) PDF(x float64) float64 {
-	s := 0.0
-	for i, p := range m.Probs {
-		s += p * m.Components[i].PDF(x)
-	}
-	return s
 }
 
 // CDF returns the weighted component CDFs.

@@ -194,9 +194,6 @@ func (c *Cluster) Journal(jw *journal.Writer) {
 // the configuration a replay verifier must rebuild the governor from.
 func (c *Cluster) SchedulerConfig() sched.Config { return c.gov.Config() }
 
-// SchedulerStats returns the governor's activity counters.
-func (c *Cluster) SchedulerStats() sched.Stats { return c.gov.Stats() }
-
 // MaxDownSeen returns the high-water mark of simultaneously down hosts
 // in the scheduler's replica group — the run-side witness of the
 // capacity-budget law.

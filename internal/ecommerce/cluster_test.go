@@ -384,7 +384,7 @@ func TestClusterJournalReplaysIdentically(t *testing.T) {
 			t.Fatalf("replayed governor saw %d down in group %d, budget is 1", d, grp)
 		}
 	}
-	st := c.SchedulerStats()
+	st := c.gov.Stats()
 	if uint64(rep.Starts) != st.Starts || uint64(rep.Quarantines) != st.Quarantines {
 		t.Errorf("replay census (%d starts) disagrees with governor stats (%d)", rep.Starts, st.Starts)
 	}

@@ -18,9 +18,8 @@ const faultStreamBase = 9000
 // InjectFaults attaches a deterministic fault injector built from the
 // stream clauses of spec, drawing from xrand stream (Seed,
 // faultStreamBase+Stream). Call before Run; later calls replace the
-// injector. Actuator and clock clauses are ignored here — the
-// simulation maps slow-act onto Config.RejuvenationPause at the CLI
-// layer, and the DES clock cannot skew.
+// injector. A slow-act clause is ignored here — the simulation maps it
+// onto Config.RejuvenationPause at the CLI layer.
 //
 // Every injected fault is counted in Result.Injected and journaled as
 // a fault record when a journal is attached.

@@ -299,9 +299,6 @@ func New(cfg Config, detector core.Detector) (*Model, error) {
 	return m, nil
 }
 
-// Config returns the defaulted configuration in use.
-func (m *Model) Config() Config { return m.cfg }
-
 // Run executes the replication until cfg.Transactions transactions have
 // left the system, and returns the aggregated result.
 func (m *Model) Run() (Result, error) {

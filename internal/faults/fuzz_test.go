@@ -10,8 +10,8 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("nan:p=0.01")
 	f.Add("inf:p=0.5,sign=-;drop:p=0.1")
 	f.Add("freeze:p=0.001,len=16;stall:at=100,len=50")
-	f.Add("skew:rate=1.25;jump:at=30,by=-5")
-	f.Add("slow-act:d=2.5;flaky-act:fails=3;dead-act")
+	f.Add("neg:p=0.5;dup:p=0.25;reorder:p=0.125")
+	f.Add("slow-act:d=2.5;stall:at=0,len=1")
 	f.Add("nan:p=1e-300")
 	f.Add(";;;")
 	f.Add("nan : p = 0.1")

@@ -1,9 +1,6 @@
 package faults
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"math"
 
 	"rejuv/internal/xrand"
@@ -205,71 +202,4 @@ func (j *Injector) Flush() []float64 {
 		j.holding = false
 	}
 	return j.out
-}
-
-// ErrInjected is the error returned by fault-wrapped actuator actions;
-// callers can errors.Is against it to distinguish injected failures
-// from real ones.
-var ErrInjected = errors.New("faults: injected actuator failure")
-
-// ActionFaults is the actuator fault profile of a spec: how each
-// rejuvenation action attempt should misbehave.
-type ActionFaults struct {
-	// Delay stalls every attempt by this many seconds (slow-act).
-	Delay float64
-	// Fails makes the first Fails attempts fail transiently (flaky-act).
-	Fails int
-	// Dead makes every attempt fail (dead-act).
-	Dead bool
-}
-
-// ActionFaults collapses the actuator clauses of the spec into one
-// profile. Later clauses of the same class override earlier ones.
-func (s Spec) ActionFaults() ActionFaults {
-	var f ActionFaults
-	for _, c := range s.Actuator() {
-		switch c.Class {
-		case ClassSlowAct:
-			f.Delay = c.Dur
-		case ClassFlakyAct:
-			f.Fails = c.Fails
-		case ClassDeadAct:
-			f.Dead = true
-		}
-	}
-	return f
-}
-
-// Active reports whether the profile injects anything.
-func (f ActionFaults) Active() bool { return f.Delay > 0 || f.Fails > 0 || f.Dead }
-
-// Wrap returns an action that applies the fault profile around inner.
-// sleep implements the slow-act delay (seconds) and must be non-nil
-// when Delay > 0 — the faults package never sleeps on the wall clock
-// itself, so virtual-time callers can substitute their own scheduler.
-// The transient-failure counter spans the wrapper's lifetime: attempt
-// numbers 1..Fails fail with ErrInjected, later attempts pass through.
-func (f ActionFaults) Wrap(inner func(context.Context) error, sleep func(context.Context, float64) error) func(context.Context) error {
-	if f.Delay > 0 && sleep == nil {
-		panic("faults: ActionFaults.Wrap needs a sleep hook when Delay > 0")
-	}
-	attempt := 0
-	return func(ctx context.Context) error {
-		attempt++
-		if f.Delay > 0 {
-			if err := sleep(ctx, f.Delay); err != nil {
-				return err
-			}
-		}
-		if f.Dead {
-			return fmt.Errorf("%w (dead-act, attempt %d)", ErrInjected, attempt)
-		}
-		if attempt <= f.Fails {
-			return fmt.Errorf("%w (flaky-act, attempt %d of %d transient failures)", ErrInjected, attempt, f.Fails)
-		}
-		if inner == nil {
-			return nil
-		}
-		return inner(ctx)
-	}
 }

@@ -1,12 +1,9 @@
 package faults
 
 import (
-	"context"
-	"errors"
 	"math"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // run feeds xs through a fresh injector and returns the delivered
@@ -195,120 +192,4 @@ func TestInjectorOnFault(t *testing.T) {
 	if len(classes) != 2 || classes[0] != ClassNaN {
 		t.Errorf("OnFault calls = %v", classes)
 	}
-}
-
-// TestActionFaultsWrap pins the actuator fault wrapper: flaky-act fails
-// the first k attempts with ErrInjected, dead-act fails forever, and
-// slow-act routes its delay through the caller's sleep hook.
-func TestActionFaultsWrap(t *testing.T) {
-	spec, err := ParseSpec("flaky-act:fails=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := 0
-	act := spec.ActionFaults().Wrap(func(context.Context) error { inner++; return nil }, nil)
-	for i := 1; i <= 2; i++ {
-		if err := act(context.Background()); !errors.Is(err, ErrInjected) {
-			t.Errorf("attempt %d: err = %v, want ErrInjected", i, err)
-		}
-	}
-	if err := act(context.Background()); err != nil {
-		t.Errorf("attempt 3 should pass through, got %v", err)
-	}
-	if inner != 1 {
-		t.Errorf("inner action ran %d times, want 1", inner)
-	}
-
-	spec, _ = ParseSpec("dead-act")
-	act = spec.ActionFaults().Wrap(nil, nil)
-	for i := 0; i < 5; i++ {
-		if err := act(context.Background()); !errors.Is(err, ErrInjected) {
-			t.Fatalf("dead-act attempt %d succeeded", i+1)
-		}
-	}
-
-	spec, _ = ParseSpec("slow-act:d=1.5")
-	var slept []float64
-	act = spec.ActionFaults().Wrap(nil, func(_ context.Context, s float64) error {
-		slept = append(slept, s)
-		return nil
-	})
-	if err := act(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(slept, []float64{1.5}) {
-		t.Errorf("slept = %v, want [1.5]", slept)
-	}
-	if !spec.ActionFaults().Active() {
-		t.Error("slow-act profile reports inactive")
-	}
-}
-
-// TestActionFaultsWrapNeedsSleep pins the guard against a silent
-// no-delay slow-act.
-func TestActionFaultsWrapNeedsSleep(t *testing.T) {
-	spec, _ := ParseSpec("slow-act:d=1")
-	defer func() {
-		if recover() == nil {
-			t.Error("Wrap with Delay > 0 and nil sleep did not panic")
-		}
-	}()
-	spec.ActionFaults().Wrap(nil, nil)
-}
-
-// TestClockSkewAndJump pins the clock wrapper against a hand-built
-// virtual time source.
-func TestClockSkewAndJump(t *testing.T) {
-	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	var virtual time.Time
-	source := func() time.Time { return virtual }
-
-	spec, err := ParseSpec("skew:rate=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := NewClock(spec, source)
-	virtual = base
-	clock() // anchor
-	virtual = base.Add(10 * time.Second)
-	if got, want := clock(), base.Add(20*time.Second); !got.Equal(want) {
-		t.Errorf("skew:rate=2 after 10s true = %v, want %v", got, want)
-	}
-
-	spec, _ = ParseSpec("jump:at=5,by=-3")
-	clock = NewClock(spec, source)
-	virtual = base
-	clock()
-	virtual = base.Add(4 * time.Second)
-	if got, want := clock(), base.Add(4*time.Second); !got.Equal(want) {
-		t.Errorf("before jump threshold: %v, want %v", got, want)
-	}
-	virtual = base.Add(6 * time.Second)
-	if got, want := clock(), base.Add(3*time.Second); !got.Equal(want) {
-		t.Errorf("after jump: %v, want %v", got, want)
-	}
-}
-
-// TestClockPassThrough pins that a spec without clock clauses returns
-// the base source unchanged.
-func TestClockPassThrough(t *testing.T) {
-	spec, _ := ParseSpec("nan:p=0.5")
-	called := false
-	src := func() time.Time { called = true; return time.Time{} }
-	clock := NewClock(spec, src)
-	clock()
-	if !called {
-		t.Error("pass-through clock does not delegate to base")
-	}
-}
-
-// TestClockRequiresBase pins the nil-base panic: this package must
-// never fall back to the wall clock on its own.
-func TestClockRequiresBase(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewClock(nil) did not panic")
-		}
-	}()
-	NewClock(Spec{}, nil)
 }

@@ -1,9 +1,7 @@
 // Package faults is the deterministic fault-injection layer of the
 // repository: a seed-driven injector that corrupts, drops, duplicates,
-// reorders and stalls the observation stream feeding a detector, a
-// clock wrapper that skews and jumps the time source feeding a Monitor,
-// and actuator fault parameters that make a rejuvenation action slow,
-// transiently failing or permanently dead.
+// reorders and stalls the observation stream feeding a detector, plus
+// a slow-act delay that stretches every rejuvenation action.
 //
 // Everything is a pure function of the fault Spec, the seed and the
 // input stream: running the same faulted scenario twice yields the same
@@ -20,7 +18,7 @@
 //
 // For example:
 //
-//	nan:p=0.001;drop:p=0.01;stall:at=5000,len=500;flaky-act:fails=2
+//	nan:p=0.001;drop:p=0.01;stall:at=5000,len=500;slow-act:d=30
 //
 // See ParseSpec for the per-class parameters.
 package faults
@@ -37,8 +35,7 @@ import (
 type Class string
 
 // The fault classes. The first group corrupts or reshapes the
-// observation stream; the second reshapes the clock; the third breaks
-// the rejuvenation actuator.
+// observation stream; slow-act delays the rejuvenation action.
 const (
 	// ClassNaN replaces an observation with NaN (probability p).
 	ClassNaN Class = "nan"
@@ -63,20 +60,8 @@ const (
 	// 0-based index in [at, at+len) are swallowed entirely.
 	ClassStall Class = "stall"
 
-	// ClassSkew multiplies the apparent rate of the wrapped clock by
-	// rate (rate=1.1 runs 10% fast).
-	ClassSkew Class = "skew"
-	// ClassJump steps the wrapped clock by "by" seconds (negative jumps
-	// backwards) once "at" seconds of true time have elapsed.
-	ClassJump Class = "jump"
-
 	// ClassSlowAct delays every rejuvenation action attempt by d seconds.
 	ClassSlowAct Class = "slow-act"
-	// ClassFlakyAct makes the first fails attempts of every rejuvenation
-	// action execution fail transiently (default 1).
-	ClassFlakyAct Class = "flaky-act"
-	// ClassDeadAct makes every rejuvenation action attempt fail.
-	ClassDeadAct Class = "dead-act"
 )
 
 // Clause is one parsed fault clause.
@@ -86,20 +71,15 @@ type Clause struct {
 	// P is the per-observation probability for the probabilistic stream
 	// classes (nan, inf, neg, freeze, drop, dup, reorder).
 	P float64
-	// At is the 0-based observation index where a stall window opens, or
-	// the elapsed seconds at which a clock jump applies.
+	// At is the 0-based observation index where a stall window opens.
 	At float64
 	// Len is the stall window length in observations, or the frozen-run
 	// length for freeze.
 	Len int
 	// Sign selects -Inf for the inf class (+1 default).
 	Sign int
-	// Dur is the slow-act delay or the jump offset, in seconds.
+	// Dur is the slow-act delay, in seconds.
 	Dur float64
-	// Fails is the transient-failure count for flaky-act.
-	Fails int
-	// Rate is the skew factor for the skew class.
-	Rate float64
 }
 
 // Spec is a parsed fault specification: an ordered list of clauses.
@@ -119,33 +99,28 @@ var streamClasses = map[Class]bool{
 	ClassDrop: true, ClassDup: true, ClassReorder: true, ClassStall: true,
 }
 
-// actuatorClasses marks classes that act on the rejuvenation action.
-var actuatorClasses = map[Class]bool{
-	ClassSlowAct: true, ClassFlakyAct: true, ClassDeadAct: true,
-}
-
-// clockClasses marks classes that act on the time source.
-var clockClasses = map[Class]bool{ClassSkew: true, ClassJump: true}
-
 // Stream returns the clauses that act on the observation stream, in
 // spec order.
-func (s Spec) Stream() []Clause { return s.filter(streamClasses) }
-
-// Actuator returns the clauses that act on the rejuvenation action.
-func (s Spec) Actuator() []Clause { return s.filter(actuatorClasses) }
-
-// Clock returns the clauses that act on the time source.
-func (s Spec) Clock() []Clause { return s.filter(clockClasses) }
-
-// filter selects clauses whose class is in the set, preserving order.
-func (s Spec) filter(set map[Class]bool) []Clause {
+func (s Spec) Stream() []Clause {
 	var out []Clause
 	for _, c := range s.Clauses {
-		if set[c.Class] {
+		if streamClasses[c.Class] {
 			out = append(out, c)
 		}
 	}
 	return out
+}
+
+// ActionDelay returns the slow-act delay in seconds, 0 without one. A
+// later slow-act clause overrides an earlier one.
+func (s Spec) ActionDelay() float64 {
+	var d float64
+	for _, c := range s.Clauses {
+		if c.Class == ClassSlowAct {
+			d = c.Dur
+		}
+	}
+	return d
 }
 
 // String renders the spec in the canonical grammar; ParseSpec round-
@@ -176,20 +151,8 @@ func (c Clause) String() string {
 	case ClassStall:
 		add("at", formatFloat(c.At))
 		add("len", strconv.Itoa(c.Len))
-	case ClassSkew:
-		add("rate", formatFloat(c.Rate))
-	case ClassJump:
-		add("at", formatFloat(c.At))
-		add("by", formatFloat(c.Dur))
 	case ClassSlowAct:
 		add("d", formatFloat(c.Dur))
-	case ClassFlakyAct:
-		add("fails", strconv.Itoa(c.Fails))
-	case ClassDeadAct:
-		// no parameters
-	}
-	if len(params) == 0 {
-		return string(c.Class)
 	}
 	return string(c.Class) + ":" + strings.Join(params, ",")
 }
@@ -203,11 +166,7 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 //	inf:                            p=<probability> [sign=-]
 //	freeze:                         p=<probability> [len=<observations>]
 //	stall:                          at=<index> len=<observations>
-//	skew:                           rate=<factor>
-//	jump:                           at=<seconds> by=<seconds>
 //	slow-act:                       d=<seconds>
-//	flaky-act:                      [fails=<attempts>]
-//	dead-act:                       (none)
 //
 // Unknown classes, unknown parameters, malformed values and
 // out-of-range probabilities are errors, so a typo in a -faults flag
@@ -236,7 +195,7 @@ func ParseSpec(text string) (Spec, error) {
 func parseClause(text string) (Clause, error) {
 	name, rest, _ := strings.Cut(text, ":")
 	c := Clause{Class: Class(strings.TrimSpace(name)), Sign: 1}
-	if !streamClasses[c.Class] && !actuatorClasses[c.Class] && !clockClasses[c.Class] {
+	if !streamClasses[c.Class] && c.Class != ClassSlowAct {
 		return Clause{}, fmt.Errorf("faults: unknown fault class %q (known: %s)", name, knownClasses())
 	}
 	params := map[string]string{}
@@ -296,36 +255,12 @@ func parseClause(text string) (Clause, error) {
 		} else if err == nil {
 			err = fmt.Errorf("faults: stall: missing len=<observations>")
 		}
-	case ClassSkew:
-		if v, ok := take("rate"); ok {
-			c.Rate, err = parseNum(c.Class, "rate", v, 1e-9, math.MaxFloat64)
-		} else {
-			err = fmt.Errorf("faults: skew: missing rate=<factor>")
-		}
-	case ClassJump:
-		if v, ok := take("at"); ok {
-			c.At, err = parseNum(c.Class, "at", v, 0, math.MaxFloat64)
-		} else {
-			err = fmt.Errorf("faults: jump: missing at=<seconds>")
-		}
-		if v, ok := take("by"); ok && err == nil {
-			c.Dur, err = parseNum(c.Class, "by", v, -math.MaxFloat64, math.MaxFloat64)
-		} else if err == nil {
-			err = fmt.Errorf("faults: jump: missing by=<seconds>")
-		}
 	case ClassSlowAct:
 		if v, ok := take("d"); ok {
 			c.Dur, err = parseNum(c.Class, "d", v, 0, math.MaxFloat64)
 		} else {
 			err = fmt.Errorf("faults: slow-act: missing d=<seconds>")
 		}
-	case ClassFlakyAct:
-		c.Fails = 1
-		if v, ok := take("fails"); ok {
-			c.Fails, err = parseCount(c.Class, "fails", v)
-		}
-	case ClassDeadAct:
-		// no parameters
 	}
 	if err != nil {
 		return Clause{}, err
@@ -376,7 +311,6 @@ func knownClasses() string {
 	return strings.Join([]string{
 		string(ClassNaN), string(ClassInf), string(ClassNeg), string(ClassFreeze),
 		string(ClassDrop), string(ClassDup), string(ClassReorder), string(ClassStall),
-		string(ClassSkew), string(ClassJump),
-		string(ClassSlowAct), string(ClassFlakyAct), string(ClassDeadAct),
+		string(ClassSlowAct),
 	}, ", ")
 }

@@ -107,12 +107,6 @@ func (s *Sketch) Update(id uint64, mean float64, nowNanos int64) {
 	s.nanos[min] = nowNanos
 }
 
-// Len returns the number of retained streams.
-func (s *Sketch) Len() int { return s.n }
-
-// K returns the sketch capacity.
-func (s *Sketch) K() int { return len(s.ids) }
-
 // Reset forgets all retained streams, keeping the capacity.
 func (s *Sketch) Reset() { s.n = 0 }
 

@@ -76,11 +76,11 @@ func TestSketchReset(t *testing.T) {
 	s := NewSketch(3)
 	s.Update(1, 0, 0)
 	s.Reset()
-	if s.Len() != 0 || len(s.AppendEntries(nil)) != 0 {
+	if s.n != 0 || len(s.AppendEntries(nil)) != 0 {
 		t.Fatal("reset did not clear the sketch")
 	}
-	if s.K() != 3 {
-		t.Fatalf("capacity = %d after reset, want 3", s.K())
+	if len(s.ids) != 3 {
+		t.Fatalf("capacity = %d after reset, want 3", len(s.ids))
 	}
 }
 

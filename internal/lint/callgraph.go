@@ -79,9 +79,11 @@ func buildCallGraph(t *Tree) *CallGraph {
 		}
 	}
 
-	// Implementation lookup is cached per interface method: the fan-out
-	// scans every named type in the tree once per distinct callee.
-	impls := make(map[*types.Func][]*FuncNode)
+	// Implementation lookup is cached per interface and method: the
+	// fan-out scans every named type in the tree once per distinct pair.
+	// The interface is part of the key because an interface that embeds
+	// another shares its method objects but has fewer implementations.
+	impls := make(map[implKey][]*FuncNode)
 
 	// Pass 2: resolve the call sites of every node body.
 	for _, node := range g.Nodes {
@@ -102,7 +104,7 @@ func buildCallGraph(t *Tree) *CallGraph {
 }
 
 // addEdges resolves one call site into zero or more edges on caller.
-func (g *CallGraph) addEdges(t *Tree, caller *FuncNode, call *ast.CallExpr, impls map[*types.Func][]*FuncNode) {
+func (g *CallGraph) addEdges(t *Tree, caller *FuncNode, call *ast.CallExpr, impls map[implKey][]*FuncNode) {
 	info := caller.Pkg.Info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		return // conversion, not a call
@@ -155,19 +157,27 @@ func (g *CallGraph) addStatic(caller *FuncNode, call *ast.CallExpr, fn *types.Fu
 // implementation. Out-of-tree interfaces are left unresolved: their
 // implementations are chosen at setup time (an io.Writer sink), not on
 // the analyzed path.
-func (g *CallGraph) addInterfaceCall(t *Tree, caller *FuncNode, call *ast.CallExpr, recv types.Type, fn *types.Func, impls map[*types.Func][]*FuncNode) {
+func (g *CallGraph) addInterfaceCall(t *Tree, caller *FuncNode, call *ast.CallExpr, recv types.Type, fn *types.Func, impls map[implKey][]*FuncNode) {
 	if pkg := fn.Pkg(); pkg == nil || !t.inTree(pkg.Path()) {
 		g.Unresolved++
 		return
 	}
-	targets, ok := impls[fn]
+	key := implKey{recv, fn}
+	targets, ok := impls[key]
 	if !ok {
 		targets = findImplementations(t, g, recv, fn)
-		impls[fn] = targets
+		impls[key] = targets
 	}
 	for _, callee := range targets {
 		caller.Calls = append(caller.Calls, CallEdge{Site: call, Callee: callee, ViaInterface: true})
 	}
+}
+
+// implKey identifies an interface method call target: the method as
+// called through one interface type.
+type implKey struct {
+	recv types.Type
+	fn   *types.Func
 }
 
 // findImplementations returns the in-tree methods that an interface

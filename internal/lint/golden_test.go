@@ -50,7 +50,7 @@ func TestGolden(t *testing.T) {
 				t.Fatalf("load %s: %v", tc.dir, err)
 			}
 			analyzers := selectByName(t, tc.rules)
-			diags := Run([]*Package{p}, analyzers)
+			diags := Analyze(NewTree([]*Package{p}), analyzers)
 			wants := parseWants(t, p)
 			checkGolden(t, diags, wants)
 		})

@@ -92,6 +92,10 @@ type Package struct {
 	Info *types.Info
 	// TypeErrors holds type-checker errors, kept for -v diagnostics.
 	TypeErrors []error
+	// Importer resolves imports as the load did: module packages to the
+	// loaded ones, the standard library through one shared importer, so
+	// further files (tests) checked against it see the same objects.
+	Importer types.ImporterFrom
 }
 
 // position resolves a token.Pos against the package's file set.
@@ -104,15 +108,11 @@ func (p *Package) diagf(pos token.Pos, rule, format string, args ...any) Diagnos
 	return Diagnostic{Pos: p.position(pos), Rule: rule, Message: fmt.Sprintf(format, args...)}
 }
 
-// Run applies the given analyzers to every package, honors //lint:allow
-// suppressions, validates the directives themselves, and returns all
-// surviving findings sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return Analyze(NewTree(pkgs), analyzers)
-}
-
-// Analyze is Run for a pre-built Tree, letting callers that also want
-// call-graph statistics (cmd/rejuvlint -v) share the same artifacts.
+// Analyze applies the given analyzers to every package of the tree,
+// honors //lint:allow suppressions, validates the directives
+// themselves, and returns all surviving findings sorted by position.
+// Callers that also want call-graph statistics (cmd/rejuvlint -v) share
+// the tree's artifacts.
 func Analyze(t *Tree, analyzers []*Analyzer) []Diagnostic {
 	selected := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {

@@ -213,8 +213,9 @@ func (l *loader) load(importPath, dir string) (*Package, error) {
 		}
 	}
 
+	p.Importer = &chainImporter{l: l}
 	conf := types.Config{
-		Importer: &chainImporter{l: l},
+		Importer: p.Importer,
 		Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
 	}
 	// Check returns a usable (partial) package even on errors, which the

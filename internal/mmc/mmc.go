@@ -129,27 +129,9 @@ func (s System) RTQuantile(p float64) (float64, error) {
 	return (lo + hi) / 2, nil
 }
 
-// WaitCDF returns the steady-state distribution of the queueing delay
-// W (time before service starts): P(W <= t) = 1 - ErlangC * exp(-(c*mu-lambda)*t).
-// An arriving job waits zero with probability Wc.
-func (s System) WaitCDF(t float64) float64 {
-	if t < 0 {
-		return 0
-	}
-	return 1 - s.ErlangC()*math.Exp(-s.drainRate()*t)
-}
-
 // WaitMean returns the expected queueing delay ErlangC/(c*mu-lambda).
 func (s System) WaitMean() float64 {
 	return s.ErlangC() / s.drainRate()
-}
-
-// RTPDF returns the steady-state response-time density.
-func (s System) RTPDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return s.RTDist().PDF(x)
 }
 
 // RTDist returns the response time as a mixture distribution: with
@@ -240,38 +222,4 @@ func (s System) TailBeyondNormalQuantile(n int, p float64) (float64, error) {
 		return 0, err
 	}
 	return 1 - cdf, nil
-}
-
-// NumberInSystemDist returns the steady-state distribution of the number
-// of jobs in the system (the birth-death chain of paper Fig. 1),
-// truncated at maxJobs and renormalized. The truncation point must leave
-// negligible tail mass for the result to be meaningful; the returned
-// tail estimate is the mass of the discarded geometric tail.
-func (s System) NumberInSystemDist(maxJobs int) (probs []float64, tail float64, err error) {
-	if maxJobs < s.C {
-		return nil, 0, fmt.Errorf("mmc: maxJobs %d must be at least c=%d", maxJobs, s.C)
-	}
-	// Unnormalized terms: pi_k = pi_0 a^k/k! for k<=c, then *rho each step.
-	a := s.Lambda / s.Mu
-	rho := s.Rho()
-	terms := make([]float64, maxJobs+1)
-	terms[0] = 1
-	for k := 1; k <= maxJobs; k++ {
-		if k <= s.C {
-			terms[k] = terms[k-1] * a / float64(k)
-		} else {
-			terms[k] = terms[k-1] * rho
-		}
-	}
-	sum := 0.0
-	for _, t := range terms {
-		sum += t
-	}
-	// Geometric tail beyond maxJobs.
-	tailMass := terms[maxJobs] * rho / (1 - rho)
-	total := sum + tailMass
-	for k := range terms {
-		terms[k] /= total
-	}
-	return terms, tailMass / total, nil
 }

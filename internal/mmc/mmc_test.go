@@ -282,35 +282,6 @@ func TestTailApproachesNominalAsNGrows(t *testing.T) {
 	}
 }
 
-func TestNumberInSystemDist(t *testing.T) {
-	s := paperSystem(t)
-	probs, tail, err := s.NumberInSystemDist(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := tail
-	for _, p := range probs {
-		if p < 0 {
-			t.Fatalf("negative probability %v", p)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("probabilities sum to %v", sum)
-	}
-	// P(fewer than c jobs) from the birth-death solution must equal Wc.
-	wc := 0.0
-	for k := 0; k < s.C; k++ {
-		wc += probs[k]
-	}
-	if math.Abs(wc-s.Wc()) > 1e-9 {
-		t.Fatalf("birth-death Wc = %v, eq. Wc = %v", wc, s.Wc())
-	}
-	if _, _, err := s.NumberInSystemDist(3); err == nil {
-		t.Fatal("maxJobs below c accepted")
-	}
-}
-
 func TestNormalApprox(t *testing.T) {
 	s := paperSystem(t)
 	mean, sd := s.NormalApprox(30)
@@ -396,27 +367,8 @@ func TestRTQuantileRoundTrip(t *testing.T) {
 
 func TestWaitDistribution(t *testing.T) {
 	s := paperSystem(t)
-	// P(W <= 0) = Wc: the no-wait probability.
-	if got := s.WaitCDF(0); math.Abs(got-s.Wc()) > 1e-12 {
-		t.Fatalf("WaitCDF(0) = %v, want Wc = %v", got, s.Wc())
-	}
-	if s.WaitCDF(-1) != 0 {
-		t.Fatal("WaitCDF(-1) != 0")
-	}
 	// Wait mean consistency: E[RT] = E[S] + E[W].
 	if got := 1/s.Mu + s.WaitMean(); math.Abs(got-s.RTMean()) > 1e-12 {
 		t.Fatalf("1/mu + E[W] = %v, eq.2 mean = %v", got, s.RTMean())
-	}
-	// Monotone to 1.
-	prev := 0.0
-	for x := 0.0; x < 50; x += 0.5 {
-		c := s.WaitCDF(x)
-		if c < prev {
-			t.Fatalf("WaitCDF decreasing at %v", x)
-		}
-		prev = c
-	}
-	if prev < 0.999999 {
-		t.Fatalf("WaitCDF(50) = %v, want ~1", prev)
 	}
 }

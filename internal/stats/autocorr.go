@@ -45,19 +45,3 @@ func Autocorrelation(xs []float64, lag int) (float64, error) {
 func AutocorrelationSignificant(coeff float64, n int) bool {
 	return math.Abs(coeff) > 1.96/math.Sqrt(float64(n))
 }
-
-// ACF returns the autocorrelation function of xs for lags 1..maxLag.
-func ACF(xs []float64, maxLag int) ([]float64, error) {
-	if maxLag < 1 || maxLag >= len(xs) {
-		return nil, fmt.Errorf("stats: maxLag %d out of range for series of length %d", maxLag, len(xs))
-	}
-	out := make([]float64, maxLag)
-	for k := 1; k <= maxLag; k++ {
-		c, err := Autocorrelation(xs, k)
-		if err != nil {
-			return nil, err
-		}
-		out[k-1] = c
-	}
-	return out, nil
-}

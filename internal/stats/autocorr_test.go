@@ -103,26 +103,3 @@ func TestAutocorrelationSignificant(t *testing.T) {
 		t.Error("negative coefficient beyond threshold not flagged")
 	}
 }
-
-func TestACF(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	xs := make([]float64, 5000)
-	for i := 1; i < len(xs); i++ {
-		xs[i] = 0.5*xs[i-1] + rng.NormFloat64()
-	}
-	acf, err := ACF(xs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(acf) != 3 {
-		t.Fatalf("ACF returned %d lags, want 3", len(acf))
-	}
-	for k := 1; k < len(acf); k++ {
-		if math.Abs(acf[k]) > math.Abs(acf[k-1])+0.05 {
-			t.Fatalf("AR(1) ACF not decaying: %v", acf)
-		}
-	}
-	if _, err := ACF(xs, 0); err == nil {
-		t.Fatal("ACF accepted maxLag 0")
-	}
-}

@@ -53,13 +53,6 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// Total returns the number of observations recorded, including out-of-range
-// ones.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BinWidth returns the width of each bin.
-func (h *Histogram) BinWidth() float64 { return h.binWidth }
-
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*h.binWidth
@@ -78,29 +71,6 @@ func (h *Histogram) Density() []float64 {
 		out[i] = float64(c) * norm
 	}
 	return out
-}
-
-// CDFAt returns the empirical probability of an observation < x,
-// resolving within-bin position linearly.
-func (h *Histogram) CDFAt(x float64) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	if x <= h.Lo {
-		// Below the tracked range the within-mass position is unknown;
-		// attribute the full underflow mass by convention.
-		return float64(h.Under) / float64(h.total)
-	}
-	cum := float64(h.Under)
-	for i, c := range h.Counts {
-		binHi := h.Lo + float64(i+1)*h.binWidth
-		if x < binHi {
-			frac := (x - (binHi - h.binWidth)) / h.binWidth
-			return (cum + frac*float64(c)) / float64(h.total)
-		}
-		cum += float64(c)
-	}
-	return cum / float64(h.total)
 }
 
 // Reset clears all counters.

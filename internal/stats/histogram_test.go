@@ -14,8 +14,8 @@ func TestHistogramBinning(t *testing.T) {
 	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[5] != 1 || h.Counts[9] != 1 {
 		t.Fatalf("counts = %v", h.Counts)
 	}
-	if h.Total() != 5 {
-		t.Fatalf("total = %d, want 5", h.Total())
+	if h.total != 5 {
+		t.Fatalf("total = %d, want 5", h.total)
 	}
 }
 
@@ -28,8 +28,8 @@ func TestHistogramOutOfRange(t *testing.T) {
 	if h.Under != 1 || h.Over != 2 {
 		t.Fatalf("under=%d over=%d, want 1 and 2", h.Under, h.Over)
 	}
-	if h.Total() != 4 {
-		t.Fatalf("total = %d, want 4 (NaN counts toward total)", h.Total())
+	if h.total != 4 {
+		t.Fatalf("total = %d, want 4 (NaN counts toward total)", h.total)
 	}
 }
 
@@ -47,7 +47,7 @@ func TestHistogramDensityIntegratesToInRangeMass(t *testing.T) {
 	}
 	sum := 0.0
 	for _, d := range h.Density() {
-		sum += d * h.BinWidth()
+		sum += d * h.binWidth
 	}
 	if math.Abs(sum-float64(inRange)/n) > 1e-9 {
 		t.Fatalf("density integrates to %v, want %v", sum, float64(inRange)/n)
@@ -70,37 +70,12 @@ func TestHistogramDensityApproximatesExponential(t *testing.T) {
 	}
 }
 
-func TestHistogramCDFAt(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for x := 0.5; x < 10; x++ { // one observation per bin center
-		h.Add(x)
-	}
-	if got := h.CDFAt(0); got != 0 {
-		t.Fatalf("CDF(0) = %v, want 0", got)
-	}
-	if got := h.CDFAt(10); got != 1 {
-		t.Fatalf("CDF(10) = %v, want 1", got)
-	}
-	if got := h.CDFAt(5); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("CDF(5) = %v, want 0.5", got)
-	}
-	// Monotone.
-	prev := -1.0
-	for x := -1.0; x <= 11; x += 0.25 {
-		c := h.CDFAt(x)
-		if c < prev {
-			t.Fatalf("CDF decreased at %v: %v < %v", x, c, prev)
-		}
-		prev = c
-	}
-}
-
 func TestHistogramReset(t *testing.T) {
 	h := NewHistogram(0, 1, 2)
 	h.Add(0.5)
 	h.Add(5)
 	h.Reset()
-	if h.Total() != 0 || h.Over != 0 || h.Counts[1] != 0 {
+	if h.total != 0 || h.Over != 0 || h.Counts[1] != 0 {
 		t.Fatal("reset did not clear counters")
 	}
 }

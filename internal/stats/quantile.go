@@ -19,40 +19,15 @@ func Quantile(xs []float64, p float64) (float64, error) {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return quantileSorted(sorted, p), nil
-}
-
-// Quantiles returns the quantiles of xs at each p in ps, sorting once.
-func Quantiles(xs []float64, ps []float64) ([]float64, error) {
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("stats: quantiles of empty slice")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if p < 0 || p > 1 {
-			return nil, fmt.Errorf("stats: quantile p=%v outside [0,1]", p)
-		}
-		out[i] = quantileSorted(sorted, p)
-	}
-	return out, nil
-}
-
-func quantileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 1 {
-		return sorted[0]
+		return sorted[0], nil
 	}
 	h := p * float64(n-1)
 	lo := int(h)
 	if lo >= n-1 {
-		return sorted[n-1]
+		return sorted[n-1], nil
 	}
 	frac := h - float64(lo)
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
+	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo]), nil
 }
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -78,43 +77,5 @@ func TestQuantileMonotoneInP(t *testing.T) {
 			t.Fatalf("quantile decreased at p=%v: %v < %v", p, q, prev)
 		}
 		prev = q
-	}
-}
-
-func TestQuantilesMatchesQuantile(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = rng.Float64() * 100
-	}
-	ps := []float64{0.1, 0.5, 0.9, 0.99}
-	batch, err := Quantiles(xs, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range ps {
-		single, err := Quantile(xs, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch[i] != single {
-			t.Fatalf("Quantiles[%v] = %v, Quantile = %v", p, batch[i], single)
-		}
-	}
-}
-
-func TestMedianOfSortedRange(t *testing.T) {
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	// Shuffle to prove sorting happens internally.
-	rand.New(rand.NewSource(16)).Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	m, err := Median(xs)
-	if err != nil || m != 50 {
-		t.Fatalf("Median = %v, %v; want 50", m, err)
-	}
-	if sort.Float64sAreSorted(xs) {
-		t.Log("input happened to be sorted after shuffle (unlikely)")
 	}
 }

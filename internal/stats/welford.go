@@ -32,14 +32,6 @@ func (w *Welford) Add(x float64) {
 	}
 }
 
-// AddN folds x into the accumulator n times (n >= 0) without loss of
-// stability, used when identical observations arrive in batches.
-func (w *Welford) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		w.Add(x)
-	}
-}
-
 // Merge folds another accumulator into w using Chan et al.'s parallel
 // combination rule, so per-replication accumulators can be pooled.
 func (w *Welford) Merge(o Welford) {
@@ -81,14 +73,6 @@ func (w *Welford) Var() float64 {
 		return math.NaN()
 	}
 	return w.m2 / float64(w.n-1)
-}
-
-// PopVar returns the population (biased) variance, or NaN when empty.
-func (w *Welford) PopVar() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.n)
 }
 
 // StdDev returns the unbiased sample standard deviation.

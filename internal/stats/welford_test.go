@@ -59,9 +59,6 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 	if !math.IsNaN(w.Var()) {
 		t.Fatal("variance of one observation must be NaN")
 	}
-	if w.PopVar() != 0 {
-		t.Fatalf("population variance of one observation = %v, want 0", w.PopVar())
-	}
 }
 
 func TestWelfordMinMax(t *testing.T) {
@@ -144,17 +141,6 @@ func TestWelfordReset(t *testing.T) {
 	w.Reset()
 	if w.N() != 0 || !math.IsNaN(w.Mean()) {
 		t.Fatal("reset did not clear the accumulator")
-	}
-}
-
-func TestWelfordAddN(t *testing.T) {
-	var a, b Welford
-	a.AddN(3, 4)
-	for i := 0; i < 4; i++ {
-		b.Add(3)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() || a.PopVar() != b.PopVar() {
-		t.Fatalf("AddN mismatch: %+v vs %+v", a, b)
 	}
 }
 

@@ -118,17 +118,6 @@ func NewAdaptive(warmup int, build func(Baseline) (Detector, error)) (*Adaptive,
 // documented defaults.
 type ShiftConfig = core.ShiftConfig
 
-// ShiftDetector selects the change-point statistic of the shift layer.
-type ShiftDetector = core.ShiftDetector
-
-// Change-point statistics for ShiftConfig.Detector.
-const (
-	// ShiftCUSUM is the two-sided cumulative-sum statistic (the default).
-	ShiftCUSUM = core.ShiftCUSUM
-	// ShiftPageHinkley is the two-sided Page–Hinkley statistic.
-	ShiftPageHinkley = core.ShiftPageHinkley
-)
-
 // Rebase layers online baseline re-estimation under any detector
 // family: workload shifts restart the wrapped detector in place at the
 // re-estimated µ and σ (bucket targets and sample sizes recomputed from

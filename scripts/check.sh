@@ -48,7 +48,7 @@ echo "== flight-recorder replay determinism (all detectors, 3 seeds; fleet journ
 # The -run list names tests by pattern; a pattern that matches nothing
 # (a renamed or deleted test) would pass silently, so every alternative
 # must run at least one top-level test.
-replay_tests='TestReplayDeterminism|TestReplayJournalIdenticalAcrossGOMAXPROCS|TestFleet(Shift)?JournalDeterministicAcrossShards|TestObserveBatchMatchesOneAtATime|TestFleetMatchesReferenceDetectors|TestFleetShiftMatchesRebaseReference|TestKernelMatchesPseudoCode|TestWriterBytesPinned|TestWriterOneWritePerRecord|TestWriterEmittersDoNotAllocate|TestWriterClipsClass|TestReaderReuse|TestReplayAllocsPerRecord|TestClosedEngineIsCollectable|TestStreamPinned|TestTraceLogMatchesJournal|TestLanesMatchHeap|TestJournalPin|TestCmdFiguresQuickGolden|TestRebaseMatchesFreshDetector|TestRebaseRebaselineDoesNotAllocate|TestReaderInPlaceMatchesCopyingPath|TestMonitorSnapshotsInternalsOnce|TestGaugeSetUnchangedBits|TestHistogramCountIsBucketSum|TestReplayStreamLifecycle|TestWriterStepRecordGroup|TestWriterStepMatchesEmitters|TestWriterStepDoesNotAllocate|TestModelSnapshotsInternalsOnce|TestFleetJournalMatchesMonitor|TestFaultStreamRoundTrip'
+replay_tests='TestReplayDeterminism|TestReplayJournalIdenticalAcrossGOMAXPROCS|TestFleet(Shift)?JournalDeterministicAcrossShards|TestObserveBatchMatchesOneAtATime|TestFleetMatchesReferenceDetectors|TestFleetShiftMatchesRebaseReference|TestKernelMatchesPseudoCode|TestWriterBytesPinned|TestWriterOneWritePerRecord|TestWriterEmittersDoNotAllocate|TestWriterClipsClass|TestReaderReuse|TestReplayAllocsPerRecord|TestClosedEngineIsCollectable|TestStreamPinned|TestTraceLogMatchesJournal|TestLanesMatchHeap|TestJournalPin|TestCmdFiguresQuickGolden|TestRebaseMatchesFreshDetector|TestRebaseRebaselineDoesNotAllocate|TestReaderInPlaceMatchesCopyingPath|TestMonitorSnapshotsInternalsOnce|TestGaugeSetUnchangedBits|TestHistogramCountIsBucketSum|TestReplayStreamLifecycle|TestWriterStepRecordGroup|TestWriterStepMatchesEmitters|TestWriterStepDoesNotAllocate|TestModelSnapshotsInternalsOnce|TestFleetJournalMatchesMonitor|TestFaultStreamRoundTrip|TestCmdRejuvtraceVerifiesPreShiftDetectorJournal'
 replay_ok=1
 replay_out=$(go test -run "$replay_tests" -count=1 -v . ./internal/journal ./internal/fleet ./internal/core ./internal/xrand ./internal/des ./internal/ecommerce ./internal/metrics 2>&1) || replay_ok=0
 grep -E '^(=== RUN|--- (PASS|FAIL)|ok|FAIL)' <<<"$replay_out" || true
