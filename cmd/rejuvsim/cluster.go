@@ -24,14 +24,15 @@ import (
 
 // clusterOpts carries the -cluster flags.
 type clusterOpts struct {
-	hosts       int
-	spec        experiment.Spec
-	load        float64 // offered CPUs per host
-	txns        int64
-	seed        uint64
-	pause       float64
-	leaky       bool
-	journalPath string
+	hosts         int
+	spec          experiment.Spec
+	load          float64 // offered CPUs per host
+	txns          int64
+	seed          uint64
+	pause         float64
+	leaky         bool
+	journalPath   string
+	journalFormat string
 }
 
 // runClusterDemo executes the comparison and prints the verdict.
@@ -58,15 +59,15 @@ func runClusterDemo(opts clusterOpts) {
 		part.MaxDown, tierLadder(part.Tiers), part.CapacityFloor, part.MaxDefer)
 	fmt.Printf("                      proactive partial actions from level 3, deadline-aware deferral\n\n")
 
-	resFull, _, _ := runClusterPolicy(opts, full, false, nil, nil)
 	var buf bytes.Buffer
-	jw := journal.NewWriter(&buf, journal.Meta{
+	jw := newJournal(&buf, opts.journalFormat, journal.Meta{
 		CreatedBy: "rejuvsim",
 		Detector:  opts.spec.Label(),
 		Seed:      opts.seed,
 		Notes: fmt.Sprintf("cluster=%d load=%.4g txns=%d pause=%.4g leaky=%v",
 			opts.hosts, opts.load, opts.txns, opts.pause, opts.leaky),
 	})
+	resFull, _, _ := runClusterPolicy(opts, full, false, nil, nil)
 	tiers := map[string]int{}
 	resPart, policy, maxDown := runClusterPolicy(opts, part, true, jw, func(tr sched.Transition) {
 		if tr.Op == sched.OpStart {
@@ -109,7 +110,7 @@ func runClusterDemo(opts clusterOpts) {
 
 	if opts.journalPath != "" {
 		fatalIf(os.WriteFile(opts.journalPath, buf.Bytes(), 0o644))
-		fmt.Printf("journal: %s (%d records, binary)\n", opts.journalPath, jw.Seq())
+		fmt.Printf("journal: %s (%d records, %s)\n", opts.journalPath, jw.Seq(), opts.journalFormat)
 	}
 }
 

@@ -70,27 +70,14 @@ func runFleet(o fleetOpts) {
 	classes := fleetClasses()
 
 	var jw *journal.Writer
-	var journalBuf *bufio.Writer
-	var journalFile *os.File
+	var closeJournal func()
 	if o.journalPath != "" {
-		meta := journal.Meta{
+		jw, closeJournal = createJournal(o.journalPath, o.journalFormat, journal.Meta{
 			CreatedBy: "rejuvsim",
 			Detector:  "fleet (web-sraa, db-saraa, cache-clta)",
 			Seed:      o.seed,
 			Notes:     fmt.Sprintf("fleet=%d rounds=%d aging=%.4g", o.streams, o.rounds, o.aging),
-		}
-		f, err := os.Create(o.journalPath)
-		fatalIf(err)
-		journalFile = f
-		journalBuf = bufio.NewWriter(f)
-		switch o.journalFormat {
-		case "binary":
-			jw = journal.NewWriter(journalBuf, meta)
-		case "jsonl":
-			jw = journal.NewJSONWriter(journalBuf, meta)
-		default:
-			fatalIf(fmt.Errorf("unknown -journal-format %q (want binary or jsonl)", o.journalFormat))
-		}
+		})
 	}
 
 	clock := &virtualClock{t: time.Unix(0, 0)}
@@ -218,9 +205,7 @@ func runFleet(o fleetOpts) {
 	}
 
 	if jw != nil {
-		fatalIf(jw.Err())
-		fatalIf(journalBuf.Flush())
-		fatalIf(journalFile.Close())
+		closeJournal()
 		fmt.Printf("journal: %s (%d records, %s), verifying replay... ", o.journalPath, jw.Seq(), o.journalFormat)
 		verifyFleetJournal(o.journalPath, classes)
 	}

@@ -12,7 +12,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"rejuv/internal/core"
@@ -83,40 +86,56 @@ func main() {
 	hygiene, err := parseHygiene(*hygieneP)
 	fatalIf(err)
 
-	// The demo modes run their own pipelines, which inject no faults:
-	// refuse a fault spec there instead of running clean.
+	// The demo modes run their own pipelines and read only their own
+	// flags: refuse any other flag there instead of silently ignoring
+	// it (no demo mode injects -faults, and the shift and cluster
+	// models have no source of non-finite values for -hygiene to act
+	// on).
 	for _, m := range []struct {
 		flag string
 		on   bool
-	}{{"-shift", *shiftP != ""}, {"-cluster", *clusterN > 0}, {"-fleet", *fleetN > 0}} {
-		if m.on && !faultSpec.Empty() {
-			fatalIf(fmt.Errorf("-faults is not supported in %s mode", m.flag))
+		uses string
+	}{
+		{"-shift", *shiftP != "", "shift shift-factor load txns seed journal journal-format"},
+		{"-cluster", *clusterN > 0, "cluster algo n k d quantile weight mean sd load txns seed pause leaky-gc journal journal-format"},
+		{"-fleet", *fleetN > 0, "fleet fleet-rounds fleet-batch fleet-aging seed hygiene journal journal-format"},
+	} {
+		if !m.on {
+			continue
 		}
+		flag.Visit(func(f *flag.Flag) {
+			if !slices.Contains(strings.Fields(m.uses), f.Name) {
+				fatalIf(fmt.Errorf("-%s is not supported in %s mode", f.Name, m.flag))
+			}
+		})
+		break
 	}
+
+	// The detector of the default and -cluster modes.
+	spec := experiment.Spec{
+		Algorithm: experiment.Algorithm(*algo),
+		N:         *n, K: *k, D: *d,
+		Quantile: *quantile,
+		Weight:   *weight,
+	}
+	spec.Baseline.Mean = *mean
+	spec.Baseline.StdDev = *sd
 
 	if *shiftP != "" {
 		runShiftDemo(shiftOpts{
 			shape: *shiftP, factor: *shiftF,
 			load: *load, txns: *txns, seed: *seed,
-			journalPath: *journalP,
+			journalPath: *journalP, journalFormat: *journalF,
 		})
 		return
 	}
 
 	if *clusterN > 0 {
-		spec := experiment.Spec{
-			Algorithm: experiment.Algorithm(*algo),
-			N:         *n, K: *k, D: *d,
-			Quantile: *quantile,
-			Weight:   *weight,
-		}
-		spec.Baseline.Mean = *mean
-		spec.Baseline.StdDev = *sd
 		runClusterDemo(clusterOpts{
 			hosts: *clusterN, spec: spec,
 			load: *load, txns: *txns, seed: *seed,
 			pause: *pause, leaky: *leaky,
-			journalPath: *journalP,
+			journalPath: *journalP, journalFormat: *journalF,
 		})
 		return
 	}
@@ -143,15 +162,6 @@ func main() {
 		dump = json.NewEncoder(f)
 	}
 
-	spec := experiment.Spec{
-		Algorithm: experiment.Algorithm(*algo),
-		N:         *n, K: *k, D: *d,
-		Quantile: *quantile,
-		Weight:   *weight,
-	}
-	spec.Baseline.Mean = *mean
-	spec.Baseline.StdDev = *sd
-
 	lambda := *load * 0.2
 	fmt.Printf("%s  load=%.2f CPUs (lambda=%.3f/s, mu=0.2/s, c=16)  %d x %d transactions\n",
 		spec.Label(), *load, lambda, *reps, *txns)
@@ -159,30 +169,17 @@ func main() {
 	// The journal header stores the full detector spec so rejuvtrace
 	// -verify can rebuild the detector and replay the decision stream.
 	var jw *journal.Writer
-	var journalBuf *bufio.Writer
-	var journalFile *os.File
+	var closeJournal func()
 	if *journalP != "" {
 		specJSON, err := json.Marshal(spec)
 		fatalIf(err)
-		meta := journal.Meta{
+		jw, closeJournal = createJournal(*journalP, *journalF, journal.Meta{
 			CreatedBy: "rejuvsim",
 			Detector:  spec.Label(),
 			Spec:      string(specJSON),
 			Seed:      *seed,
 			Notes:     fmt.Sprintf("load=%.4g txns=%d reps=%d", *load, *txns, *reps),
-		}
-		f, err := os.Create(*journalP)
-		fatalIf(err)
-		journalFile = f
-		journalBuf = bufio.NewWriter(f)
-		switch *journalF {
-		case "binary":
-			jw = journal.NewWriter(journalBuf, meta)
-		case "jsonl":
-			jw = journal.NewJSONWriter(journalBuf, meta)
-		default:
-			fatalIf(fmt.Errorf("unknown -journal-format %q (want binary or jsonl)", *journalF))
-		}
+		})
 	}
 
 	var pooled stats.Welford
@@ -273,10 +270,35 @@ func main() {
 		fmt.Printf("metrics:               %s (every %.0f s of virtual time)\n", *metricsP, *metricsI)
 	}
 	if jw != nil {
-		fatalIf(jw.Err())
-		fatalIf(journalBuf.Flush())
-		fatalIf(journalFile.Close())
+		closeJournal()
 		fmt.Printf("journal:               %s (%d records, %s)\n", *journalP, jw.Seq(), *journalF)
+	}
+}
+
+// newJournal returns a journal writer on w in the -journal-format
+// codec.
+func newJournal(w io.Writer, format string, meta journal.Meta) *journal.Writer {
+	switch format {
+	case "binary":
+		return journal.NewWriter(w, meta)
+	case "jsonl":
+		return journal.NewJSONWriter(w, meta)
+	}
+	fatalIf(fmt.Errorf("unknown -journal-format %q (want binary or jsonl)", format))
+	return nil
+}
+
+// createJournal opens a buffered journal file at path; the returned
+// function checks the writer, flushes and closes the file.
+func createJournal(path, format string, meta journal.Meta) (*journal.Writer, func()) {
+	f, err := os.Create(path)
+	fatalIf(err)
+	buf := bufio.NewWriter(f)
+	jw := newJournal(buf, format, meta)
+	return jw, func() {
+		fatalIf(jw.Err())
+		fatalIf(buf.Flush())
+		fatalIf(f.Close())
 	}
 }
 

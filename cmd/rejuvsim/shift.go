@@ -23,12 +23,13 @@ import (
 
 // shiftOpts carries the -shift flags.
 type shiftOpts struct {
-	shape       string
-	factor      float64
-	load        float64
-	txns        int64
-	seed        uint64
-	journalPath string
+	shape         string
+	factor        float64
+	load          float64
+	txns          int64
+	seed          uint64
+	journalPath   string
+	journalFormat string
 }
 
 // shiftShape builds the workload profile for a -shift name. The
@@ -96,18 +97,17 @@ func runShiftDemo(opts shiftOpts) {
 		return res
 	}
 
-	bare := run(bareSpec(spec), nil)
-
 	specJSON, err := json.Marshal(spec)
 	fatalIf(err)
 	var buf bytes.Buffer
-	jw := journal.NewWriter(&buf, journal.Meta{
+	jw := newJournal(&buf, opts.journalFormat, journal.Meta{
 		CreatedBy: "rejuvsim",
 		Detector:  spec.Label(),
 		Spec:      string(specJSON),
 		Seed:      opts.seed,
 		Notes:     fmt.Sprintf("shift=%s factor=%.4g load=%.4g txns=%d", opts.shape, opts.factor, opts.load, opts.txns),
 	})
+	bare := run(bareSpec(spec), nil)
 	reb := run(spec, jw)
 	fatalIf(jw.Err())
 
@@ -130,7 +130,7 @@ func runShiftDemo(opts shiftOpts) {
 
 	if opts.journalPath != "" {
 		fatalIf(os.WriteFile(opts.journalPath, buf.Bytes(), 0o644))
-		fmt.Printf("journal: %s (%d records, binary)\n", opts.journalPath, jw.Seq())
+		fmt.Printf("journal: %s (%d records, %s)\n", opts.journalPath, jw.Seq(), opts.journalFormat)
 	}
 }
 

@@ -612,6 +612,30 @@ func TestCmdRejuvsimShift(t *testing.T) {
 	}
 }
 
+// TestCmdRejuvsimShiftJSONLJournal checks that -shift honours
+// -journal-format: the journal it keeps is jsonl, and rejuvtrace
+// verifies it under replay.
+func TestCmdRejuvsimShiftJSONLJournal(t *testing.T) {
+	jnl := filepath.Join(t.TempDir(), "shift.jsonl")
+	out := runCmd(t, "rejuvsim", "", "-shift", "flash", "-txns", "3000", "-journal-format", "jsonl", "-journal", jnl)
+	if !strings.Contains(out, "records, jsonl)") {
+		t.Fatalf("rejuvsim -shift did not report a jsonl journal:\n%s", out)
+	}
+	head, err := os.ReadFile(jnl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(head), "{") {
+		t.Fatalf("-shift -journal-format jsonl wrote %.8q, not a JSON header", head)
+	}
+	verify := runCmd(t, "rejuvtrace", "", "-verify", jnl)
+	for _, want := range []string{"rebaselines verified: 1", "byte-identical under replay"} {
+		if !strings.Contains(verify, want) {
+			t.Errorf("rejuvtrace -verify of the jsonl shift journal missing %q:\n%s", want, verify)
+		}
+	}
+}
+
 // TestCmdRejuvtraceVerifiesPreShiftDetectorJournal keeps journals
 // written while ShiftConfig still had a Detector field verifiable. It
 // rebuilds the journal an older rejuvsim -shift wrote — the same
@@ -674,17 +698,22 @@ func TestCmdRejuvtraceVerifiesPreShiftDetectorJournal(t *testing.T) {
 	}
 }
 
-// TestCmdRejuvsimRejectsFaults pins that -faults fails loudly where it
-// cannot act: in the demo modes, which inject no faults, and for a
-// class the grammar does not know.
+// TestCmdRejuvsimRejectsFaults pins that -faults and the other flags a
+// demo mode does not read fail loudly there instead of being ignored:
+// no mode injects faults, the shift and cluster models have no
+// non-finite values for -hygiene to act on, and -shift runs its own
+// fixed detector once. An unknown fault class fails too.
 func TestCmdRejuvsimRejectsFaults(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-shift", "flash", "-faults", "nan:p=0.1"}, "-shift mode"},
-		{[]string{"-cluster", "4", "-faults", "nan:p=0.1"}, "-cluster mode"},
-		{[]string{"-fleet", "8", "-faults", "nan:p=0.1"}, "-fleet mode"},
+		{[]string{"-shift", "flash", "-faults", "nan:p=0.1"}, "-faults is not supported in -shift mode"},
+		{[]string{"-cluster", "4", "-faults", "nan:p=0.1"}, "-faults is not supported in -cluster mode"},
+		{[]string{"-fleet", "8", "-faults", "nan:p=0.1"}, "-faults is not supported in -fleet mode"},
+		{[]string{"-shift", "flash", "-hygiene", "clamp"}, "-hygiene is not supported in -shift mode"},
+		{[]string{"-cluster", "4", "-hygiene", "off"}, "-hygiene is not supported in -cluster mode"},
+		{[]string{"-shift", "flash", "-algo", "SRAA", "-reps", "4"}, "-algo is not supported in -shift mode"},
 		{[]string{"-faults", "skew:rate=2"}, `unknown fault class "skew"`},
 	} {
 		out, err := exec.Command(cmdPath(t, "rejuvsim"), c.args...).CombinedOutput()

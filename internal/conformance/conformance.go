@@ -1,10 +1,11 @@
 // Package conformance is the statistical safety net of the repository:
 // executable cross-checks between the Section-3 simulator and the
-// Section-4.1 analytics, metamorphic laws for every detector family in
-// internal/core, and a deterministic parallel replication engine that
-// makes hundreds of replications affordable inside go test.
+// Section-4.1 analytics, and metamorphic laws for every detector family
+// in internal/core. The oracle replications run on experiment.Run, the
+// deterministic parallel replication engine, which makes hundreds of
+// replications affordable inside go test.
 //
-// The package has three layers:
+// The package has two layers:
 //
 //   - Oracle tests (oracle.go + oracle tests) drive internal/ecommerce
 //     in pure M/M/c steady state and test the empirical response-time
@@ -22,11 +23,6 @@
 //     arithmetic. Every law run is journaled and replayed through
 //     internal/journal, so each one doubles as a flight-recorder
 //     determinism proof.
-//
-//   - The replication engine (engine.go) fans replication bodies out
-//     over a worker pool and folds results back in replication order,
-//     so pooled floating-point statistics are bit-identical regardless
-//     of worker count.
 //
 // Statistical tests are seed-pinned: every sample in the suite comes
 // from a fixed xrand seed, so a test that passes once passes forever —

@@ -5,12 +5,32 @@ import (
 
 	"rejuv/internal/ecommerce"
 	"rejuv/internal/mmc"
+	"rejuv/internal/stats"
 	"rejuv/internal/xrand"
 )
 
 // Sampling helpers for the oracle tests: simulated response times from
 // the Section-3 model in its pure M/M/c configuration, and iid
 // reference samples drawn from the closed-form response-time mixture.
+
+// Pool accumulates per-replication samples into one pooled estimate.
+type Pool struct {
+	// Values holds every collected sample value in replication order.
+	Values []float64
+	// Moments is the streaming pooled mean/variance over Values.
+	Moments stats.Welford
+	// Reps counts the replications folded in.
+	Reps int
+}
+
+// add folds one replication's values into the pool.
+func (p *Pool) add(vs []float64) {
+	p.Values = append(p.Values, vs...)
+	for _, v := range vs {
+		p.Moments.Add(v)
+	}
+	p.Reps++
+}
 
 // SimSample runs the ecommerce model with both aging mechanisms
 // disabled — the configuration the paper itself uses to validate the

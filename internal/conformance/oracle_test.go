@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"rejuv/internal/experiment"
 	"rejuv/internal/mmc"
 	"rejuv/internal/stats"
 )
@@ -64,7 +65,7 @@ func pooledSimSample(t *testing.T) *Pool {
 	sys := oracleSystem(t)
 	m := matrix()
 	pool := &Pool{}
-	err := Run(Engine{}, m.reps,
+	err := experiment.Run(0, m.reps,
 		func(rep int) ([]float64, error) {
 			// Seed pinned, stream distinct per replication.
 			return SimSample(sys, 20260806, 100+uint64(rep), m.txns, m.warmup, m.thin)

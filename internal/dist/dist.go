@@ -9,7 +9,6 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 
 	"rejuv/internal/xrand"
@@ -48,14 +47,6 @@ func (e Exponential) CDF(x float64) float64 {
 
 // Sample draws by inversion.
 func (e Exponential) Sample(r *xrand.Rand) float64 { return r.Exp(e.Rate) }
-
-// Quantile returns the p-quantile, defined for p in [0, 1).
-func (e Exponential) Quantile(p float64) float64 {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("dist: exponential quantile p=%v outside [0,1)", p))
-	}
-	return -math.Log1p(-p) / e.Rate
-}
 
 var (
 	_ Dist = Exponential{}

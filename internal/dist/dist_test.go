@@ -82,15 +82,6 @@ func TestExponential(t *testing.T) {
 	checkCDFShape(t, e, 40)
 }
 
-func TestExponentialQuantileRoundTrip(t *testing.T) {
-	e := Exponential{Rate: 0.7}
-	for _, p := range []float64{0, 0.1, 0.5, 0.9, 0.999} {
-		if got := e.CDF(e.Quantile(p)); math.Abs(got-p) > 1e-12 {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
-		}
-	}
-}
-
 func TestErlang(t *testing.T) {
 	e, err := NewErlang(4, 2)
 	if err != nil {

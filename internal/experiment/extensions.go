@@ -74,52 +74,67 @@ type ClusterSeries struct {
 	Points []ClusterPoint
 }
 
-// RunClusterSweep executes the cluster-scaling experiment.
+// clusterAgg pools the replications of one (hosts, load) point.
+type clusterAgg struct {
+	rtWeighted                       float64
+	completed, lost, rejuv, deferred int64
+}
+
+// RunClusterSweep executes the cluster-scaling experiment: one
+// flattened (hosts, load, replication) cell grid on Run, folded in cell
+// order.
 func RunClusterSweep(cfg ClusterSweepConfig) ([]ClusterSeries, error) {
 	cfg = cfg.defaulted()
-	out := make([]ClusterSeries, 0, len(cfg.Hosts))
-	for _, hosts := range cfg.Hosts {
-		series := ClusterSeries{Hosts: hosts, Points: make([]ClusterPoint, 0, len(cfg.Loads))}
-		for li, load := range cfg.Loads {
-			var completed, lost, rejuv, deferred int64
-			var rtWeighted float64
-			for rep := 0; rep < cfg.Replications; rep++ {
-				factory := func(int) (core.Detector, error) { return cfg.Spec.NewDetector() }
-				c, err := ecommerce.NewCluster(ecommerce.ClusterConfig{
-					Hosts:             hosts,
-					ArrivalRate:       float64(hosts) * load * 0.2,
-					RejuvenationPause: cfg.RejuvenationPause,
-					Transactions:      cfg.Transactions,
-					Seed:              cfg.Seed,
-					Stream:            uint64(hosts)*100_000 + uint64(li)*100 + uint64(rep) + 1,
-				}, factory)
-				if err != nil {
-					return nil, fmt.Errorf("experiment: cluster sweep hosts=%d load=%v: %w", hosts, load, err)
-				}
-				res, err := c.Run()
-				if err != nil {
-					return nil, err
-				}
-				rtWeighted += res.RT.Mean() * float64(res.Completed)
-				completed += res.Completed
-				lost += res.Lost
-				rejuv += res.Rejuvenations
-				deferred += res.Deferred
+	nl, nr := len(cfg.Loads), cfg.Replications
+	factory := func(int) (core.Detector, error) { return cfg.Spec.NewDetector() }
+	agg := make([]clusterAgg, len(cfg.Hosts)*nl)
+	err := Run(0, len(agg)*nr,
+		func(cell int) (ecommerce.ClusterResult, error) {
+			hosts, li, rep := cfg.Hosts[cell/nr/nl], cell/nr%nl, cell%nr
+			c, err := ecommerce.NewCluster(ecommerce.ClusterConfig{
+				Hosts:             hosts,
+				ArrivalRate:       float64(hosts) * cfg.Loads[li] * 0.2,
+				RejuvenationPause: cfg.RejuvenationPause,
+				Transactions:      cfg.Transactions,
+				Seed:              cfg.Seed,
+				Stream:            uint64(hosts)*100_000 + uint64(li)*100 + uint64(rep) + 1,
+			}, factory)
+			if err != nil {
+				return ecommerce.ClusterResult{}, fmt.Errorf("experiment: cluster sweep hosts=%d load=%v: %w", hosts, cfg.Loads[li], err)
 			}
+			return c.Run()
+		},
+		func(cell int, res ecommerce.ClusterResult) error {
+			a := &agg[cell/nr]
+			a.rtWeighted += res.RT.Mean() * float64(res.Completed)
+			a.completed += res.Completed
+			a.lost += res.Lost
+			a.rejuv += res.Rejuvenations
+			a.deferred += res.Deferred
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+
+	out := make([]ClusterSeries, len(cfg.Hosts))
+	for hi, hosts := range cfg.Hosts {
+		out[hi] = ClusterSeries{Hosts: hosts, Points: make([]ClusterPoint, nl)}
+		for li, load := range cfg.Loads {
+			a := agg[hi*nl+li]
 			p := ClusterPoint{
 				Load:          load,
-				Rejuvenations: float64(rejuv) / float64(cfg.Replications),
-				Deferred:      float64(deferred) / float64(cfg.Replications),
+				Rejuvenations: float64(a.rejuv) / float64(nr),
+				Deferred:      float64(a.deferred) / float64(nr),
 			}
-			if completed > 0 {
-				p.AvgRT = rtWeighted / float64(completed)
+			if a.completed > 0 {
+				p.AvgRT = a.rtWeighted / float64(a.completed)
 			}
-			if done := completed + lost; done > 0 {
-				p.LossFraction = float64(lost) / float64(done)
+			if done := a.completed + a.lost; done > 0 {
+				p.LossFraction = float64(a.lost) / float64(done)
 			}
-			series.Points = append(series.Points, p)
+			out[hi].Points[li] = p
 		}
-		out = append(out, series)
 	}
 	return out, nil
 }
@@ -184,51 +199,63 @@ type BurstSeries struct {
 	Points []BurstPoint
 }
 
-// RunBurstSweep executes the burst-tolerance experiment.
+// burstAgg pools the replications of one (spec, factor) point.
+type burstAgg struct{ done, lost, rejuv int64 }
+
+// RunBurstSweep executes the burst-tolerance experiment: one flattened
+// (spec, factor, replication) cell grid on Run, folded in cell order.
 func RunBurstSweep(cfg BurstSweepConfig) ([]BurstSeries, error) {
 	cfg = cfg.defaulted()
-	out := make([]BurstSeries, 0, len(cfg.Specs))
-	for _, spec := range cfg.Specs {
-		series := BurstSeries{Spec: spec, Points: make([]BurstPoint, 0, len(cfg.Factors))}
+	nf, nr := len(cfg.Factors), cfg.Replications
+	agg := make([]burstAgg, len(cfg.Specs)*nf)
+	err := Run(0, len(agg)*nr,
+		func(cell int) (ecommerce.Result, error) {
+			spec, fi, rep := cfg.Specs[cell/nr/nf], cell/nr%nf, cell%nr
+			det, err := spec.NewDetector()
+			if err != nil {
+				return ecommerce.Result{}, fmt.Errorf("experiment: burst sweep %s: %w", spec.Label(), err)
+			}
+			mcfg := ecommerce.Config{
+				ArrivalRate:  cfg.BaseLoad * 0.2,
+				DisableGC:    true, // no aging: all triggers are false alarms
+				Transactions: cfg.Transactions,
+				Seed:         cfg.Seed,
+				Stream:       uint64(fi)*1_000 + uint64(rep) + 1,
+			}
+			if factor := cfg.Factors[fi]; factor > 1 {
+				mcfg.BurstFactor = factor
+				mcfg.BurstOn = cfg.BurstOn
+				mcfg.BurstOff = cfg.BurstOff
+			}
+			m, err := ecommerce.New(mcfg, det)
+			if err != nil {
+				return ecommerce.Result{}, err
+			}
+			return m.Run()
+		},
+		func(cell int, res ecommerce.Result) error {
+			a := &agg[cell/nr]
+			a.done += res.Completed + res.Lost
+			a.lost += res.Lost
+			a.rejuv += res.Rejuvenations
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+
+	out := make([]BurstSeries, len(cfg.Specs))
+	for si, spec := range cfg.Specs {
+		out[si] = BurstSeries{Spec: spec, Points: make([]BurstPoint, nf)}
 		for fi, factor := range cfg.Factors {
-			var done, lost, rejuv int64
-			for rep := 0; rep < cfg.Replications; rep++ {
-				det, err := spec.NewDetector()
-				if err != nil {
-					return nil, fmt.Errorf("experiment: burst sweep %s: %w", spec.Label(), err)
-				}
-				mcfg := ecommerce.Config{
-					ArrivalRate:  cfg.BaseLoad * 0.2,
-					DisableGC:    true, // no aging: all triggers are false alarms
-					Transactions: cfg.Transactions,
-					Seed:         cfg.Seed,
-					Stream:       uint64(fi)*1_000 + uint64(rep) + 1,
-				}
-				if factor > 1 {
-					mcfg.BurstFactor = factor
-					mcfg.BurstOn = cfg.BurstOn
-					mcfg.BurstOff = cfg.BurstOff
-				}
-				m, err := ecommerce.New(mcfg, det)
-				if err != nil {
-					return nil, err
-				}
-				res, err := m.Run()
-				if err != nil {
-					return nil, err
-				}
-				done += res.Completed + res.Lost
-				lost += res.Lost
-				rejuv += res.Rejuvenations
-			}
+			a := agg[si*nf+fi]
 			p := BurstPoint{Factor: factor}
-			if done > 0 {
-				p.FalseAlarmsPer100k = float64(rejuv) * 100_000 / float64(done)
-				p.LossFraction = float64(lost) / float64(done)
+			if a.done > 0 {
+				p.FalseAlarmsPer100k = float64(a.rejuv) * 100_000 / float64(a.done)
+				p.LossFraction = float64(a.lost) / float64(a.done)
 			}
-			series.Points = append(series.Points, p)
+			out[si].Points[fi] = p
 		}
-		out = append(out, series)
 	}
 	return out, nil
 }

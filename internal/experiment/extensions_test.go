@@ -1,6 +1,11 @@
 package experiment
 
-import "testing"
+import (
+	"math"
+	"runtime"
+	"slices"
+	"testing"
+)
 
 func TestClusterSweepShape(t *testing.T) {
 	series, err := RunClusterSweep(ClusterSweepConfig{
@@ -102,5 +107,48 @@ func TestClusterSweepPropagatesErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("bogus spec accepted")
+	}
+}
+
+// TestExtensionSweepsIndependentOfGOMAXPROCS pins that the extension
+// sweeps fold their cell grids in order: every field of every point is
+// bit-identical whether the cells ran on one processor or three.
+func TestExtensionSweepsIndependentOfGOMAXPROCS(t *testing.T) {
+	run := func(procs int) []uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		cluster, err := RunClusterSweep(ClusterSweepConfig{
+			Hosts: []int{1, 2}, Loads: []float64{2, 8},
+			Transactions: 3_000, Replications: 3, Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bursts, err := RunBurstSweep(BurstSweepConfig{
+			Factors: []float64{1, 3}, Transactions: 5_000, Replications: 2, Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits []uint64
+		add := func(fs ...float64) {
+			for _, f := range fs {
+				bits = append(bits, math.Float64bits(f))
+			}
+		}
+		for _, s := range cluster {
+			for _, p := range s.Points {
+				add(float64(s.Hosts), p.Load, p.AvgRT, p.LossFraction, p.Rejuvenations, p.Deferred)
+			}
+		}
+		for _, s := range bursts {
+			for _, p := range s.Points {
+				add(float64(s.Spec.K), p.Factor, p.FalseAlarmsPer100k, p.LossFraction)
+			}
+		}
+		return bits
+	}
+	one, three := run(1), run(3)
+	if len(one) == 0 || !slices.Equal(one, three) {
+		t.Fatalf("extension sweeps differ between GOMAXPROCS 1 and 3:\n%x\n%x", one, three)
 	}
 }

@@ -1,4 +1,4 @@
-package conformance
+package experiment
 
 import (
 	"errors"
@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"rejuv/internal/stats"
 	"rejuv/internal/xrand"
 )
 
@@ -21,31 +22,30 @@ func repValues(rep int) ([]float64, error) {
 	return vs, nil
 }
 
-func poolBits(p *Pool) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "reps=%d n=%d mean=%x var=%x;", p.Reps, len(p.Values), math.Float64bits(p.Moments.Mean()), math.Float64bits(p.Moments.Var()))
-	for _, v := range p.Values {
-		fmt.Fprintf(&sb, "%x,", math.Float64bits(v))
-	}
-	return sb.String()
-}
-
-// TestEngineDeterministicAcrossWorkers is the engine's core guarantee:
+// TestRunDeterministicAcrossWorkers is the engine's core guarantee:
 // the pooled values and streaming moments are bit-identical no matter
 // how many workers executed the bodies.
-func TestEngineDeterministicAcrossWorkers(t *testing.T) {
+func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 4, 16} {
-		e := Engine{Workers: workers}
-		pool := &Pool{}
-		err := Run(e, 37, repValues, func(_ int, vs []float64) error {
-			pool.add(vs)
+		var values []float64
+		var moments stats.Welford
+		err := Run(workers, 37, repValues, func(_ int, vs []float64) error {
+			values = append(values, vs...)
+			for _, v := range vs {
+				moments.Add(v)
+			}
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		got := poolBits(pool)
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "n=%d mean=%x var=%x;", len(values), math.Float64bits(moments.Mean()), math.Float64bits(moments.Var()))
+		for _, v := range values {
+			fmt.Fprintf(&sb, "%x,", math.Float64bits(v))
+		}
+		got := sb.String()
 		if want == "" {
 			want = got
 			continue
@@ -56,49 +56,11 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCollectDeterministicAcrossWorkers repeats the guarantee for the
-// early-stopping Collect loop: the stop decision happens at fixed batch
-// boundaries, so the collected pool is worker-count independent too.
-func TestCollectDeterministicAcrossWorkers(t *testing.T) {
-	enough := func(p *Pool) bool { return len(p.Values) >= 400 }
-	var want string
-	var wantReps int
-	for _, workers := range []int{1, 3, 16} {
-		e := Engine{Workers: workers, Batch: 4}
-		pool, err := e.Collect(100, repValues, enough)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got := poolBits(pool)
-		if want == "" {
-			want, wantReps = got, pool.Reps
-			continue
-		}
-		if got != want {
-			t.Fatalf("workers=%d collected a different pool than workers=1", workers)
-		}
-		if pool.Reps != wantReps {
-			t.Fatalf("workers=%d stopped after %d reps, workers=1 after %d", workers, pool.Reps, wantReps)
-		}
-	}
-	// 50 values per rep, threshold 400, batch 4: the rule is consulted
-	// at 4 reps (200 values) and 8 reps (400 values) — it must stop at
-	// exactly 8 replications, never mid-batch.
-	e := Engine{Workers: 2, Batch: 4}
-	pool, err := e.Collect(100, repValues, enough)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Reps != 8 {
-		t.Fatalf("early stop consumed %d reps, want 8 (batch-aligned)", pool.Reps)
-	}
-}
-
 // TestRunFoldsInReplicationOrder pins the ordered-fold contract
 // directly: fold sees indexes 0,1,2,... regardless of completion order.
 func TestRunFoldsInReplicationOrder(t *testing.T) {
 	var seen []int
-	err := Run(Engine{Workers: 8}, 100,
+	err := Run(8, 100,
 		func(rep int) (int, error) { return rep * rep, nil },
 		func(rep int, v int) error {
 			if v != rep*rep {
@@ -124,7 +86,7 @@ func TestRunFoldsInReplicationOrder(t *testing.T) {
 // replication (in replication order) is the one reported.
 func TestRunErrorCarriesReplicationIndex(t *testing.T) {
 	boom := errors.New("boom")
-	err := Run(Engine{Workers: 4}, 20,
+	err := Run(4, 20,
 		func(rep int) (int, error) {
 			if rep >= 7 {
 				return 0, boom
@@ -142,7 +104,7 @@ func TestRunErrorCarriesReplicationIndex(t *testing.T) {
 		t.Fatalf("error %q does not name replication 7", err)
 	}
 	// Fold errors propagate too.
-	err = Run(Engine{Workers: 4}, 5,
+	err = Run(4, 5,
 		func(rep int) (int, error) { return rep, nil },
 		func(rep int, _ int) error {
 			if rep == 3 {
@@ -159,27 +121,11 @@ func TestRunErrorCarriesReplicationIndex(t *testing.T) {
 func TestRunZeroAndNegativeReps(t *testing.T) {
 	calls := 0
 	for _, reps := range []int{0, -3} {
-		err := Run(Engine{}, reps,
+		err := Run(0, reps,
 			func(int) (int, error) { calls++; return 0, nil },
 			func(int, int) error { calls++; return nil })
 		if err != nil || calls != 0 {
 			t.Fatalf("reps=%d: err=%v calls=%d", reps, err, calls)
 		}
-	}
-	pool, err := Engine{}.Collect(0, repValues, nil)
-	if err != nil || pool.Reps != 0 {
-		t.Fatalf("Collect(0): pool=%+v err=%v", pool, err)
-	}
-}
-
-// TestCollectNilEnoughRunsAll checks that without a stopping rule the
-// whole budget is consumed.
-func TestCollectNilEnoughRunsAll(t *testing.T) {
-	pool, err := Engine{Batch: 8}.Collect(19, repValues, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Reps != 19 {
-		t.Fatalf("collected %d reps, want all 19", pool.Reps)
 	}
 }

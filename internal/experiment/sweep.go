@@ -3,11 +3,8 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"runtime"
 
-	"rejuv/internal/conformance"
 	"rejuv/internal/ecommerce"
-	"rejuv/internal/num"
 	"rejuv/internal/stats"
 )
 
@@ -23,10 +20,6 @@ type SweepConfig struct {
 	// Seed is the base random seed; each (load, replication) pair uses
 	// an independent stream derived from it.
 	Seed uint64
-	// Model overrides fields of the e-commerce configuration other than
-	// ArrivalRate, Transactions, Seed and Stream (which the sweep
-	// controls). Leave zero for the paper's system.
-	Model ecommerce.Config
 	// Workers bounds the number of concurrent replications; zero means
 	// GOMAXPROCS.
 	Workers int
@@ -52,9 +45,6 @@ func (cfg SweepConfig) defaulted() SweepConfig {
 	}
 	if cfg.Transactions == 0 {
 		cfg.Transactions = 100_000
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	return cfg
 }
@@ -88,28 +78,19 @@ type Series struct {
 	Points []Point
 }
 
-// RunSweep runs the spec over the load axis and returns the aggregated
-// series. Replications run concurrently up to cfg.Workers on the
-// conformance replication engine; results are bit-for-bit deterministic
-// regardless of worker count because every replication has its own
-// random stream and the engine folds results in cell order (pooled
-// floating-point moments are sensitive to merge order).
+// RunSweep runs the spec over the load axis of the paper's system
+// (µ = 0.2) and returns the aggregated series. The flattened (load,
+// replication) grid runs on Run with up to cfg.Workers bodies at once;
+// results are bit-for-bit deterministic regardless of worker count
+// because every replication has its own random stream and Run folds
+// results in cell order (pooled floating-point moments are sensitive to
+// merge order).
 func RunSweep(cfg SweepConfig, spec Spec) (Series, error) {
 	cfg = cfg.defaulted()
-	mu := cfg.Model.ServiceRate
-	if num.Zero(mu) {
-		mu = 0.2
-	}
-
-	// The flattened (load, replication) grid runs on the conformance
-	// replication engine: bodies execute concurrently, but results fold
-	// back in cell order, so the pooled Welford moments of every point
-	// are bit-identical for any worker count.
 	agg := make([]pointAgg, len(cfg.Loads))
-	cells := len(cfg.Loads) * cfg.Replications
-	err := conformance.Run(conformance.Engine{Workers: cfg.Workers}, cells,
+	err := Run(cfg.Workers, len(cfg.Loads)*cfg.Replications,
 		func(cell int) (ecommerce.Result, error) {
-			return runReplication(cfg, spec, mu, cell/cfg.Replications, cell%cfg.Replications)
+			return runReplication(cfg, spec, cell/cfg.Replications, cell%cfg.Replications)
 		},
 		func(cell int, res ecommerce.Result) error {
 			agg[cell/cfg.Replications].add(res)
@@ -127,19 +108,20 @@ func RunSweep(cfg SweepConfig, spec Spec) (Series, error) {
 }
 
 // runReplication executes one (load, replication) cell.
-func runReplication(cfg SweepConfig, spec Spec, mu float64, loadIdx, rep int) (ecommerce.Result, error) {
+func runReplication(cfg SweepConfig, spec Spec, loadIdx, rep int) (ecommerce.Result, error) {
 	det, err := spec.NewDetector()
 	if err != nil {
 		return ecommerce.Result{}, fmt.Errorf("experiment: %s: %w", spec.Label(), err)
 	}
-	model := cfg.Model
-	model.ArrivalRate = cfg.Loads[loadIdx] * mu
-	model.Transactions = cfg.Transactions
-	model.Seed = cfg.Seed
-	// Distinct stream per (load, replication) cell keeps replications
-	// independent and results independent of worker scheduling.
-	model.Stream = uint64(loadIdx)*1_000 + uint64(rep) + 1
-	m, err := ecommerce.New(model, det)
+	m, err := ecommerce.New(ecommerce.Config{
+		ArrivalRate:  cfg.Loads[loadIdx] * 0.2,
+		Transactions: cfg.Transactions,
+		Seed:         cfg.Seed,
+		// Distinct stream per (load, replication) cell keeps
+		// replications independent and results independent of worker
+		// scheduling.
+		Stream: uint64(loadIdx)*1_000 + uint64(rep) + 1,
+	}, det)
 	if err != nil {
 		return ecommerce.Result{}, fmt.Errorf("experiment: %s at load %v: %w", spec.Label(), cfg.Loads[loadIdx], err)
 	}

@@ -107,9 +107,6 @@ func (s *Sketch) Update(id uint64, mean float64, nowNanos int64) {
 	s.nanos[min] = nowNanos
 }
 
-// Reset forgets all retained streams, keeping the capacity.
-func (s *Sketch) Reset() { s.n = 0 }
-
 // AppendEntries appends the retained entries to dst (in slot order,
 // not ranked) and returns the extended slice. Snapshot-path only; the
 // caller ranks the combined entries with TopK.

@@ -72,18 +72,6 @@ func TestSketchEvictionInheritsMinCount(t *testing.T) {
 	}
 }
 
-func TestSketchReset(t *testing.T) {
-	s := NewSketch(3)
-	s.Update(1, 0, 0)
-	s.Reset()
-	if s.n != 0 || len(s.AppendEntries(nil)) != 0 {
-		t.Fatal("reset did not clear the sketch")
-	}
-	if len(s.ids) != 3 {
-		t.Fatalf("capacity = %d after reset, want 3", len(s.ids))
-	}
-}
-
 // TestSketchUpdateDoesNotAllocate pins the hot-path contract: Update
 // runs inside the fleet drain loop under the shard lock and must never
 // touch the allocator.

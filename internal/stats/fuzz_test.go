@@ -186,28 +186,3 @@ func FuzzADTwoSample(f *testing.F) {
 		}
 	})
 }
-
-// FuzzQuantileWithinRange checks order-statistic bounds: any quantile of
-// a sample lies within [min, max] and is monotone in p.
-func FuzzQuantileWithinRange(f *testing.F) {
-	f.Add([]byte{3, 1, 4, 1, 5}, 0.5)
-	f.Fuzz(func(t *testing.T, raw []byte, p float64) {
-		if len(raw) == 0 || !(p >= 0 && p <= 1) {
-			t.Skip()
-		}
-		xs := make([]float64, len(raw))
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i, b := range raw {
-			xs[i] = float64(b)
-			lo = math.Min(lo, xs[i])
-			hi = math.Max(hi, xs[i])
-		}
-		q, err := Quantile(xs, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q < lo || q > hi {
-			t.Fatalf("quantile(%v) = %v outside [%v, %v]", p, q, lo, hi)
-		}
-	})
-}

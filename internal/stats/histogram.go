@@ -72,11 +72,3 @@ func (h *Histogram) Density() []float64 {
 	}
 	return out
 }
-
-// Reset clears all counters.
-func (h *Histogram) Reset() {
-	for i := range h.Counts {
-		h.Counts[i] = 0
-	}
-	h.Under, h.Over, h.total = 0, 0, 0
-}

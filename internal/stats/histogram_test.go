@@ -70,16 +70,6 @@ func TestHistogramDensityApproximatesExponential(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram(0, 1, 2)
-	h.Add(0.5)
-	h.Add(5)
-	h.Reset()
-	if h.total != 0 || h.Over != 0 || h.Counts[1] != 0 {
-		t.Fatal("reset did not clear counters")
-	}
-}
-
 func TestHistogramPanicsOnBadConstruction(t *testing.T) {
 	tests := []struct {
 		name   string

@@ -1,6 +1,6 @@
 // Package stats provides the statistical machinery the rejuvenation
 // algorithms and experiments rely on: streaming moments (Welford),
-// quantiles, histograms, autocorrelation, confidence intervals, the
+// histograms, autocorrelation, confidence intervals, the
 // standard normal distribution functions (density, CDF, inverse CDF),
 // and goodness-of-fit tests (Kolmogorov–Smirnov, χ² over equiprobable
 // cells, two-sample Anderson–Darling) built on the regularized

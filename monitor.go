@@ -25,9 +25,6 @@ type Trigger struct {
 	// Observations is the total number of observations the monitor had
 	// consumed when the trigger fired.
 	Observations uint64
-	// Suppressed reports that the trigger fell inside the cooldown
-	// window and the callback was not invoked for it.
-	Suppressed bool
 }
 
 // MonitorConfig configures a Monitor.

@@ -15,22 +15,15 @@ import (
 )
 
 // reachExempt names the functions TestReachable keeps although no root
-// reaches them, each with the root that needs it or, for the last
-// group, the reason it is still here. The internal/conformance test
+// reaches them, each with the root that needs it. An entry that names
+// no function, or a function a root reaches, fails the test: an
+// exemption must exempt something. The internal/conformance test
 // library is exempt as a whole and counts as a root.
 var reachExempt = map[string]string{
-	"rejuv/internal/des.New":                            "the heap oracle of TestLanesMatchHeap",
 	"(*rejuv/internal/ctmc.Chain).MeanTimeToAbsorption": "ROADMAP item 7 (run-length rows)",
 	"(*rejuv/internal/xrand.Rand).Float64Open":          "pinned by TestStreamPinned",
 	"rejuv/internal/stats.GammaP":                       "the χ² oracle family; FuzzGammaPQ checks GammaQ against it",
 	"rejuv/internal/stats.ChiSquareCDF":                 "the χ² oracle family; TestChiSquareCDFKnownQuantiles pins it",
-
-	// No root: only their own unit tests call these. They go, with those
-	// tests, in a later deletion (ROADMAP item 5).
-	"rejuv/internal/stats.Quantile":              "pending deletion",
-	"(*rejuv/internal/stats.Histogram).Reset":    "pending deletion",
-	"(*rejuv/internal/health.Sketch).Reset":      "pending deletion",
-	"(rejuv/internal/dist.Exponential).Quantile": "pending deletion",
 }
 
 // TestReachable fails on every function of the module that no root
@@ -147,8 +140,11 @@ func TestReachable(t *testing.T) {
 			n.Pkg.Fset.Position(n.Decl.Pos()), n.Fn.FullName())
 	}
 	for name := range reachExempt {
-		if !declared(cg, name) {
+		switch n := nodeNamed(cg, name); {
+		case n == nil:
 			t.Errorf("reachExempt names %s, which is not declared", name)
+		case reached[n]:
+			t.Errorf("reachExempt names %s, which a root reaches; drop the entry", name)
 		}
 	}
 }
@@ -296,12 +292,12 @@ func testRefs(t *testing.T, p *lint.Package, f func(*types.Func)) {
 	check(p.Path+"_test", nil, ext)
 }
 
-// declared reports whether the graph has a function of the given name.
-func declared(cg *lint.CallGraph, name string) bool {
-	for fn := range cg.Nodes {
+// nodeNamed returns the graph's function of the given name, or nil.
+func nodeNamed(cg *lint.CallGraph, name string) *lint.FuncNode {
+	for fn, n := range cg.Nodes {
 		if fn.FullName() == name {
-			return true
+			return n
 		}
 	}
-	return false
+	return nil
 }

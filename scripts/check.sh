@@ -31,8 +31,11 @@ go test -race -short -count=1 ./...
 echo "== go test -race ./internal/metrics . (observability race pass)"
 go test -race -count=1 ./internal/metrics .
 
-echo "== go test -race ./internal/conformance (conformance race pass)"
-go test -race -count=1 ./internal/conformance
+echo "== go test -race ./internal/conformance ./internal/experiment (conformance and replication-engine race pass)"
+go test -race -count=1 ./internal/conformance ./internal/experiment
+
+echo "== figure CSVs on one processor (GOMAXPROCS=1: the sweeps' cell grids fold in the same order on one worker)"
+GOMAXPROCS=1 go test -count=1 -run TestCmdFiguresQuickGolden .
 
 echo "== shift-conformance laws (pure shift, aging-through-shift, confusion matrix, faulted rebaselines)"
 go test -count=1 -run 'TestShiftLaw|TestShiftFault' -v ./internal/conformance | grep -E '^(--- (PASS|FAIL)|ok|FAIL)' || {
