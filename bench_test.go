@@ -1,14 +1,12 @@
 package rejuv_test
 
-// This file regenerates every data figure of the paper's evaluation as a
-// Go benchmark, one benchmark per figure, plus ablation and
-// micro-benchmarks. Each figure benchmark runs a reduced-fidelity sweep
-// per iteration (a subset of the load axis, fewer transactions) and
-// reports the headline numbers the paper quotes as custom metrics, e.g.
-// the average response time at 9.0 CPUs offered load. The cmd/figures
-// tool produces the full-fidelity figures (5 x 100,000 transactions over
-// the whole axis); the benchmarks exist so `go test -bench` exercises
-// and times every experiment end to end.
+// This file holds the science benchmarks: the analytical Fig. 5
+// density, the Section 4.1 autocorrelation study, and the ablation and
+// sensitivity experiments, plus micro-benchmarks. The science
+// benchmarks report the numbers they study as custom metrics, e.g. the
+// average response time at 9.0 CPUs offered load. The simulation
+// figures (Figs. 9–16) come from cmd/figures; their quick-fidelity CSVs
+// are pinned by TestCmdFiguresQuickGolden.
 //
 // Metric naming: RT@<load>CPUs is seconds of average response time,
 // loss@<load>CPUs is the fraction of transactions killed by
@@ -23,44 +21,6 @@ import (
 	"rejuv/internal/mmc"
 	"rejuv/internal/stats"
 )
-
-// benchSweep is the reduced-fidelity sweep: the low-load point the paper
-// uses for loss comparisons (0.5 CPUs) and the high-load point it quotes
-// response times at (9.0 CPUs).
-func benchSweep() experiment.SweepConfig {
-	return experiment.SweepConfig{
-		Loads:        []float64{0.5, 9.0},
-		Replications: 2,
-		Transactions: 25_000,
-		Seed:         1,
-	}
-}
-
-// runFigureBench executes one paper figure per iteration and reports
-// each series' metric at the quoted load.
-func runFigureBench(b *testing.B, figID string, quoteLoad float64) {
-	fig, err := experiment.FigureByID(figID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := benchSweep()
-	var last experiment.FigureResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		last, err = experiment.RunFigure(cfg, fig)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	unit := "RT"
-	if fig.Metric == experiment.MetricLoss {
-		unit = "loss"
-	}
-	for label, v := range last.SummaryAt(quoteLoad) {
-		b.ReportMetric(v, fmt.Sprintf("%s@%gCPUs:%s", unit, quoteLoad, sanitize(label)))
-	}
-}
 
 // sanitize strips spaces from series labels so metric names stay one token.
 func sanitize(s string) string {
@@ -138,31 +98,6 @@ func BenchmarkAutocorrelation(b *testing.B) {
 	}
 	b.ReportMetric(gamma, "lag1autocorr")
 }
-
-// BenchmarkFig09SRAAResponseTime: RT vs load, SRAA, n*K*D = 15.
-func BenchmarkFig09SRAAResponseTime(b *testing.B) { runFigureBench(b, "fig09", 9) }
-
-// BenchmarkFig10SRAALoss: loss vs load, SRAA, n*K*D = 15, quoted at low load.
-func BenchmarkFig10SRAALoss(b *testing.B) { runFigureBench(b, "fig10", 0.5) }
-
-// BenchmarkFig11SRAASampleSizeDoubled: RT, SRAA, n*K*D = 30 via doubled n.
-func BenchmarkFig11SRAASampleSizeDoubled(b *testing.B) { runFigureBench(b, "fig11", 9) }
-
-// BenchmarkFig12SRAADepthDoubled: RT, SRAA, n*K*D = 30 via doubled D.
-func BenchmarkFig12SRAADepthDoubled(b *testing.B) { runFigureBench(b, "fig12", 9) }
-
-// BenchmarkFig13SRAADepthDoubledLoss: loss for the Fig. 12 configs.
-func BenchmarkFig13SRAADepthDoubledLoss(b *testing.B) { runFigureBench(b, "fig13", 0.5) }
-
-// BenchmarkFig14SRAABucketsDoubled: RT, SRAA, n*K*D = 30 via doubled K.
-func BenchmarkFig14SRAABucketsDoubled(b *testing.B) { runFigureBench(b, "fig14", 9) }
-
-// BenchmarkFig15SARAAResponseTime: RT, SARAA, n*K*D = 30.
-func BenchmarkFig15SARAAResponseTime(b *testing.B) { runFigureBench(b, "fig15", 9) }
-
-// BenchmarkFig16AlgorithmComparison: CLTA(30,1,1) vs SRAA(2,5,3) vs
-// SARAA(2,5,3), the paper's headline comparison.
-func BenchmarkFig16AlgorithmComparison(b *testing.B) { runFigureBench(b, "fig16", 9) }
 
 // BenchmarkAblationNoRejuvenation quantifies what the paper's figures
 // leave implicit: the system without any rejuvenation, where the

@@ -67,21 +67,27 @@ func main() {
 			fatal(err)
 		}
 	}
+	var figs []experiment.Figure
 	for _, f := range experiment.PaperFigures() {
-		if !want(f.ID) {
-			continue
+		if want(f.ID) {
+			figs = append(figs, f)
 		}
-		start := time.Now()
-		fmt.Printf("running %s: %s ...\n", f.ID, f.Title)
-		res, err := experiment.RunFigure(cfg, f)
-		if err != nil {
-			fatal(err)
-		}
+	}
+	// One shared grid simulates every distinct series of the selected
+	// figures once, so each figure's elapsed time counts from the
+	// grid's start.
+	start := time.Now()
+	results, err := experiment.RunFigures(cfg, figs...)
+	if err != nil {
+		fatal(err)
+	}
+	for _, res := range results {
+		fmt.Printf("running %s: %s ...\n", res.Figure.ID, res.Figure.Title)
 		chart, err := writeFigure(*out, res)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%s\n(%s in %v)\n\n", res.Table(), f.ID, time.Since(start).Round(time.Second))
+		fmt.Printf("%s\n(%s in %v)\n\n", res.Table(), res.Figure.ID, time.Since(start).Round(time.Second))
 		if *ascii {
 			text, err := chart.ASCII(90, 24)
 			if err != nil {

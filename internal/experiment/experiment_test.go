@@ -3,6 +3,8 @@ package experiment
 import (
 	"encoding/csv"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,15 +135,29 @@ func quickSweep() SweepConfig {
 		Replications: 2,
 		Transactions: 5_000,
 		Seed:         1,
-		Workers:      2,
 	}
 }
 
+// pointBits flattens every aggregated field of the points to raw bits,
+// so comparisons are bitwise: the pooled Welford moments RTStdDev and
+// AvgRTStdErr are sensitive to fold order.
+func pointBits(points []Point) []uint64 {
+	var bits []uint64
+	for _, p := range points {
+		for _, f := range []float64{p.Load, p.AvgRT, p.RTStdDev, p.AvgRTStdErr, p.LossFraction, p.Rejuvenations, p.GCs} {
+			bits = append(bits, math.Float64bits(f))
+		}
+		bits = append(bits, uint64(p.Replications))
+	}
+	return bits
+}
+
 func TestRunSweepShape(t *testing.T) {
-	series, err := RunSweep(quickSweep(), sraaSpec(2, 5, 3))
+	out, err := RunSweep(quickSweep(), sraaSpec(2, 5, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	series := out[0]
 	if len(series.Points) != 2 {
 		t.Fatalf("%d points, want 2", len(series.Points))
 	}
@@ -162,38 +178,81 @@ func TestRunSweepShape(t *testing.T) {
 	}
 }
 
-func TestRunSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	// The conformance engine folds replication results in cell order,
-	// so every aggregated field — including the order-sensitive pooled
-	// Welford moments RTStdDev and AvgRTStdErr — must be bit-identical
-	// for any worker count.
-	pointBits := func(p Point) [6]uint64 {
-		return [6]uint64{
-			math.Float64bits(p.AvgRT),
-			math.Float64bits(p.RTStdDev),
-			math.Float64bits(p.AvgRTStdErr),
-			math.Float64bits(p.LossFraction),
-			math.Float64bits(p.Rejuvenations),
-			math.Float64bits(p.GCs),
-		}
-	}
+// TestRunSweepCellsIndependentOfPosition pins the invariant that lets
+// RunSweep and RunFigures share work: a cell's random stream never
+// depends on its spec's position in the grid, so a repeated spec, or a
+// spec run alone, yields bit-identical series.
+func TestRunSweepCellsIndependentOfPosition(t *testing.T) {
 	cfg := quickSweep()
-	cfg.Workers = 1
-	ref, err := RunSweep(cfg, sraaSpec(2, 5, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{3, 7} {
-		cfg.Workers = workers
-		got, err := RunSweep(cfg, sraaSpec(2, 5, 3))
+	a, b := sraaSpec(2, 5, 3), saraaSpec(2, 5, 3)
+	alone := func(s Spec) []uint64 {
+		out, err := RunSweep(cfg, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range ref.Points {
-			if pointBits(got.Points[i]) != pointBits(ref.Points[i]) {
-				t.Fatalf("workers=%d: point %d differs bitwise from workers=1: %+v vs %+v",
-					workers, i, got.Points[i], ref.Points[i])
-			}
+		return pointBits(out[0].Points)
+	}
+	out, err := RunSweep(cfg, a, b, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 3 || out[0].Spec != a || out[1].Spec != b || out[2].Spec != a {
+		t.Fatalf("series out of argument order: %v", out)
+	}
+	wantA, wantB := alone(a), alone(b)
+	for i, want := range [][]uint64{wantA, wantB, wantA} {
+		if got := pointBits(out[i].Points); !slices.Equal(got, want) {
+			t.Errorf("series %d (%s) differs from the spec run alone:\n%x\n%x", i, out[i].Spec.Label(), got, want)
+		}
+	}
+
+	fig9, err := FigureByID("fig09")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig10, err := FigureByID("fig10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	figs, err := RunFigures(cfg, fig9, fig10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if figs[0].Figure.ID != "fig09" || figs[1].Figure.ID != "fig10" || len(figs[1].Series) != len(fig10.Specs) {
+		t.Fatalf("figures out of order or mis-sliced: %s, %s with %d series", figs[0].Figure.ID, figs[1].Figure.ID, len(figs[1].Series))
+	}
+	for i, s := range figs[1].Series {
+		if s.Spec != figs[0].Series[i].Spec || !slices.Equal(pointBits(s.Points), pointBits(figs[0].Series[i].Points)) {
+			t.Errorf("fig10 series %d (%s) differs from fig09's", i, s.Spec.Label())
+		}
+	}
+}
+
+// TestRunSweepDeterministicAcrossWorkerCounts pins that RunSweep folds
+// replication results in cell order, so every aggregated field of a
+// multi-spec sweep with a repeated spec, including the order-sensitive
+// pooled Welford moments, is bit-identical however many goroutines the
+// engine runs on (it runs on GOMAXPROCS of them).
+func TestRunSweepDeterministicAcrossWorkerCounts(t *testing.T) {
+	run := func(procs int) []uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out, err := RunSweep(quickSweep(), sraaSpec(2, 5, 3), saraaSpec(2, 5, 3), sraaSpec(2, 5, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits []uint64
+		for _, s := range out {
+			bits = append(bits, pointBits(s.Points)...)
+		}
+		return bits
+	}
+	ref := run(1)
+	if len(ref) == 0 {
+		t.Fatal("empty sweep")
+	}
+	for _, procs := range []int{3, 7} {
+		if got := run(procs); !slices.Equal(got, ref) {
+			t.Fatalf("GOMAXPROCS=%d differs bitwise from GOMAXPROCS=1:\n%x\n%x", procs, got, ref)
 		}
 	}
 }
@@ -209,10 +268,11 @@ func TestRunFigureAndReports(t *testing.T) {
 		ID: "figtest", Number: 99, Title: "test figure", Metric: MetricRT,
 		Specs: []Spec{sraaSpec(15, 1, 1), {Algorithm: None}},
 	}
-	res, err := RunFigure(quickSweep(), fig)
+	figs, err := RunFigures(quickSweep(), fig)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := figs[0]
 	if len(res.Series) != 2 {
 		t.Fatalf("%d series, want 2", len(res.Series))
 	}
@@ -235,16 +295,6 @@ func TestRunFigureAndReports(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
 	}
-
-	at := res.SummaryAt(8)
-	if len(at) != 2 {
-		t.Fatalf("SummaryAt returned %d entries", len(at))
-	}
-	for label, v := range at {
-		if v <= 0 {
-			t.Errorf("SummaryAt[%s] = %v", label, v)
-		}
-	}
 }
 
 func TestMetricHelpers(t *testing.T) {
@@ -262,10 +312,11 @@ func TestWriteDetailedCSV(t *testing.T) {
 		ID: "figdetail", Number: 98, Title: "detail", Metric: MetricRT,
 		Specs: []Spec{sraaSpec(15, 1, 1)},
 	}
-	res, err := RunFigure(quickSweep(), fig)
+	figs, err := RunFigures(quickSweep(), fig)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := figs[0]
 	var buf strings.Builder
 	if err := res.WriteDetailedCSV(&buf); err != nil {
 		t.Fatal(err)

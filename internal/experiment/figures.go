@@ -135,16 +135,23 @@ type FigureResult struct {
 	Series []Series
 }
 
-// RunFigure computes every series of the figure under the sweep
-// configuration.
-func RunFigure(cfg SweepConfig, fig Figure) (FigureResult, error) {
-	out := FigureResult{Figure: fig, Series: make([]Series, 0, len(fig.Specs))}
-	for _, spec := range fig.Specs {
-		s, err := RunSweep(cfg, spec)
-		if err != nil {
-			return FigureResult{}, fmt.Errorf("experiment: figure %s, series %s: %w", fig.ID, spec.Label(), err)
-		}
-		out.Series = append(out.Series, s)
+// RunFigures computes every series of the figures under the sweep
+// configuration with one RunSweep call over their concatenated specs,
+// so a spec that several figures plot is simulated once.
+func RunFigures(cfg SweepConfig, figs ...Figure) ([]FigureResult, error) {
+	var specs []Spec
+	for _, f := range figs {
+		specs = append(specs, f.Specs...)
+	}
+	series, err := RunSweep(cfg, specs...)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]FigureResult, len(figs))
+	for i, f := range figs {
+		n := len(f.Specs)
+		out[i] = FigureResult{Figure: f, Series: series[:n:n]}
+		series = series[n:]
 	}
 	return out, nil
 }

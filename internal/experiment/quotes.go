@@ -64,28 +64,15 @@ type QuoteResult struct {
 
 // EvaluateQuotes measures every quote under the sweep fidelity
 // settings (Loads is ignored; each quote supplies its own point).
-// Identical (spec, load) cells are evaluated once.
 func EvaluateQuotes(cfg SweepConfig, quotes []Quote) ([]QuoteResult, error) {
-	type cell struct {
-		label string
-		load  float64
-	}
-	cache := make(map[cell]Point)
 	out := make([]QuoteResult, 0, len(quotes))
 	for _, q := range quotes {
-		key := cell{label: q.Spec.Label(), load: q.Load}
-		p, ok := cache[key]
-		if !ok {
-			cellCfg := cfg
-			cellCfg.Loads = []float64{q.Load}
-			series, err := RunSweep(cellCfg, q.Spec)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: quote %s: %w", q.Label(), err)
-			}
-			p = series.Points[0]
-			cache[key] = p
+		cfg.Loads = []float64{q.Load}
+		series, err := RunSweep(cfg, q.Spec)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: quote %s: %w", q.Label(), err)
 		}
-		out = append(out, QuoteResult{Quote: q, Measured: q.Metric.Value(p)})
+		out = append(out, QuoteResult{Quote: q, Measured: q.Metric.Value(series[0].Points[0])})
 	}
 	return out, nil
 }

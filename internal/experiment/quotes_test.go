@@ -43,24 +43,6 @@ func TestQuoteLabelDistinguishesMetric(t *testing.T) {
 	}
 }
 
-func TestEvaluateQuotesCachesCells(t *testing.T) {
-	// Two quotes on the same (spec, load) cell must evaluate it once
-	// and therefore agree exactly.
-	q := Quote{Spec: sraaSpec(2, 5, 3), Load: 9, Metric: MetricRT, Paper: 1}
-	cfg := SweepConfig{Replications: 1, Transactions: 4_000, Seed: 1}
-	results, err := EvaluateQuotes(cfg, []Quote{q, q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Measured != results[1].Measured {
-		t.Fatalf("identical cells measured differently: %v vs %v",
-			results[0].Measured, results[1].Measured)
-	}
-	if results[0].Measured <= 0 {
-		t.Fatalf("degenerate measurement %v", results[0].Measured)
-	}
-}
-
 func TestEvaluateQuotesOrderingPreserved(t *testing.T) {
 	quotes := []Quote{
 		{Spec: sraaSpec(15, 1, 1), Load: 9, Metric: MetricRT, Paper: 6.2},

@@ -133,30 +133,3 @@ func writeColumns(b *strings.Builder, cols [][]string) {
 		b.WriteByte('\n')
 	}
 }
-
-// SummaryAt returns the metric of every series at the load point nearest
-// to the requested load, for the paper's quoted point comparisons (e.g.
-// "at 9.0 CPUs").
-func (fr FigureResult) SummaryAt(load float64) map[string]float64 {
-	out := make(map[string]float64, len(fr.Series))
-	for _, s := range fr.Series {
-		best, bestDist := 0, -1.0
-		for i, p := range s.Points {
-			d := abs(p.Load - load)
-			if bestDist < 0 || d < bestDist {
-				best, bestDist = i, d
-			}
-		}
-		if len(s.Points) > 0 {
-			out[s.Spec.Label()] = fr.Figure.Metric.Value(s.Points[best])
-		}
-	}
-	return out
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

@@ -20,9 +20,6 @@ type SweepConfig struct {
 	// Seed is the base random seed; each (load, replication) pair uses
 	// an independent stream derived from it.
 	Seed uint64
-	// Workers bounds the number of concurrent replications; zero means
-	// GOMAXPROCS.
-	Workers int
 }
 
 // PaperLoads returns the x-axis of the paper's figures: 0.5 to 10.0 CPUs
@@ -78,33 +75,48 @@ type Series struct {
 	Points []Point
 }
 
-// RunSweep runs the spec over the load axis of the paper's system
-// (µ = 0.2) and returns the aggregated series. The flattened (load,
-// replication) grid runs on Run with up to cfg.Workers bodies at once;
-// results are bit-for-bit deterministic regardless of worker count
-// because every replication has its own random stream and Run folds
-// results in cell order (pooled floating-point moments are sensitive to
-// merge order).
-func RunSweep(cfg SweepConfig, spec Spec) (Series, error) {
+// RunSweep runs every spec over the load axis of the paper's system
+// (µ = 0.2) and returns one aggregated series per argument, in argument
+// order. It is the package's one multi-series entry point: the distinct
+// specs' flattened (spec, load, replication) grid runs on Run, and a
+// spec listed more than once is simulated once, because a cell's random
+// stream depends only on the seed, the load index and the replication,
+// never on the spec's position. Run folds results in cell order, so the
+// series are bit-for-bit identical at any GOMAXPROCS (pooled
+// floating-point moments are sensitive to merge order).
+func RunSweep(cfg SweepConfig, specs ...Spec) ([]Series, error) {
 	cfg = cfg.defaulted()
-	agg := make([]pointAgg, len(cfg.Loads))
-	err := Run(cfg.Workers, len(cfg.Loads)*cfg.Replications,
+	first := make(map[Spec]int, len(specs))
+	var distinct []Spec
+	for _, s := range specs {
+		if _, ok := first[s]; !ok {
+			first[s] = len(distinct)
+			distinct = append(distinct, s)
+		}
+	}
+	loads, reps := len(cfg.Loads), cfg.Replications
+	agg := make([]pointAgg, len(distinct)*loads)
+	err := Run(0, len(agg)*reps,
 		func(cell int) (ecommerce.Result, error) {
-			return runReplication(cfg, spec, cell/cfg.Replications, cell%cfg.Replications)
+			point := cell / reps
+			return runReplication(cfg, distinct[point/loads], point%loads, cell%reps)
 		},
 		func(cell int, res ecommerce.Result) error {
-			agg[cell/cfg.Replications].add(res)
+			agg[cell/reps].add(res)
 			return nil
 		})
 	if err != nil {
-		return Series{}, err
+		return nil, err
 	}
 
-	series := Series{Spec: spec, Points: make([]Point, len(cfg.Loads))}
-	for i, load := range cfg.Loads {
-		series.Points[i] = agg[i].finish(load)
+	out := make([]Series, len(specs))
+	for i, s := range specs {
+		out[i] = Series{Spec: s, Points: make([]Point, loads)}
+		for j, load := range cfg.Loads {
+			out[i].Points[j] = agg[first[s]*loads+j].finish(load)
+		}
 	}
-	return series, nil
+	return out, nil
 }
 
 // runReplication executes one (load, replication) cell.

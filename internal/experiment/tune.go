@@ -136,21 +136,21 @@ func Tune(cfg TuneConfig) ([]TuneResult, error) {
 		Transactions: cfg.Transactions,
 		Seed:         cfg.Seed,
 	}
-	results := make([]TuneResult, 0, len(candidates))
-	for _, spec := range candidates {
-		series, err := RunSweep(sweep, spec)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: tune %s: %w", spec.Label(), err)
-		}
+	all, err := RunSweep(sweep, candidates...)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: tune: %w", err)
+	}
+	results := make([]TuneResult, len(all))
+	for i, series := range all {
 		low, high := series.Points[0], series.Points[1]
 		r := TuneResult{
-			Spec:     spec,
+			Spec:     series.Spec,
 			HighRT:   high.AvgRT,
 			LowLoss:  low.LossFraction,
 			HighLoss: high.LossFraction,
 		}
 		r.Cost = cfg.RTWeight*r.HighRT + cfg.LossWeight*r.LowLoss
-		results = append(results, r)
+		results[i] = r
 	}
 	sort.Slice(results, func(i, j int) bool {
 		if !num.Same(results[i].Cost, results[j].Cost) {

@@ -3,10 +3,12 @@
 # build, go vet, the rejuvlint static-analysis suite, the test suite
 # (shuffled, to surface test-order dependence), race-detector passes
 # (including the statistical conformance suite), the seed-pinned
-# shift-conformance laws, the scheduler-conformance laws, and a short
-# fuzz smoke
-# of the existing fuzz targets — including the rejuvlint annotation and
-# directive grammar — so they are exercised beyond their seed corpora.
+# shift-conformance laws, the scheduler-conformance laws, the paper
+# gate (the full-fidelity figures, seed 1, regenerated in ~35 s on two
+# cores and compared byte for byte with results/ and results_log.txt),
+# and a short fuzz smoke of the existing fuzz targets — including the
+# rejuvlint annotation and directive grammar — so they are exercised
+# beyond their seed corpora.
 #
 # Usage: scripts/check.sh
 #   FUZZTIME=5s scripts/check.sh   # longer fuzz smoke (default 3s/target)
@@ -36,6 +38,20 @@ go test -race -count=1 ./internal/conformance ./internal/experiment
 
 echo "== figure CSVs on one processor (GOMAXPROCS=1: the sweeps' cell grids fold in the same order on one worker)"
 GOMAXPROCS=1 go test -count=1 -run TestCmdFiguresQuickGolden .
+
+echo "== paper gate: full-fidelity figures (seed 1) byte-identical to results/ and results_log.txt"
+# The per-figure "(figXX in Ns)" wall-clock suffixes are normalised
+# away, as in the CLI goldens.
+fig_tmp=$(mktemp -d)
+trap 'rm -rf "$fig_tmp"' EXIT
+normalise_elapsed() { sed -E 's/in [0-9ms.]+s?\)/in Xs)/'; }
+go run ./cmd/figures -out "$fig_tmp/out" >"$fig_tmp/stdout"
+diff -rq results "$fig_tmp/out" || {
+    echo "paper gate FAILED: regenerated figures differ from results/ (or a file is missing or extra)"; exit 1;
+}
+diff <(normalise_elapsed <results_log.txt) <(normalise_elapsed <"$fig_tmp/stdout") || {
+    echo "paper gate FAILED: figures stdout differs from results_log.txt"; exit 1;
+}
 
 echo "== shift-conformance laws (pure shift, aging-through-shift, confusion matrix, faulted rebaselines)"
 go test -count=1 -run 'TestShiftLaw|TestShiftFault' -v ./internal/conformance | grep -E '^(--- (PASS|FAIL)|ok|FAIL)' || {
